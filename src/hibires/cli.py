@@ -19,6 +19,7 @@ from .fixtures import FIXTURES, fixture_files, fixture_lattice
 from .graphs import cover_lattice, graph_from_json_obj, normalize_graph, parse_graph_text
 from .ideals import edge_ideal, hibi_ideal
 from .invariants import invariant_report
+from .linalg import is_supported_prime
 from .lattice import (
     lattice_from_json_obj,
     lattice_to_text,
@@ -34,9 +35,13 @@ from .resolution import betti_table_from_basis, build_resolution
 def _parse_field(text):
     if text in ("q", "Q"):
         return "Q"
-    if text.startswith("p:"):
-        return int(text[2:])
-    raise argparse.ArgumentTypeError("field must be 'q' or 'p:<prime>'")
+    if text.startswith("p:") and text[2:].isdecimal():
+        p = int(text[2:])
+        if is_supported_prime(p):
+            return p
+    raise argparse.ArgumentTypeError(
+        "field must be 'q' or 'p:<prime>', a prime below 2^31"
+    )
 
 
 def load_lattice(path):

@@ -71,3 +71,7 @@ class NotCM(HibiresError):
 
 class InputFormatError(HibiresError):
     pass
+
+
+class UnsupportedField(HibiresError):
+    pass

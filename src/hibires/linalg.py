@@ -9,9 +9,23 @@ independent cross-check on small matrices.  Prime fields go through
 numpy.
 """
 
-from math import gcd
+from functools import cache
+from math import gcd, isqrt
 
 import numpy as np
+
+from .errors import UnsupportedField
+
+# rank_mod_p forms products of two residues in int64; below 2^31 they stay exact
+MAX_CHARACTERISTIC = 2**31
+
+
+@cache
+def is_supported_prime(p):
+    """p is a prime below MAX_CHARACTERISTIC."""
+    return 2 <= p < MAX_CHARACTERISTIC and all(
+        p % d for d in range(2, isqrt(p) + 1)
+    )
 
 
 def rank_bareiss(rows):
@@ -133,6 +147,10 @@ def rank_exact(sparse_rows, ncols, field="Q"):
 
     sparse_rows is a list of {col: int} dicts; field is "Q" or a prime.
     """
+    if field != "Q" and not is_supported_prime(int(field)):
+        raise UnsupportedField(
+            f"field characteristic {field} is not a prime below 2^31"
+        )
     if not sparse_rows or ncols == 0:
         return 0
     if field == "Q":

@@ -1,12 +1,25 @@
-"""Brute-force Betti numbers via simplicial homology of upper Koszul complexes.
+"""Brute-force Betti numbers via simplicial homology.
 
-Independent of the closed-form resolution: for each candidate multidegree
-b, build the simplicial complex of variable subsets that still divide into
-the ideal, and read the Betti number off the reduced homology ranks of its
-boundary matrices, computed with exact linear algebra.
+Independent of the closed-form resolution.  For a squarefree multidegree b
+two complexes on the vertex set supp(b) carry the Betti numbers of a
+squarefree monomial ideal I:
+
+* Hochster's restriction Delta_b: the subsets of supp(b) that contain no
+  generator of I (for I(G), the independent sets of G inside supp(b)),
+  with beta_{i,b}(I) = dim H~_{|b|-i-2}(Delta_b);
+* the upper Koszul complex K^b: the subsets t of supp(b) with b/t still in
+  I, with beta_{i,b}(I) = dim H~_{i-1}(K^b).
+
+A subset t lies in K^b exactly when its complement in supp(b) does not lie
+in Delta_b (Alexander duality inside supp(b)), so the two complexes split
+the 2^|b| subsets of supp(b) between them.  The oracle builds the smaller
+one: it enumerates Delta_b up to half of those subsets and switches to K^b
+once Delta_b has more.  Both come from one depth-first face generator, and
+the reduced homology ranks come from exact linear algebra over Q or F_p.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .betti import BettiTable
 from .errors import ClosureTooLarge, ZeroIdeal
@@ -39,31 +52,90 @@ class SimplicialComplex:
         return len(self.faces.get(d, ()))
 
 
-def upper_koszul_complex(I, b):
-    """Subsets t of supp(b) with b/t still in the ideal.
-
-    Downward closure is automatic (dividing out fewer variables keeps the
-    monomial in the ideal) and asserted.
-    """
+def _support(I, b):
+    """Mask of supp(b) and the generators of I dividing b, as masks."""
     n = I.n
-    bmask = _combined(b, n)
-    gens = [_combined(g, n) for g in I.gens if g.divides(b)]
-    verts = tuple(i for i in range(2 * n) if bmask >> i & 1)
-    faces = {}
-    sub = bmask
-    while True:
-        rest = bmask & ~sub
-        if any(g & ~rest == 0 for g in gens):
-            faces.setdefault(sub.bit_count() - 1, []).append(sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & bmask
-    all_faces = {f for fs in faces.values() for f in fs}
-    for f in all_faces:
-        for i in range(2 * n):
-            if f >> i & 1:
-                assert f & ~(1 << i) in all_faces, "complex not downward closed"
-    return SimplicialComplex(verts, {d: sorted(fs) for d, fs in faces.items()})
+    return _combined(b, n), [_combined(g, n) for g in I.gens if g.divides(b)]
+
+
+def _delta(gens):
+    """Delta_b as (nonvoid, extends): face | w stays in Delta_b when no
+    generator through w lies inside it."""
+    rest = {}
+    for g in gens:
+        for w in _bits(g):
+            rest.setdefault(w, []).append(g & ~w)
+    return 0 not in gens, lambda face, w: all(r & ~face for r in rest.get(w, ()))
+
+
+def _koszul(gens):
+    """K^b as (nonvoid, extends): face | w stays in K^b when some generator
+    avoids it."""
+    return bool(gens), lambda face, w: any(not g & (face | w) for g in gens)
+
+
+def _bits(mask):
+    return [1 << v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def _faces(bmask, family, max_size=None):
+    """Faces (as masks) of a downward-closed family of subsets of bmask.
+
+    family is (nonvoid, extends), where extends(face, w) tells whether
+    face | w is in the family given that face is.  Depth-first extension
+    in increasing vertex order: a face is extended only by the vertices
+    above its largest one that also extended its parent, so each face is
+    produced once and the work is proportional to the faces found times
+    |bmask|.  max_size stops the extension at faces with that many
+    vertices.
+    """
+    nonvoid, extends = family
+    if not nonvoid:
+        return
+    yield 0
+    if max_size is None:
+        max_size = bmask.bit_count()
+    # (face, its size, vertices above its top that may extend it)
+    stack = [(0, 0, _bits(bmask))] if max_size > 0 else []
+    while stack:
+        face, size, cand = stack.pop()
+        ext = [w for w in cand if extends(face, w)]
+        for k, w in enumerate(ext):
+            child = face | w
+            yield child
+            if size + 1 < max_size and k + 1 < len(ext):
+                stack.append((child, size + 1, ext[k + 1 :]))
+
+
+def _complex(bmask, faces):
+    by_dim = {}
+    for f in faces:
+        by_dim.setdefault(f.bit_count() - 1, []).append(f)
+    # built from a list: tuple() over a generator grows and shrinks the
+    # tuple, which over many small complexes raised peak memory by ~1 MB
+    verts = tuple([w.bit_length() - 1 for w in _bits(bmask)])
+    return SimplicialComplex(verts, {d: sorted(fs) for d, fs in by_dim.items()})
+
+
+def upper_koszul_complex(I, b):
+    """Subsets t of supp(b) with b/t still in the ideal."""
+    bmask, gens = _support(I, b)
+    return _complex(bmask, _faces(bmask, _koszul(gens)))
+
+
+def _smaller_side(I, b):
+    """(complex, on_delta): Delta_b while it has at most half of the
+    subsets of supp(b), else K^b.
+
+    A void Delta_b (only the unit ideal has one) falls to K^b, where the
+    homology degree still reads off directly.
+    """
+    bmask, gens = _support(I, b)
+    half = (1 << bmask.bit_count()) >> 1
+    delta = list(islice(_faces(bmask, _delta(gens)), half + 1))
+    if 0 < len(delta) <= half:
+        return _complex(bmask, delta), True
+    return _complex(bmask, _faces(bmask, _koszul(gens))), False
 
 
 def _boundary_matrix(K, d):
@@ -72,23 +144,26 @@ def _boundary_matrix(K, d):
     rows = []
     for f in K.faces.get(d, ()):
         row = {}
-        bits = [i for i in range(f.bit_length()) if f >> i & 1]
-        for t, i in enumerate(bits):
-            sub = f & ~(1 << i)
-            row[lower[sub]] = 1 if t % 2 == 0 else -1
+        sign = 1
+        rest = f
+        while rest:
+            w = rest & -rest
+            row[lower[f ^ w]] = sign
+            sign = -sign
+            rest ^= w
         rows.append(row)
     return rows
+
+
+def _boundary_rank(K, d, field):
+    return rank_exact(_boundary_matrix(K, d), K.face_count(d - 1), field)
 
 
 def reduced_homology_ranks(K, field="Q"):
     """Ranks of reduced homology, as a dict degree -> rank (degree >= -1)."""
     if K.dim < -1:
         return {}
-    boundary_rank = {}
-    for d in range(0, K.dim + 1):
-        boundary_rank[d] = rank_exact(
-            _boundary_matrix(K, d), K.face_count(d - 1), field
-        )
+    boundary_rank = {d: _boundary_rank(K, d, field) for d in range(0, K.dim + 1)}
     out = {}
     for d in range(-1, K.dim + 1):
         h = (
@@ -102,11 +177,12 @@ def reduced_homology_ranks(K, field="Q"):
 
 
 def betti_oracle(I, field="Q", closure_cap=5000, degree_filter=None):
-    """Multigraded Betti table of the ideal from upper Koszul homology.
+    """Multigraded Betti table of the ideal from simplicial homology.
 
     Candidate multidegrees are the lcm closure of the generators; pass
     degree_filter (a set of total degrees) to restrict the computation to
-    those total degrees only.
+    those total degrees only.  Each multidegree is read off the smaller
+    of Delta_b and K^b.
     """
     if I.is_zero:
         raise ZeroIdeal("the zero ideal has no Betti table")
@@ -117,62 +193,32 @@ def betti_oracle(I, field="Q", closure_cap=5000, degree_filter=None):
     for b in closure:
         if degree_filter is not None and b.degree not in degree_filter:
             continue
-        K = upper_koszul_complex(I, b)
+        K, on_delta = _smaller_side(I, b)
         for d, h in reduced_homology_ranks(K, field).items():
-            table.add(d + 1, b, h)
+            table.add(b.degree - d - 2 if on_delta else d + 1, b, h)
     return table
-
-
-def _faces_of_size(I, b, k):
-    """k-subsets t of supp(b) with b/t still in the ideal, as masks."""
-    from itertools import combinations
-
-    if k < 0:
-        return []
-    n = I.n
-    bmask = _combined(b, n)
-    gens = [_combined(g, n) for g in I.gens if g.divides(b)]
-    if not gens:
-        return []
-    verts = [i for i in range(2 * n) if bmask >> i & 1]
-    out = []
-    for combo in combinations(verts, k):
-        sub = 0
-        for i in combo:
-            sub |= 1 << i
-        rest = bmask & ~sub
-        if any(g & ~rest == 0 for g in gens):
-            out.append(sub)
-    return out
 
 
 def betti_value_at(I, b, i, field="Q"):
     """Single Betti number beta_{i,b}(I), touching only three face sizes.
 
     Much cheaper than the full table when only a few positions matter
-    (extremal spot checks, last-column totals).
+    (last-column totals, single graded values).  The faces come from
+    Delta_b up to |b|-i vertices or from K^b up to i+1 vertices, whichever
+    limit is smaller.
     """
     if i == 0:
         return 1 if b in I.gens else 0
-    mid = _faces_of_size(I, b, i)        # dimension i-1
-    below = _faces_of_size(I, b, i - 1)  # dimension i-2
-    above = _faces_of_size(I, b, i + 1)  # dimension i
-    below_index = {f: k for k, f in enumerate(below)}
-    mid_index = {f: k for k, f in enumerate(mid)}
-
-    def boundary_rows(faces, lower_index):
-        rows = []
-        for f in faces:
-            row = {}
-            bits = [j for j in range(f.bit_length()) if f >> j & 1]
-            for t, j in enumerate(bits):
-                row[lower_index[f & ~(1 << j)]] = 1 if t % 2 == 0 else -1
-            rows.append(row)
-        return rows
-
-    rank_down = rank_exact(boundary_rows(mid, below_index), len(below), field)
-    rank_up = rank_exact(boundary_rows(above, mid_index), len(mid), field)
-    return len(mid) - rank_down - rank_up
+    bmask, gens = _support(I, b)
+    k = bmask.bit_count()
+    if k - i <= i + 1:
+        family, d = _delta(gens), k - i - 2
+    else:
+        family, d = _koszul(gens), i - 1
+    K = _complex(bmask, _faces(bmask, family, max_size=d + 2))
+    return (
+        K.face_count(d) - _boundary_rank(K, d, field) - _boundary_rank(K, d + 1, field)
+    )
 
 
 def total_betti_in_degree(I, i, field="Q", closure_cap=5000):

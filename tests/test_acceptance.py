@@ -58,8 +58,18 @@ def emit(capsys, criterion, ok, extra=""):
 
 @pytest.fixture(scope="session")
 def corpus():
-    """Per-instance artifacts for the 200 random lattices, computed once."""
+    """Per-instance artifacts for the 200 random lattices, computed once,
+    with the seconds spent on the resolution, the Hibi-side oracle and
+    the edge-ideal oracle."""
     start = time.time()
+    seconds = {"resolution": 0.0, "hibi oracle": 0.0, "edge oracle": 0.0}
+
+    def timed(key, fn, *args):
+        t0 = time.time()
+        value = fn(*args)
+        seconds[key] += time.time() - t0
+        return value
+
     out = []
     for L in random_corpus(CORPUS_COUNT, CORPUS_SEED):
         H = hibi_ideal(L)
@@ -69,13 +79,13 @@ def corpus():
                 "L": L,
                 "H": H,
                 "I": I,
-                "C": build_resolution(L),
-                "basis_table": betti_table_from_basis(L),
-                "oracle_H": betti_oracle(H),
-                "quotient": betti_oracle(I).to_quotient(),
+                "C": timed("resolution", build_resolution, L),
+                "basis_table": timed("resolution", betti_table_from_basis, L),
+                "oracle_H": timed("hibi oracle", betti_oracle, H),
+                "quotient": timed("edge oracle", betti_oracle, I).to_quotient(),
             }
         )
-    return out, time.time() - start
+    return out, time.time() - start, seconds
 
 
 @pytest.fixture(scope="session")
@@ -116,7 +126,7 @@ def test_criterion_1_fixture_identities(capsys):
 
 
 def test_criterion_2_resolution_correctness(capsys, corpus, small_fixtures):
-    instances, corpus_time = corpus
+    instances, corpus_time, seconds = corpus
     start = time.time()
     ok = True
     pool = [(d["L"], d["C"], d["H"]) for d in instances]
@@ -135,11 +145,12 @@ def test_criterion_2_resolution_correctness(capsys, corpus, small_fixtures):
     elapsed = corpus_time + time.time() - start
     ok = ok and elapsed < 600.0
     emit(capsys, "criterion-2 resolution correctness on fixtures + corpus", ok,
-         f"{elapsed:.1f}s incl. corpus build")
+         ", ".join(f"{k} {v:.1f}s" for k, v in seconds.items())
+         + f"; {elapsed:.1f}s in all")
 
 
 def test_criterion_3_betti_table_equality(capsys, corpus, small_fixtures):
-    instances, _ = corpus
+    instances, _, _ = corpus
     ok = all(
         d["basis_table"].entries == d["oracle_H"].entries for d in instances
     ) and all(
@@ -150,7 +161,7 @@ def test_criterion_3_betti_table_equality(capsys, corpus, small_fixtures):
 
 
 def test_criterion_4_duality_round_trip(capsys, corpus, small_fixtures):
-    instances, _ = corpus
+    instances, _, _ = corpus
     ok = True
     pool = [d for d in instances]
     pool += [{"L": d["L"], "H": d["H"]} for d in small_fixtures.values()]
@@ -166,7 +177,7 @@ def test_criterion_4_duality_round_trip(capsys, corpus, small_fixtures):
 
 
 def test_criterion_5_extremal_transfer(capsys, corpus):
-    instances, _ = corpus
+    instances, _, _ = corpus
     ok = True
     for d in instances:
         L, quotient = d["L"], d["quotient"]
@@ -206,7 +217,7 @@ def test_criterion_6_figure_one(capsys):
 
 
 def test_criterion_7_lemma_suite(capsys, corpus, small_fixtures):
-    instances, _ = corpus
+    instances, _, _ = corpus
     ok = True
     pool = [d["L"] for d in instances]
     pool += [d["L"] for d in small_fixtures.values()]
@@ -224,7 +235,7 @@ def test_criterion_7_lemma_suite(capsys, corpus, small_fixtures):
 
 
 def test_criterion_8_bound_audit(capsys, corpus):
-    instances, _ = corpus
+    instances, _, _ = corpus
     violations = 0
     equal = 0
     for d in instances:
@@ -241,7 +252,7 @@ def test_criterion_8_bound_audit(capsys, corpus):
 
 
 def test_criterion_9_cm_placement(capsys, corpus):
-    instances, _ = corpus
+    instances, _, _ = corpus
     cm = [d for d in instances if depth_edge_ring(d["L"]) == d["L"].n]
     ok = bool(cm)
     for d in cm:

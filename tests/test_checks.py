@@ -1,7 +1,8 @@
 import pytest
 
-from hibires.checks import run_checks
+from hibires.checks import CheckReport, check_oracle_hibi, run_checks
 from hibires.lattice import random_sublattice
+from hibires.resolution import betti_table_from_basis
 
 
 @pytest.mark.parametrize("name", ["E1", "K22", "CHAIN", "B2"])
@@ -37,3 +38,14 @@ def test_random_instance_oracle_level():
     L = random_sublattice(4, 3, 7)
     report = run_checks(L, level="oracle")
     assert report.ok, report.first_failure()
+
+
+def test_oracle_mismatch_names_the_entry(CHAIN):
+    table = betti_table_from_basis(CHAIN)
+    (i, b), v = min(table.entries.items())
+    table.entries[(i, b)] = v + 1
+    report = CheckReport()
+    check_oracle_hibi(CHAIN, table, report)
+    name, ok, detail = report.results[0]
+    assert (name, ok) == ("betti_formula_vs_oracle", False)
+    assert detail == [(i, b.render(), v + 1, v)]

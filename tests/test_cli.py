@@ -76,6 +76,21 @@ class TestAnalyze:
         assert main(["analyze", "--input", "/nonexistent.lat"]) == 1
 
 
+class TestFieldOption:
+    @pytest.mark.parametrize("field", ["p:4", "p:9", "p:1", "p:0", "p:4294967311"])
+    def test_unsupported_field_is_a_usage_error(self, chain_file, field, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--input", chain_file, "--level", "oracle",
+                  "--field", field])
+        assert exc.value.code == 2
+        assert "field must be 'q' or 'p:<prime>'" in capsys.readouterr().err
+
+    def test_prime_accepted(self, chain_file, capsys):
+        rc = main(["verify", "--input", chain_file, "--level", "oracle",
+                   "--field", "p:3"])
+        assert rc == 0
+
+
 class TestVerify:
     def test_fixture_pass_lines(self, capsys):
         rc = main(["verify", "--fixtures"])

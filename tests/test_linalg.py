@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from hibires.errors import UnsupportedField
 from hibires.linalg import rank_bareiss, rank_exact, rank_mod_p, rank_sparse_int
 
 
@@ -34,6 +35,20 @@ class TestKnownMatrices:
         a = [[2, 0], [0, 1]]
         assert rank_exact(to_sparse(a), 2, "Q") == 2
         assert rank_mod_p(to_sparse(a), 2, 2) == 1
+
+
+    @pytest.mark.parametrize("p", [4, 9, 1, 0, 4294967311])
+    def test_unsupported_field_refused(self, p):
+        # 4294967311 is prime, but its residue products overflow int64
+        with pytest.raises(UnsupportedField):
+            rank_exact(to_sparse([[2, 0], [0, 1]]), 2, p)
+        with pytest.raises(UnsupportedField):
+            rank_exact([], 0, p)
+
+    def test_largest_supported_prime_is_exact(self):
+        p = 2147483647
+        x = p - 1
+        assert rank_exact([{0: 1, 1: x}, {0: x, 1: x * x % p}], 2, p) == 1
 
 
 class TestCrossValidation:

@@ -2,12 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hibires.betti import BettiTable
 from hibires.errors import ZeroIdeal
+from hibires.fixtures import fixture_lattice
 from hibires.graphs import BipartiteGraph, graph_from_lattice
 from hibires.ideals import Monomial, MonomialIdeal, edge_ideal, hibi_ideal, lcm_closure
 from hibires.lattice import random_sublattice
 from hibires.oracle import (
     SimplicialComplex,
+    _smaller_side,
     betti_oracle,
     betti_value_at,
     graded_betti_in_degree,
@@ -16,6 +19,45 @@ from hibires.oracle import (
     total_betti_in_degree,
     upper_koszul_complex,
 )
+
+SMALL_FIXTURES = ["E1", "CHAIN", "B2", "K22"]
+
+
+def koszul_reference(I, b):
+    """Upper Koszul complex K^b by the exhaustive scan of all 2^|b| subsets
+    of supp(b): the reference the face generator is checked against."""
+    n = I.n
+    bmask = b.xmask | (b.ymask << n)
+    gens = [g.xmask | (g.ymask << n) for g in I.gens if g.divides(b)]
+    verts = tuple(i for i in range(2 * n) if bmask >> i & 1)
+    faces = {}
+    sub = bmask
+    while True:
+        rest = bmask & ~sub
+        if any(g & ~rest == 0 for g in gens):
+            faces.setdefault(sub.bit_count() - 1, []).append(sub)
+        if sub == 0:
+            break
+        sub = (sub - 1) & bmask
+    all_faces = {f for fs in faces.values() for f in fs}
+    for f in all_faces:
+        for i in range(2 * n):
+            if f >> i & 1:
+                assert f & ~(1 << i) in all_faces, "complex not downward closed"
+    return SimplicialComplex(verts, {d: sorted(fs) for d, fs in faces.items()})
+
+
+def reference_table(I, field="Q"):
+    """Betti table with beta_{i,b} = dim H~_{i-1}(K^b) on the reference K^b."""
+    table = BettiTable(I.n, "ideal")
+    for b in lcm_closure(I):
+        for d, h in reduced_homology_ranks(koszul_reference(I, b), field).items():
+            table.add(d + 1, b, h)
+    return table
+
+
+def both_ideals(L):
+    return hibi_ideal(L), edge_ideal(graph_from_lattice(L))
 
 
 def simplex_complex(k):
@@ -82,6 +124,12 @@ class TestUpperKoszul:
         K = upper_koszul_complex(H, Monomial.of(0b01, 0b11))
         assert reduced_homology_ranks(K) == {0: 1}
 
+    @pytest.mark.parametrize("name", SMALL_FIXTURES)
+    def test_matches_exhaustive_scan(self, name):
+        for I in both_ideals(fixture_lattice(name)):
+            for b in lcm_closure(I):
+                assert upper_koszul_complex(I, b) == koszul_reference(I, b)
+
 
 class TestBettiOracle:
     def test_chain_hibi_totals(self, CHAIN):
@@ -119,9 +167,33 @@ class TestBettiOracle:
         assert betti_oracle(H).entries == betti_oracle(H, field=2).entries
 
 
+class TestAgainstReference:
+    """betti_oracle reads each multidegree off the smaller of Delta_b and
+    K^b; the reference reads every one off the exhaustive K^b scan."""
+
+    @pytest.mark.parametrize("name", SMALL_FIXTURES)
+    def test_fixtures_take_both_sides(self, name):
+        sides = set()
+        for I in both_ideals(fixture_lattice(name)):
+            sides |= {_smaller_side(I, b)[1] for b in lcm_closure(I)}
+            for field in ("Q", 2):
+                assert betti_oracle(I, field).entries == \
+                    reference_table(I, field).entries
+        assert sides == {True, False}
+
+    @given(st.integers(1, 4), st.integers(0, 4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_random_lattices(self, n, seeds, seed):
+        for I in both_ideals(random_sublattice(n, seeds, seed)):
+            for field in ("Q", 2):
+                assert betti_oracle(I, field).entries == \
+                    reference_table(I, field).entries
+
+
 class TestCheapPaths:
-    def test_value_at_matches_table(self, B2):
-        I = edge_ideal(graph_from_lattice(B2))
+    @pytest.mark.parametrize("name", SMALL_FIXTURES)
+    def test_value_at_matches_table(self, name):
+        I = edge_ideal(graph_from_lattice(fixture_lattice(name)))
         T = betti_oracle(I)
         for b in lcm_closure(I):
             for i in range(5):
