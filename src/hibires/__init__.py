@@ -39,8 +39,6 @@ from .lattice import (
     b_set,
     boolean_intervals,
     f_value,
-    lower_neighbors,
-    meet_of,
     random_sublattice,
     validate_sublattice,
 )

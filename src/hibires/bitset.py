@@ -5,8 +5,6 @@ i-1.  All lattice and monomial code works on these plain ints; the ground
 set size n travels with the containing object.
 """
 
-from itertools import combinations
-
 MAX_GROUND = 32
 
 
@@ -40,10 +38,6 @@ def is_subset(a, b):
     return a & b == a
 
 
-def popcount(mask):
-    return mask.bit_count()
-
-
 def order_key(mask):
     """Sort key for the fixed total order: cardinality, then bit pattern.
 
@@ -51,26 +45,6 @@ def order_key(mask):
     is deterministic and cheap.
     """
     return (mask.bit_count(), mask)
-
-
-def submasks(mask):
-    """All submasks of mask, including 0 and mask itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
-def masks_of_size(mask, k):
-    """Submasks of mask with exactly k bits set."""
-    bits = [1 << (i - 1) for i in indices_of(mask)]
-    for combo in combinations(bits, k):
-        m = 0
-        for b in combo:
-            m |= b
-        yield m
 
 
 def render_set(mask):

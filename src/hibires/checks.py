@@ -170,7 +170,7 @@ def check_resolution(L, report, field="Q"):
         if not strand_exactness(C, H, b, field=field)
     ]
     report.add("strand_exactness", not bad, bad[:3])
-    table = betti_table_from_basis(L)
+    table = betti_table_from_basis(C)
     report.add(
         "basis_betti_multiplicity_one",
         all(v == 1 for v in table.entries.values()),

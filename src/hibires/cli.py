@@ -101,14 +101,18 @@ def cmd_analyze(args):
         L = load_lattice(args.input)
     except (HibiresError, OSError, ValueError) as exc:
         return _error_exit(exc)
-    C = build_resolution(L)
-    report = invariant_report(L, level_ranks=C.level_ranks())
-    basis_table = betti_table_from_basis(L)
+    try:
+        C = build_resolution(L)
+        report = invariant_report(L, level_ranks=C.level_ranks())
+        basis_table = betti_table_from_basis(C)
+        if args.level == "oracle":
+            oracle_table = betti_oracle(hibi_ideal(L), field=args.field)
+    except HibiresError as exc:
+        return _error_exit(exc)
     out = report.to_json_obj()
     out["input"] = str(args.input)
     out["betti_diagram_H"] = basis_table.diagram()
     if args.level == "oracle":
-        oracle_table = betti_oracle(hibi_ideal(L), field=args.field)
         match = oracle_table.entries == basis_table.entries
         out["oracle_verdict"] = "MATCH" if match else "MISMATCH"
         if not match:
@@ -135,9 +139,12 @@ def cmd_verify(args):
         level = args.level
         if name == "FIG1" and level == "oracle":
             level = "formulas"  # full oracle on n=7 is out of desk scale
-        report = _verify_one(
-            L, level, args.field, mutate=args.debug_mutate_differential
-        )
+        try:
+            report = _verify_one(
+                L, level, args.field, mutate=args.debug_mutate_differential
+            )
+        except HibiresError as exc:
+            return _error_exit(exc)
         for check_name, ok, detail in report.results:
             print(f"{'PASS' if ok else 'FAIL'} {name} {check_name}")
             if not ok and failed is None:

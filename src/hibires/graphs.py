@@ -166,6 +166,19 @@ def is_unmixed(G, bound=ENUMERATION_BOUND):
     return len(sizes) == 1
 
 
+def is_transitive(G):
+    """Villarreal's criterion for a normalized G: x_i y_j, x_j y_k in E
+    imply x_i y_k in E.
+
+    It holds for a bipartite graph with a perfect matching exactly when
+    the graph is unmixed, whichever perfect matching labels it.
+    """
+    right = {}
+    for i, j in G.edges:
+        right.setdefault(i, set()).add(j)
+    return all(right[j] <= right[i] for i, j in G.edges)
+
+
 def _implication_lattice_family(G):
     """Fast path: subsets p of [n] with j in p => i in p for every edge (i, j)."""
     n = G.n
@@ -181,15 +194,17 @@ def _implication_lattice_family(G):
 def cover_lattice(G, bound=ENUMERATION_BOUND):
     """The lattice {xs(C) : C minimal vertex cover} for a normalized unmixed G.
 
-    Computed by the edge-implication fast path and, within the enumeration
-    bound, cross-checked against the cover-enumeration slow path.
+    Unmixedness is decided by the transitivity criterion at every size.
+    The lattice comes from the edge-implication fast path and, within the
+    enumeration bound, is cross-checked against the cover-enumeration slow
+    path.
     """
     if not G.is_normalized:
         raise NotUnmixed("graph must be normalized first (use normalize_graph)")
+    if not is_transitive(G):
+        raise NotUnmixed("graph has minimal vertex covers of different sizes")
     fam = _implication_lattice_family(G)
     if G.n_left + G.n_right <= bound:
-        if not is_unmixed(G, bound):
-            raise NotUnmixed("graph has minimal vertex covers of different sizes")
         slow = {c.xs for c in minimal_vertex_covers(G, bound)}
         if slow != fam:
             raise LatticeValidation(

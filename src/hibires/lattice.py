@@ -119,14 +119,6 @@ def validate_sublattice(family, n):
     return CoverLattice(n=n, elements=elements, lower=lower, index=index)
 
 
-def lower_neighbors(L, p):
-    return L.neighbors(p)
-
-
-def meet_of(L, S, context_p):
-    return L.meet_of(S, context_p)
-
-
 @dataclass(frozen=True)
 class BooleanInterval:
     """Closed interval [bottom, top] of L isomorphic to B_rank."""

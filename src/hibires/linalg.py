@@ -1,22 +1,21 @@
-"""Exact rank computation for integer matrices.
+"""Exact rank of sparse integer matrices over Q and over prime fields.
 
 All matrices in this package (simplicial boundary maps, strand sign
-matrices, differential compositions) have small integer entries, so rank
-over the rationals reduces to integer elimination.  The workhorse is a
-sparse fraction-free elimination that prefers unit pivots and strips row
-gcds to keep entries small; a dense Bareiss elimination serves as an
-independent cross-check on small matrices.  Prime fields go through
-numpy.
+matrices, differential compositions) have small integer entries.  One
+sparse elimination serves every field: it takes the shortest row as pivot
+row and a unit entry as pivot where there is one.  Over Q it stays
+fraction-free and divides rows by their gcd, which keeps entries small on
+the near-unimodular boundary maps; over F_p every nonzero entry is a unit,
+so rows are updated with the pivot's inverse and kept reduced mod p.
 """
 
 from functools import cache
 from math import gcd, isqrt
 
-import numpy as np
-
 from .errors import UnsupportedField
 
-# rank_mod_p forms products of two residues in int64; below 2^31 they stay exact
+# bounds the trial division in is_supported_prime; the CLI documents the
+# same limit when it refuses a field
 MAX_CHARACTERISTIC = 2**31
 
 
@@ -28,74 +27,57 @@ def is_supported_prime(p):
     )
 
 
-def rank_bareiss(rows):
-    """Rank of a dense integer matrix via Bareiss fraction-free elimination."""
-    a = [list(map(int, r)) for r in rows]
-    if not a or not a[0]:
-        return 0
-    m, n = len(a), len(a[0])
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, m) if a[r][col]), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        pivot = a[row][col]
-        arow = a[row]
-        for r in range(row + 1, m):
-            ar = a[r]
-            factor = ar[col]
-            for c in range(col, n):
-                ar[c] = (pivot * ar[c] - factor * arow[c]) // prev
-        prev = pivot
-        rank += 1
-        row += 1
-        if row == m:
-            break
-    return rank
+def _pivot_key(entry):
+    v = abs(entry[1])
+    return v != 1, v
 
 
-def rank_sparse_int(rows):
-    """Rank over Q of a sparse integer matrix, by fraction-free elimination.
+def rank_exact(rows, *, field="Q"):
+    """Rank of a sparse integer matrix over Q or a prime field.
 
-    rows is a list of {col: value} dicts.  Pivot rows are chosen short,
-    pivot entries unit where possible, and rows are divided by their gcd
-    after each update, which keeps intermediate entries small on the
-    near-unimodular matrices arising from boundary maps.
+    rows is a list of {col: int} dicts; field is "Q" or a prime below
+    MAX_CHARACTERISTIC.
     """
+    if field != "Q" and not is_supported_prime(int(field)):
+        raise UnsupportedField(
+            f"field characteristic {field} is not a prime below 2^31"
+        )
+    p = 0 if field == "Q" else int(field)
+    if p:
+        rows = [{c: v % p for c, v in r.items()} for r in rows]
     work = [r2 for r in rows if (r2 := {c: v for c, v in r.items() if v})]
     rank = 0
     while work:
         work.sort(key=len)
         piv = work.pop(0)
-        col, pval = min(piv.items(), key=lambda cv: (abs(cv[1]) != 1, abs(cv[1])))
+        col, pval = min(piv.items(), key=_pivot_key)
+        del piv[col]
         rank += 1
+        # each row r becomes scale * r - r[col] * inv * piv; inv is the
+        # pivot's inverse except for a non-unit pivot over Q, which takes
+        # the fraction-free step (scale = pval) and then strips the row gcd
+        if p:
+            inv, scale = pow(pval, -1, p), 1
+        elif pval == 1 or pval == -1:
+            inv, scale = pval, 1  # pval**-1 == pval for units
+        else:
+            inv, scale = 1, pval
         remaining = []
         for r in work:
             rv = r.pop(col, 0)
             if rv:
-                if pval == 1 or pval == -1:
-                    s = rv * pval  # pval**-1 == pval for units
-                    for c, v in piv.items():
-                        if c == col:
-                            continue
-                        nv = r.get(c, 0) - s * v
-                        if nv:
-                            r[c] = nv
-                        else:
-                            r.pop(c, None)
-                else:
-                    r = {c: pval * v for c, v in r.items()}
-                    for c, v in piv.items():
-                        if c == col:
-                            continue
-                        nv = r.get(c, 0) - rv * v
-                        if nv:
-                            r[c] = nv
-                        else:
-                            r.pop(c, None)
+                if scale != 1:
+                    r = {c: scale * v for c, v in r.items()}
+                s = rv * inv
+                for c, v in piv.items():
+                    nv = r.get(c, 0) - s * v
+                    if p:
+                        nv %= p
+                    if nv:
+                        r[c] = nv
+                    else:
+                        r.pop(c, None)
+                if scale != 1:
                     g = 0
                     for v in r.values():
                         g = gcd(g, v)
@@ -107,52 +89,3 @@ def rank_sparse_int(rows):
                 remaining.append(r)
         work = remaining
     return rank
-
-
-def rank_mod_p(rows, ncols, p):
-    """Rank over the prime field F_p, via numpy integer elimination."""
-    if not rows or ncols == 0:
-        return 0
-    a = np.zeros((len(rows), ncols), dtype=np.int64)
-    for i, r in enumerate(rows):
-        for c, v in r.items():
-            a[i, c] = v % p
-    m, n = a.shape
-    rank = 0
-    row = 0
-    for col in range(n):
-        piv = None
-        for r in range(row, m):
-            if a[r, col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != row:
-            a[[row, piv]] = a[[piv, row]]
-        inv = pow(int(a[row, col]), p - 2, p)
-        a[row] = a[row] * inv % p
-        nz = np.nonzero(a[row + 1 :, col])[0] + row + 1
-        if nz.size:
-            a[nz] = (a[nz] - np.outer(a[nz, col], a[row])) % p
-        rank += 1
-        row += 1
-        if row == m:
-            break
-    return rank
-
-
-def rank_exact(sparse_rows, ncols, field="Q"):
-    """Rank of a sparse integer matrix over Q or a prime field.
-
-    sparse_rows is a list of {col: int} dicts; field is "Q" or a prime.
-    """
-    if field != "Q" and not is_supported_prime(int(field)):
-        raise UnsupportedField(
-            f"field characteristic {field} is not a prime below 2^31"
-        )
-    if not sparse_rows or ncols == 0:
-        return 0
-    if field == "Q":
-        return rank_sparse_int(sparse_rows)
-    return rank_mod_p(sparse_rows, ncols, int(field))

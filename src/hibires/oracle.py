@@ -156,7 +156,7 @@ def _boundary_matrix(K, d):
 
 
 def _boundary_rank(K, d, field):
-    return rank_exact(_boundary_matrix(K, d), K.face_count(d - 1), field)
+    return rank_exact(_boundary_matrix(K, d), field=field)
 
 
 def reduced_homology_ranks(K, field="Q"):

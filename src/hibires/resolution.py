@@ -15,7 +15,6 @@ from .betti import BettiTable
 from .bitset import full_mask, order_key
 from .errors import HomDegreeZero, TooManyNeighbors
 from .ideals import Monomial, lattice_generator, x_monomial, y_monomial
-from .lattice import lattice_to_json_obj
 from .linalg import rank_exact
 
 NEIGHBOR_CAP = 20  # max |N(p)| before basis enumeration is refused
@@ -227,7 +226,7 @@ def strand_exactness(C, I, b, field="Q"):
                 if tpos in local[i]:
                     row[local[i][tpos]] = sign
             rows.append(row)
-        ranks.append(rank_exact(rows, dims[i], field))
+        ranks.append(rank_exact(rows, field=field))
     aug_rank = 1 if has_ideal_component else 0
     # exactness at level 0 against the augmentation, then at each level up;
     # at the top the last differential must be injective
@@ -239,46 +238,12 @@ def strand_exactness(C, I, b, field="Q"):
     return dims[-1] == prev
 
 
-def betti_table_from_basis(L):
-    """Betti table of H_L read off the basis: one count per (level, multidegree)."""
-    table = BettiTable(L.n, "ideal")
-    for i, level in enumerate(resolution_basis(L)):
+def betti_table_from_basis(C):
+    """Betti table of H_L read off the basis of its resolution C: one count
+    per (level, multidegree)."""
+    table = BettiTable(C.L.n, "ideal")
+    for i, level in enumerate(C.levels):
         for g in level:
             table.add(i, g.multidegree, 1)
     return table
 
-
-# --- JSON dump -----------------------------------------------------------
-
-def complex_to_json_obj(C):
-    from .bitset import indices_of
-
-    levels = [
-        [
-            {
-                "p": indices_of(g.p),
-                "S": [indices_of(q) for q in g.S],
-                "multideg": {
-                    "x": indices_of(g.multidegree.xmask),
-                    "y": indices_of(g.multidegree.ymask),
-                },
-            }
-            for g in lv
-        ]
-        for lv in C.levels
-    ]
-    diffs = []
-    for i, per_source in enumerate(C.diffs):
-        entries = []
-        for src, terms in enumerate(per_source):
-            for tpos, sign, coeff in terms:
-                entries.append(
-                    {
-                        "source": src,
-                        "target": tpos,
-                        "sign": sign,
-                        "monomial": coeff.render(),
-                    }
-                )
-        diffs.append(entries)
-    return {"lattice": lattice_to_json_obj(C.L), "levels": levels, "diffs": diffs}

@@ -74,13 +74,14 @@ def corpus():
     for L in random_corpus(CORPUS_COUNT, CORPUS_SEED):
         H = hibi_ideal(L)
         I = edge_ideal(graph_from_lattice(L))
+        C = timed("resolution", build_resolution, L)
         out.append(
             {
                 "L": L,
                 "H": H,
                 "I": I,
-                "C": timed("resolution", build_resolution, L),
-                "basis_table": timed("resolution", betti_table_from_basis, L),
+                "C": C,
+                "basis_table": timed("resolution", betti_table_from_basis, C),
                 "oracle_H": timed("hibi oracle", betti_oracle, H),
                 "quotient": timed("edge oracle", betti_oracle, I).to_quotient(),
             }
@@ -95,11 +96,12 @@ def small_fixtures():
     for name in FIXTURES:
         L = fixture_lattice(name)
         H = hibi_ideal(L)
+        C = build_resolution(L)
         out[name] = {
             "L": L,
             "H": H,
-            "C": build_resolution(L),
-            "basis_table": betti_table_from_basis(L),
+            "C": C,
+            "basis_table": betti_table_from_basis(C),
             "oracle_H": betti_oracle(H),
         }
     return out

@@ -2,7 +2,7 @@ import pytest
 
 from hibires.checks import CheckReport, check_oracle_hibi, run_checks
 from hibires.lattice import random_sublattice
-from hibires.resolution import betti_table_from_basis
+from hibires.resolution import betti_table_from_basis, build_resolution
 
 
 @pytest.mark.parametrize("name", ["E1", "K22", "CHAIN", "B2"])
@@ -41,7 +41,7 @@ def test_random_instance_oracle_level():
 
 
 def test_oracle_mismatch_names_the_entry(CHAIN):
-    table = betti_table_from_basis(CHAIN)
+    table = betti_table_from_basis(build_resolution(CHAIN))
     (i, b), v = min(table.entries.items())
     table.entries[(i, b)] = v + 1
     report = CheckReport()

@@ -4,7 +4,7 @@ import pytest
 
 from hibires.cli import load_lattice, main
 from hibires.fixtures import fig1
-from hibires.lattice import lattice_to_text
+from hibires.lattice import lattice_to_text, validate_sublattice
 
 
 @pytest.fixture
@@ -12,6 +12,20 @@ def chain_file(tmp_path):
     path = tmp_path / "chain.lat"
     path.write_text("lattice 2\nempty\n1\n1 2\n")
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def boolean8_file(tmp_path_factory):
+    # B_8: 256 generators, whose lcm closure passes the oracle's cap
+    path = tmp_path_factory.mktemp("b8") / "b8.lat"
+    path.write_text(lattice_to_text(validate_sublattice(range(256), 8)))
+    return str(path)
+
+
+def assert_clean_error(capsys, kind):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err)["error"] == kind
 
 
 @pytest.fixture
@@ -75,6 +89,11 @@ class TestAnalyze:
     def test_missing_file_exit_1(self, capsys):
         assert main(["analyze", "--input", "/nonexistent.lat"]) == 1
 
+    def test_oracle_limit_exit_1(self, boolean8_file, capsys):
+        rc = main(["analyze", "--input", boolean8_file, "--level", "oracle"])
+        assert rc == 1
+        assert_clean_error(capsys, "ClosureTooLarge")
+
 
 class TestFieldOption:
     @pytest.mark.parametrize("field", ["p:4", "p:9", "p:1", "p:0", "p:4294967311"])
@@ -104,6 +123,10 @@ class TestVerify:
 
     def test_no_input_exit_1(self, capsys):
         assert main(["verify"]) == 1
+
+    def test_closure_limit_exit_1(self, boolean8_file, capsys):
+        assert main(["verify", "--input", boolean8_file]) == 1
+        assert_clean_error(capsys, "ClosureTooLarge")
 
     def test_mutate_exits_2_with_counterexample(self, chain_file, capsys):
         rc = main(

@@ -9,6 +9,7 @@ from hibires.graphs import (
     cover_lattice,
     graph_from_lattice,
     graph_to_text,
+    is_transitive,
     is_unmixed,
     minimal_vertex_covers,
     normalize_graph,
@@ -102,6 +103,15 @@ class TestUnmixed:
         G = BipartiteGraph(1, 2, frozenset({(1, 1), (1, 2)}))
         assert not is_unmixed(G)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_transitivity_matches_exhaustive(self, n):
+        off = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+        matching = {(i, i) for i in range(1, n + 1)}
+        for k in range(1 << len(off)):
+            extra = {e for b, e in enumerate(off) if k >> b & 1}
+            G = BipartiteGraph(n, n, frozenset(matching | extra))
+            assert is_transitive(G) == is_unmixed(G), sorted(G.edges)
+
 
 class TestCoverLattice:
     def test_single_edge(self):
@@ -129,6 +139,13 @@ class TestCoverLattice:
         if not is_unmixed(G):
             with pytest.raises(NotUnmixed):
                 cover_lattice(G)
+
+    def test_mixed_rejected_above_enumeration_bound(self):
+        # 26 vertices: cover enumeration is out of reach, transitivity is not
+        edges = {(i, i) for i in range(1, 14)} | {(1, 2), (2, 3)}
+        G = BipartiteGraph(13, 13, frozenset(edges))
+        with pytest.raises(NotUnmixed):
+            cover_lattice(G)
 
 
 class TestGraphFromLattice:

@@ -130,11 +130,11 @@ class TestComplex:
 
 class TestBettiFromBasis:
     def test_chain_totals(self, CHAIN):
-        T = betti_table_from_basis(CHAIN)
+        T = betti_table_from_basis(build_resolution(CHAIN))
         assert T.totals() == {0: 3, 1: 2}
 
     def test_multiplicity_one(self, FIG1):
-        T = betti_table_from_basis(FIG1)
+        T = betti_table_from_basis(build_resolution(FIG1))
         assert all(v == 1 for v in T.entries.values())
 
     def test_distinct_multidegrees_within_level(self, FIG1):
