@@ -30,6 +30,14 @@ def indices_of(mask):
     return out
 
 
+def positions_of(mask):
+    """0-based positions of the set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def full_mask(n):
     return (1 << n) - 1
 

@@ -14,6 +14,7 @@ import time
 from pathlib import Path
 
 from . import checks
+from .bitset import MAX_GROUND
 from .errors import HibiresError, LatticeValidation
 from .fixtures import FIXTURES, fixture_files, fixture_lattice
 from .graphs import cover_lattice, graph_from_json_obj, normalize_graph, parse_graph_text
@@ -42,6 +43,13 @@ def _parse_field(text):
     raise argparse.ArgumentTypeError(
         "field must be 'q' or 'p:<prime>', a prime below 2^31"
     )
+
+
+def _parse_ground_size(text):
+    n = int(text)
+    if not 2 <= n <= MAX_GROUND:
+        raise argparse.ArgumentTypeError(f"--n must be in 2..{MAX_GROUND}")
+    return n
 
 
 def load_lattice(path):
@@ -163,25 +171,28 @@ def cmd_verify(args):
 
 
 def cmd_random(args):
-    corpus = random_corpus(args.count, args.seed, n_max=args.n)
+    try:
+        corpus = random_corpus(args.count, args.seed, n_max=args.n)
+        if args.jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                reports = list(
+                    pool.map(
+                        _verify_one,
+                        corpus,
+                        [args.level] * len(corpus),
+                        [args.field] * len(corpus),
+                    )
+                )
+        else:
+            reports = [_verify_one(L, args.level, args.field) for L in corpus]
+    except HibiresError as exc:
+        return _error_exit(exc)
     outdir = Path(args.out) if args.out else None
     if outdir:
         outdir.mkdir(parents=True, exist_ok=True)
     failures = 0
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(
-                pool.map(
-                    _verify_one,
-                    corpus,
-                    [args.level] * len(corpus),
-                    [args.field] * len(corpus),
-                )
-            )
-    else:
-        reports = [_verify_one(L, args.level, args.field) for L in corpus]
     for k, (L, report) in enumerate(zip(corpus, reports)):
         verdict = "MATCH" if report.ok else "MISMATCH"
         if not report.ok:
@@ -214,14 +225,20 @@ def cmd_random(args):
 
 
 def cmd_search_tightness(args):
-    corpus = random_corpus(args.count, args.seed, n_max=args.n)
+    try:
+        corpus = random_corpus(args.count, args.seed, n_max=args.n)
+    except HibiresError as exc:
+        return _error_exit(exc)
     lines = []
     strict = 0
     for k, L in enumerate(corpus):
-        I = edge_ideal(graph_from_lattice(L))
-        pd_RI, _ = pd_and_reg_H(L)
-        t = total_betti_in_degree(I, pd_RI - 1, field=args.field)
-        bound = last_betti_lower_bound(L)
+        try:
+            I = edge_ideal(graph_from_lattice(L))
+            pd_RI, _ = pd_and_reg_H(L)
+            t = total_betti_in_degree(I, pd_RI - 1, field=args.field)
+            bound = last_betti_lower_bound(L)
+        except HibiresError as exc:
+            return _error_exit(exc)
         record = {
             "index": k,
             "n": L.n,
@@ -297,7 +314,7 @@ def build_parser():
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("random", help="generate and verify random lattices")
-    p.add_argument("--n", type=int, default=6)
+    p.add_argument("--n", type=_parse_ground_size, default=6)
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
@@ -308,7 +325,7 @@ def build_parser():
     p = sub.add_parser(
         "search-tightness", help="audit the last-Betti-number lower bound"
     )
-    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--n", type=_parse_ground_size, default=4)
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")

@@ -41,6 +41,10 @@ class NotClosed(LatticeValidation):
         super().__init__(f"family not closed under {op} for pair ({p:#x}, {q:#x})")
 
 
+class ConsistencyError(HibiresError):
+    """A construction failed one of its own internal consistency checks."""
+
+
 class NotAnElement(HibiresError):
     pass
 

@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass, field
 
-from .bitset import full_mask, indices_of, is_subset
+from .bitset import full_mask, indices_of, positions_of
 from .errors import (
     EmptyInput,
     InputFormatError,
@@ -11,7 +11,7 @@ from .errors import (
     NotUnmixed,
     TooLarge,
 )
-from .lattice import validate_sublattice
+from .lattice import down_sets, validate_sublattice
 
 ENUMERATION_BOUND = 24  # max total vertices for exhaustive cover enumeration
 
@@ -137,25 +137,24 @@ def minimal_vertex_covers(G, bound=ENUMERATION_BOUND):
 
     For each subset xs of the left side, xs together with the right
     vertices of the edges it misses is a cover, and every minimal cover
-    arises this way; an inclusion filter then keeps the minimal ones.
+    arises this way.  A cover is minimal exactly when each of its vertices
+    has a neighbor outside it; each added right vertex has one by
+    construction, so only the left vertices in xs are tested.
     """
     if G.n_left + G.n_right > bound:
         raise TooLarge(
             f"{G.n_left + G.n_right} vertices exceed the enumeration bound {bound}"
         )
-    candidates = set()
+    right = [0] * G.n_left
+    for i, j in G.edges:
+        right[i - 1] |= 1 << (j - 1)
+    left = full_mask(G.n_left)
+    covers = set()
     for xs in range(1 << G.n_left):
         ys = 0
-        for i, j in G.edges:
-            if not xs >> (i - 1) & 1:
-                ys |= 1 << (j - 1)
-        candidates.add((xs, ys))
-    covers = set()
-    for xs, ys in candidates:
-        if not any(
-            (oxs, oys) != (xs, ys) and is_subset(oxs, xs) and is_subset(oys, ys)
-            for oxs, oys in candidates
-        ):
+        for i in positions_of(left & ~xs):
+            ys |= right[i]
+        if all(right[i] & ~ys for i in positions_of(xs)):
             covers.add(VertexCover(xs, ys))
     return covers
 
@@ -180,15 +179,15 @@ def is_transitive(G):
 
 
 def _implication_lattice_family(G):
-    """Fast path: subsets p of [n] with j in p => i in p for every edge (i, j)."""
-    n = G.n
-    fam = []
-    for p in range(1 << n):
-        if all(
-            not (p >> (j - 1) & 1) or (p >> (i - 1) & 1) for i, j in G.edges
-        ):
-            fam.append(p)
-    return set(fam)
+    """Fast path: subsets p of [n] with j in p => i in p for every edge (i, j).
+
+    These are the down-sets of the preorder spanned by D(j) = {i : (i, j)
+    in E}; for a transitive G each D(j) is itself a down-set.
+    """
+    D = [0] * G.n
+    for i, j in G.edges:
+        D[j - 1] |= 1 << (i - 1)
+    return set(down_sets(D))
 
 
 def cover_lattice(G, bound=ENUMERATION_BOUND):

@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 
 from .bitset import full_mask, indices_of, is_subset, mask_of
-from .errors import ClosureTooLarge, ZeroIdeal
+from .errors import ClosureTooLarge, ConsistencyError, ZeroIdeal
 
 GENERATOR_CAP = 64  # cap for the transversal expansion
 CLOSURE_CAP = 5000  # cap for lcm-closure size
@@ -106,7 +106,10 @@ def hibi_ideal(L):
     top = full_mask(L.n)
     gens = [Monomial.of(p, top & ~p) for p in L.elements]
     I = MonomialIdeal.of(L.n, gens)
-    assert len(I.gens) == len(L.elements)
+    if len(I.gens) != len(L.elements):
+        raise ConsistencyError(
+            f"{len(I.gens)} minimal generators for {len(L.elements)} elements"
+        )
     return I
 
 

@@ -4,11 +4,18 @@ A :class:`CoverLattice` is a family of subset masks containing the empty
 set and the full set, closed under pairwise union and intersection.  It
 carries a fixed total order (a linear extension of containment) and the
 lower-neighbor sets used throughout the resolution construction.
+
+Such a family is distributive, so it is the set of down-sets of a
+preorder on [n] (Birkhoff): i <= j when every element containing j
+contains i.  The down-set of j is D(j), the smallest element containing
+j, and the elements are exactly the unions of these sets.  Hasse data and
+enumeration work on the D(j) rather than on pairs of elements.
 """
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import cached_property
+from itertools import combinations, islice
 
 from .bitset import (
     MAX_GROUND,
@@ -17,6 +24,7 @@ from .bitset import (
     is_subset,
     mask_of,
     order_key,
+    positions_of,
     render_set,
 )
 from .errors import (
@@ -81,15 +89,69 @@ class CoverLattice:
     def render(self):
         return "{" + ", ".join(render_set(p) for p in self.elements) + "}"
 
+    @cached_property
+    def a_set(self):
+        """A_G, the elements p whose interval [meet(N(p)), p] is a maximal
+        Boolean interval; scanned on first use and kept."""
+        return frozenset(_maximal_interval_tops(self))
 
-def _lower_neighbors(elements, p):
-    below = [q for q in elements if q != p and is_subset(q, p)]
-    return tuple(
-        sorted(
-            (q for q in below if not any(r != q and is_subset(q, r) for r in below)),
-            key=order_key,
-        )
-    )
+
+def _smallest_containing(family, n):
+    """D(i) for each index, at list position i-1: the meet of [n] and of the
+    members of family that contain i."""
+    D = [full_mask(n)] * n
+    for p in family:
+        for i in positions_of(p):
+            D[i] &= p
+    return D
+
+
+def down_sets(closures):
+    """Every union of the given sets, the empty union first, each once.
+
+    closures[j] must be down-closed (D(k) within D(j) for each k in it);
+    then the unions are the down-sets of the preorder.  From each
+    down-set the walk adds one D(j) whole, never a lone index, so it
+    steps along covers of the down-set lattice and reaches each element.
+    """
+    closures = set(closures)
+    seen = {0}
+    stack = [0]
+    yield 0
+    while stack:
+        p = stack.pop()
+        for c in closures:
+            q = p | c
+            if q not in seen:
+                seen.add(q)
+                stack.append(q)
+                yield q
+
+
+def _lower_covers(elements, n):
+    """N(p) for every element: p minus one maximal preorder class of p.
+
+    With U(i) = {j : i in D(j)} and the class cls(i) = D(i) & U(i), the
+    class of i is maximal in p when no index of p lies strictly above i,
+    i.e. U(i) & p == cls(i).  O(|L| * n) in all.
+    """
+    D = _smallest_containing(elements, n)
+    U = [0] * n
+    for j, d in enumerate(D):
+        for i in positions_of(d):
+            U[i] |= 1 << j
+    cls = [d & u for d, u in zip(D, U)]
+    lower = {}
+    for p in elements:
+        nb = []
+        rest = p
+        while rest:
+            i = (rest & -rest).bit_length() - 1
+            rest &= ~cls[i]
+            if U[i] & p == cls[i]:
+                nb.append(p & ~cls[i])
+        lower[p] = tuple(sorted(nb, key=order_key))
+    return lower
 
 
 def validate_sublattice(family, n):
@@ -114,7 +176,7 @@ def validate_sublattice(family, n):
         if p & q not in fam:
             raise NotClosed(p, q, "intersection")
     elements = tuple(sorted(fam, key=order_key))
-    lower = {p: _lower_neighbors(elements, p) for p in elements}
+    lower = _lower_covers(elements, n)
     index = {p: i for i, p in enumerate(elements)}
     return CoverLattice(n=n, elements=elements, lower=lower, index=index)
 
@@ -197,19 +259,24 @@ def f_value(L, p):
     return p.bit_count() - len(nb) - L.meet_of(nb, p).bit_count()
 
 
-def a_set(L):
-    """Elements p whose interval [meet(N(p)), p] is a maximal Boolean interval.
+def _maximal_interval_tops(L):
+    """Scan for the tops p of maximal intervals [meet(N(p)), p].
 
     Every Boolean interval [meet(S), p] sits inside [meet(N(p)), p], so
     maximality only needs checking among the per-element intervals.
     """
-    ivals = {p: interval_of(L, p) for p in L.elements if p != 0}
-    out = set()
-    for p, ival in ivals.items():
-        if not any(q != p and other.contains(ival) and other != ival
-                   for q, other in ivals.items()):
-            out.add(p)
-    return out
+    ivals = [(L.meet_of(L.lower[p], p), p) for p in L.elements if p != 0]
+    return {
+        p
+        for a, p in ivals
+        if not any(q != p and b & a == b and p & q == p for b, q in ivals)
+    }
+
+
+def a_set(L):
+    """Elements p whose interval [meet(N(p)), p] is a maximal Boolean
+    interval, as a frozenset computed once per lattice."""
+    return L.a_set
 
 
 def b_set(L):
@@ -221,42 +288,43 @@ def b_set(L):
     return {p for p in A if f_value(L, p) == fmax}
 
 
-def random_sublattice(n, seed_count, rng_seed):
-    """Closure of seed_count random subsets together with the two bounds.
-
-    Deterministic for a fixed rng_seed.
-    """
+def _drawn_closures(n, seed_count, rng_seed):
+    """D(i) of the sublattice generated by seed_count random subsets and
+    the two bounds; deterministic for a fixed rng_seed."""
     if n < 1 or n > MAX_GROUND:
         raise TooLarge(f"ground set size {n} outside 1..{MAX_GROUND}")
     rng = random.Random(rng_seed)
-    fam = {0, full_mask(n)}
-    for _ in range(seed_count):
-        fam.add(rng.getrandbits(n))
-    changed = True
-    while changed:
-        changed = False
-        for p, q in combinations(sorted(fam), 2):
-            for m in (p | q, p & q):
-                if m not in fam:
-                    fam.add(m)
-                    changed = True
+    drawn = [rng.getrandbits(n) for _ in range(seed_count)]
+    return _smallest_containing(drawn, n)
+
+
+def random_sublattice(n, seed_count, rng_seed):
+    """Closure of seed_count random subsets together with the two bounds.
+
+    The closure under union and intersection is the set of unions of the
+    D(i), so it is enumerated as down-sets.  Deterministic for a fixed
+    rng_seed.
+    """
+    fam = set(down_sets(_drawn_closures(n, seed_count, rng_seed)))
     return validate_sublattice(fam, n)
 
 
 def random_corpus(count, rng_seed, n_max=6, n_min=2, size_cap=24):
     """Deterministic stream of random lattices for verification runs.
 
-    Sizes are capped so oracle-backed checks stay at desk scale; draws
-    above the cap are skipped, keeping the stream reproducible.
+    Sizes are capped so oracle-backed checks stay at desk scale; a draw is
+    skipped as soon as its enumeration passes the cap, keeping the stream
+    reproducible.
     """
     rng = random.Random(rng_seed)
     out = []
     while len(out) < count:
         n = rng.randint(n_min, n_max)
         seed_count = rng.randint(1, n)
-        L = random_sublattice(n, seed_count, rng.getrandbits(32))
-        if len(L) <= size_cap:
-            out.append(L)
+        D = _drawn_closures(n, seed_count, rng.getrandbits(32))
+        fam = set(islice(down_sets(D), size_cap + 1))
+        if len(fam) <= size_cap:
+            out.append(validate_sublattice(fam, n))
     return out
 
 

@@ -13,7 +13,7 @@ from math import comb
 
 from .betti import BettiTable
 from .bitset import full_mask, order_key
-from .errors import HomDegreeZero, TooManyNeighbors
+from .errors import ConsistencyError, HomDegreeZero, TooManyNeighbors
 from .ideals import Monomial, lattice_generator, x_monomial, y_monomial
 from .linalg import rank_exact
 
@@ -85,7 +85,8 @@ def differential(L, g):
         target2 = BasisElement(q, T, multidegree_of(L, q, T))
         terms.append((target2, -sign, x_monomial(p & ~q)))
     targets = [(t.p, t.S) for t, _, _ in terms]
-    assert len(targets) == len(set(targets)), "differential targets collided"
+    if len(targets) != len(set(targets)):
+        raise ConsistencyError(f"differential targets collided at b({p}; {S})")
     return terms
 
 
@@ -129,10 +130,20 @@ def build_resolution(L, neighbor_cap=NEIGHBOR_CAP):
             entries = []
             for target, sign, coeff in differential(L, g):
                 ti, tpos = index[(target.p, target.S)]
-                assert ti == i - 1
+                if ti != i - 1:
+                    raise ConsistencyError(
+                        f"differential of a level-{i} element lands in level {ti}"
+                    )
                 # multigraded homogeneity of the entry
-                assert target.multidegree.lcm(coeff) == g.multidegree
-                assert coeff.divides(g.multidegree)
+                if target.multidegree.lcm(coeff) != g.multidegree:
+                    raise ConsistencyError(
+                        f"entry {coeff.render()} of b({g.p}; {g.S}) is not homogeneous"
+                    )
+                if not coeff.divides(g.multidegree):
+                    raise ConsistencyError(
+                        f"entry {coeff.render()} does not divide the degree of "
+                        f"b({g.p}; {g.S})"
+                    )
                 entries.append((tpos, sign, coeff))
             per_source.append(entries)
         diffs.append(per_source)
@@ -140,7 +151,9 @@ def build_resolution(L, neighbor_cap=NEIGHBOR_CAP):
         sum(comb(len(L.neighbors(p)), i) for p in L.elements)
         for i in range(len(levels))
     ]
-    assert [len(lv) for lv in levels] == expected
+    ranks = [len(lv) for lv in levels]
+    if ranks != expected:
+        raise ConsistencyError(f"level ranks {ranks}, expected {expected}")
     return ResolutionComplex(L, levels, diffs, index)
 
 

@@ -160,6 +160,28 @@ class TestRandom:
         assert summary["verdict"] == "MATCH"
 
 
+class TestGroundSizeGuard:
+    @pytest.mark.parametrize("command", ["random", "search-tightness"])
+    @pytest.mark.parametrize("n", ["1", "33", "40"])
+    def test_out_of_range_is_a_usage_error(self, command, n, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--n", n, "--count", "1"])
+        assert exc.value.code == 2
+        assert "--n must be in 2..32" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["random", "search-tightness"])
+    def test_largest_n_finishes(self, command, capsys):
+        assert main([command, "--n", "32", "--count", "1", "--seed", "0"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["random", "search-tightness"])
+    def test_instance_error_exit_1(self, command, capsys):
+        # seed 3 draws a 3-element lattice on n = 21; its graph passes the
+        # dual's generator cap and its edge ideal the lcm-closure cap
+        assert main([command, "--n", "32", "--count", "1", "--seed", "3"]) == 1
+        assert_clean_error(capsys, "ClosureTooLarge")
+
+
 class TestSearchTightness:
     def test_equality_report(self, tmp_path, capsys):
         rc = main(

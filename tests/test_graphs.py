@@ -1,11 +1,15 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hibires.bitset import full_mask, mask_of
+from hibires.bitset import full_mask, is_subset, mask_of
 from hibires.errors import EmptyInput, NoPerfectMatching, NotUnmixed, TooLarge
 from hibires.graphs import (
     BipartiteGraph,
+    VertexCover,
+    _implication_lattice_family,
     cover_lattice,
     graph_from_lattice,
     graph_to_text,
@@ -16,6 +20,53 @@ from hibires.graphs import (
     parse_graph_text,
 )
 from hibires.lattice import random_sublattice, validate_sublattice
+
+
+def implication_scan(G):
+    """Subsets p of [n] with j in p => i in p for every edge (i, j), by
+    testing all 2^n subsets against every edge."""
+    return {
+        p
+        for p in range(1 << G.n)
+        if all(not (p >> (j - 1) & 1) or (p >> (i - 1) & 1) for i, j in G.edges)
+    }
+
+
+def covers_by_pairwise_filter(G):
+    """Minimal vertex covers: every candidate cover of the left-subset
+    enumeration that contains no other candidate."""
+    candidates = set()
+    for xs in range(1 << G.n_left):
+        ys = 0
+        for i, j in G.edges:
+            if not xs >> (i - 1) & 1:
+                ys |= 1 << (j - 1)
+        candidates.add((xs, ys))
+    return {
+        VertexCover(xs, ys)
+        for xs, ys in candidates
+        if not any(
+            (oxs, oys) != (xs, ys) and is_subset(oxs, xs) and is_subset(oys, ys)
+            for oxs, oys in candidates
+        )
+    }
+
+
+def normalized_graphs(n):
+    """Every normalized graph on n matched pairs."""
+    off = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    matching = {(i, i) for i in range(1, n + 1)}
+    for k in range(1 << len(off)):
+        extra = {e for b, e in enumerate(off) if k >> b & 1}
+        yield BipartiteGraph(n, n, frozenset(matching | extra))
+
+
+def preorder_graph(seed):
+    """The transitive graph with edges (i, j) for i <= j in a random preorder."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 7)
+    L = random_sublattice(n, rng.randint(0, n + 2), rng.getrandbits(32))
+    return graph_from_lattice(L)
 
 
 def cover_sets(G):
@@ -84,6 +135,20 @@ class TestMinimalVertexCovers:
                         for a, b in G.edges
                     )
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_local_minimality_matches_pairwise_filter(self, n):
+        for G in normalized_graphs(n):
+            assert minimal_vertex_covers(G) == covers_by_pairwise_filter(G)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_preorder_graphs_match_pairwise_filter(self, seed):
+        G = preorder_graph(seed)
+        assert minimal_vertex_covers(G) == covers_by_pairwise_filter(G)
+
+    def test_unbalanced_sides_match_pairwise_filter(self):
+        G = BipartiteGraph(2, 3, frozenset({(1, 1), (1, 2), (2, 2), (2, 3)}))
+        assert minimal_vertex_covers(G) == covers_by_pairwise_filter(G)
+
     def test_enumeration_bound(self):
         G = BipartiteGraph(2, 2, frozenset({(1, 1), (2, 2)}))
         with pytest.raises(TooLarge):
@@ -105,11 +170,7 @@ class TestUnmixed:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_transitivity_matches_exhaustive(self, n):
-        off = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-        matching = {(i, i) for i in range(1, n + 1)}
-        for k in range(1 << len(off)):
-            extra = {e for b, e in enumerate(off) if k >> b & 1}
-            G = BipartiteGraph(n, n, frozenset(matching | extra))
+        for G in normalized_graphs(n):
             assert is_transitive(G) == is_unmixed(G), sorted(G.edges)
 
 
@@ -125,6 +186,17 @@ class TestCoverLattice:
     def test_chain(self):
         G = BipartiteGraph(2, 2, frozenset({(1, 1), (1, 2), (2, 2)}))
         assert cover_lattice(G).elements == (0, 0b01, 0b11)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_down_sets_match_implication_scan(self, n):
+        for G in normalized_graphs(n):
+            if is_transitive(G):
+                assert _implication_lattice_family(G) == implication_scan(G)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_preorder_graphs_match_implication_scan(self, seed):
+        G = preorder_graph(seed)
+        assert _implication_lattice_family(G) == implication_scan(G)
 
     def test_not_normalized_rejected(self):
         G = BipartiteGraph(2, 2, frozenset({(1, 2), (2, 1)}))

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hibires.errors import ClosureTooLarge, ZeroIdeal
+import hibires.ideals as ideals_mod
+from hibires.errors import ClosureTooLarge, ConsistencyError, ZeroIdeal
 from hibires.graphs import BipartiteGraph, graph_from_lattice
 from hibires.ideals import (
     UNIT,
@@ -83,6 +84,12 @@ class TestHibiIdeal:
 
     def test_all_degree_n(self, FIG1):
         assert all(g.degree == FIG1.n for g in hibi_ideal(FIG1).gens)
+
+    def test_generator_count_check_raises(self, FIG1, monkeypatch):
+        # a minimalization that drops a generator must not pass silently
+        monkeypatch.setattr(ideals_mod, "_minimalize", lambda ms: tuple(ms)[1:])
+        with pytest.raises(ConsistencyError):
+            hibi_ideal(FIG1)
 
     def test_lattice_generator(self, CHAIN):
         assert lattice_generator(CHAIN, 0b01) == mono(0b01, 0b10)

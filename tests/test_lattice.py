@@ -1,6 +1,11 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import hibires.lattice as lattice_mod
 
 from hibires.bitset import full_mask, is_subset, mask_of, order_key
 from hibires.errors import (
@@ -12,10 +17,12 @@ from hibires.errors import (
     NotClosed,
     TooLarge,
 )
+from hibires.invariants import invariant_report
 from hibires.lattice import (
     a_set,
     b_set,
     boolean_intervals,
+    down_sets,
     f_value,
     interval_of,
     lattice_from_json_obj,
@@ -29,6 +36,69 @@ from hibires.lattice import (
 )
 
 from conftest import m
+
+
+def lower_neighbors_reference(elements, p):
+    """N(p) by the exhaustive scan: the maximal elements strictly below p."""
+    below = [q for q in elements if q != p and is_subset(q, p)]
+    return tuple(
+        sorted(
+            (q for q in below if not any(r != q and is_subset(q, r) for r in below)),
+            key=order_key,
+        )
+    )
+
+
+def closure_reference(n, seed_count, rng_seed):
+    """The drawn family of random_sublattice, closed by pairwise passes."""
+    rng = random.Random(rng_seed)
+    fam = {0, full_mask(n)}
+    for _ in range(seed_count):
+        fam.add(rng.getrandbits(n))
+    changed = True
+    while changed:
+        changed = False
+        for p, q in combinations(sorted(fam), 2):
+            for x in (p | q, p & q):
+                if x not in fam:
+                    fam.add(x)
+                    changed = True
+    return fam
+
+
+def corpus_reference(count, rng_seed, n_max=6, n_min=2, size_cap=24):
+    """random_corpus with every draw closed in full before the size cap."""
+    rng = random.Random(rng_seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(n_min, n_max)
+        seed_count = rng.randint(1, n)
+        fam = closure_reference(n, seed_count, rng.getrandbits(32))
+        if len(fam) <= size_cap:
+            out.append((n, tuple(sorted(fam, key=order_key))))
+    return out
+
+
+def random_preorder_closures(rng, n):
+    """D(j) = {i : i <= j} for the reflexive-transitive closure of a random
+    relation on [n]."""
+    D = [1 << j for j in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if rng.random() < 0.3:
+                D[j] |= 1 << i
+    changed = True
+    while changed:
+        changed = False
+        for j in range(n):
+            grown = D[j]
+            for i in range(n):
+                if D[j] >> i & 1:
+                    grown |= D[i]
+            if grown != D[j]:
+                D[j] = grown
+                changed = True
+    return D
 
 
 class TestValidate:
@@ -104,6 +174,49 @@ class TestNeighbors:
                 if not any(r != q and is_subset(q, r) for r in below)
             }
             assert nb == maximal
+
+
+class TestHasseAgainstReference:
+    def assert_matches(self, L):
+        for p in L.elements:
+            assert L.neighbors(p) == lower_neighbors_reference(L.elements, p)
+
+    @pytest.mark.parametrize("name", ["E1", "CHAIN", "B2", "K22", "FIG1"])
+    def test_fixtures(self, name, request):
+        self.assert_matches(request.getfixturevalue(name))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_boolean(self, n):
+        self.assert_matches(validate_sublattice(range(1 << n), n))
+
+    @given(st.integers(1, 7), st.integers(0, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_random(self, n, seeds, seed):
+        self.assert_matches(random_sublattice(n, seeds, seed))
+
+
+class TestDownSets:
+    def test_merged_classes(self):
+        # K22's preorder has one class {1,2}: adding a lone index would
+        # produce {1} or {2}, which are not down-sets
+        assert set(down_sets([0b11, 0b11])) == {0, 0b11}
+
+    def test_each_once_empty_first(self):
+        out = list(down_sets([0b001, 0b011, 0b100]))
+        assert out[0] == 0
+        assert len(out) == len(set(out)) == 6
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_preorders_against_scan(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 8)
+        D = random_preorder_closures(rng, n)
+        scan = {
+            p
+            for p in range(1 << n)
+            if all(D[j] & ~p == 0 for j in range(n) if p >> j & 1)
+        }
+        assert set(down_sets(D)) == scan
 
 
 class TestMeet:
@@ -193,6 +306,22 @@ class TestFAndSets:
         assert a_set(B2) == {0b11}
         assert b_set(B2) == {0b11}
 
+    def test_a_set_is_frozen(self, FIG1):
+        assert isinstance(a_set(FIG1), frozenset)
+        assert a_set(FIG1) is a_set(FIG1)
+
+    def test_scan_runs_once_per_report(self, FIG1, monkeypatch):
+        calls = []
+        scan = lattice_mod._maximal_interval_tops
+
+        def counted(L):
+            calls.append(L)
+            return scan(L)
+
+        monkeypatch.setattr(lattice_mod, "_maximal_interval_tops", counted)
+        invariant_report(FIG1)
+        assert len(calls) == 1
+
     @given(st.integers(2, 6), st.integers(0, 6), st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_a_set_matches_exhaustive_maximality(self, n, seeds, seed):
@@ -219,6 +348,22 @@ class TestRandom:
         c2 = random_corpus(20, 42)
         assert [L.elements for L in c1] == [L.elements for L in c2]
         assert all(2 <= L.n <= 6 and len(L) <= 24 for L in c1)
+
+    def test_corpus_matches_pairwise_closure(self):
+        corpus = random_corpus(200, 42)
+        assert [(L.n, L.elements) for L in corpus] == corpus_reference(200, 42)
+
+    @given(st.integers(1, 8), st.integers(0, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_family_matches_pairwise_closure(self, n, seeds, seed):
+        L = random_sublattice(n, seeds, seed)
+        assert set(L.elements) == closure_reference(n, seeds, seed)
+
+    def test_corpus_skips_large_draws_quickly(self):
+        # n = 32 draws can close to millions of elements; each is cut at
+        # the size cap instead of being closed in full
+        corpus = random_corpus(3, 50, n_max=32)
+        assert all(len(L) <= 24 for L in corpus)
 
     @given(st.integers(1, 6), st.integers(0, 8), st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)

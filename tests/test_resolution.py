@@ -1,10 +1,14 @@
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hibires.errors import HomDegreeZero, TooManyNeighbors
+import hibires
+from hibires.errors import ConsistencyError, HomDegreeZero, TooManyNeighbors
 from hibires.ideals import UNIT, Monomial, hibi_ideal, lcm_closure
 from hibires.lattice import random_sublattice
 from hibires.resolution import (
@@ -126,6 +130,54 @@ class TestComplex:
         C = build_resolution(L)
         assert verify_complex(C)
         assert verify_minimality(C)
+
+
+# Replaces the first coefficient of every differential by the unit; run
+# both in-process and in a python -O subprocess.
+WRONG_COEFFICIENT = """
+import hibires.resolution as r
+from hibires.errors import ConsistencyError
+from hibires.fixtures import b2
+from hibires.ideals import UNIT
+
+right = r.differential
+
+def wrong(L, g):
+    terms = right(L, g)
+    target, sign, _ = terms[0]
+    return [(target, sign, UNIT)] + terms[1:]
+
+r.differential = wrong
+try:
+    r.build_resolution(b2())
+except ConsistencyError as exc:
+    print(exc)
+finally:
+    r.differential = right
+"""
+
+
+class TestConsistencyChecks:
+    def test_wrong_coefficient_raises(self, capsys):
+        exec(WRONG_COEFFICIENT, {})
+        assert "not homogeneous" in capsys.readouterr().out
+
+    def test_wrong_coefficient_raises_under_optimize(self):
+        # the checks are plain raises, so python -O keeps them
+        src = str(Path(hibires.__file__).resolve().parent.parent)
+        code = f"import sys; sys.path.insert(0, {src!r})\n" + WRONG_COEFFICIENT
+        out = subprocess.run(
+            [sys.executable, "-O", "-I", "-c", code],
+            capture_output=True, text=True, check=True,
+        )
+        assert "not homogeneous" in out.stdout
+
+    def test_target_collision_raises(self, B2):
+        # a malformed S repeating a neighbor sends two terms to b(p; ())
+        S = (0b01, 0b01)
+        g = BasisElement(0b11, S, multidegree_of(B2, 0b11, S))
+        with pytest.raises(ConsistencyError, match="collided"):
+            differential(B2, g)
 
 
 class TestBettiFromBasis:
