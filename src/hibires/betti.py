@@ -3,6 +3,7 @@
 from dataclasses import dataclass, field
 
 from .bitset import indices_of, mask_of
+from .errors import ConsistencyError
 from .ideals import UNIT, Monomial
 
 
@@ -57,7 +58,10 @@ class BettiTable:
 
     def to_quotient(self):
         """Shift an ideal table to the table of the quotient ring."""
-        assert self.subject == "ideal"
+        if self.subject != "ideal":
+            raise ConsistencyError(
+                f"to_quotient needs an ideal table, got {self.subject}"
+            )
         out = BettiTable(self.n, "quotient")
         out.add(0, UNIT, 1)
         for (i, b), v in self.entries.items():

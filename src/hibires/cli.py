@@ -121,17 +121,17 @@ def cmd_analyze(args):
     out["input"] = str(args.input)
     out["betti_diagram_H"] = basis_table.diagram()
     if args.level == "oracle":
-        match = oracle_table.entries == basis_table.entries
-        out["oracle_verdict"] = "MATCH" if match else "MISMATCH"
-        if not match:
+        differing = checks._differing_entries(basis_table, oracle_table)
+        out["oracle_verdict"] = "MISMATCH" if differing else "MATCH"
+        if differing:
+            out["oracle_differing"] = [
+                {"i": i, "multidegree": b, "basis": f, "oracle": o}
+                for i, b, f, o in differing[:3]
+            ]
             _emit(out, args.format, args.no_timestamp)
             return 2
     _emit(out, args.format, args.no_timestamp)
     return 0
-
-
-def _verify_one(L, level, field, mutate=False):
-    return checks.run_checks(L, level=level, field=field, mutate=mutate)
 
 
 def cmd_verify(args):
@@ -148,8 +148,9 @@ def cmd_verify(args):
         if name == "FIG1" and level == "oracle":
             level = "formulas"  # full oracle on n=7 is out of desk scale
         try:
-            report = _verify_one(
-                L, level, args.field, mutate=args.debug_mutate_differential
+            report = checks.run_checks(
+                L, level=level, field=args.field,
+                mutate=args.debug_mutate_differential,
             )
         except HibiresError as exc:
             return _error_exit(exc)
@@ -173,20 +174,10 @@ def cmd_verify(args):
 def cmd_random(args):
     try:
         corpus = random_corpus(args.count, args.seed, n_max=args.n)
-        if args.jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                reports = list(
-                    pool.map(
-                        _verify_one,
-                        corpus,
-                        [args.level] * len(corpus),
-                        [args.field] * len(corpus),
-                    )
-                )
-        else:
-            reports = [_verify_one(L, args.level, args.field) for L in corpus]
+        reports = [
+            checks.run_checks(L, level=args.level, field=args.field)
+            for L in corpus
+        ]
     except HibiresError as exc:
         return _error_exit(exc)
     outdir = Path(args.out) if args.out else None
@@ -318,7 +309,6 @@ def build_parser():
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    p.add_argument("--jobs", type=int, default=1)
     common(p)
     p.set_defaults(func=cmd_random)
 

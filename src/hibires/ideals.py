@@ -5,8 +5,7 @@ from dataclasses import dataclass
 from .bitset import full_mask, indices_of, is_subset, mask_of
 from .errors import ClosureTooLarge, ConsistencyError, ZeroIdeal
 
-GENERATOR_CAP = 64  # cap for the transversal expansion
-CLOSURE_CAP = 5000  # cap for lcm-closure size
+CLOSURE_CAP = 5000  # cap for lcm-closure and transversal-list sizes
 
 
 @dataclass(frozen=True, order=True)
@@ -34,16 +33,6 @@ class Monomial:
         )
 
     def lcm(self, other):
-        return Monomial.of(self.xmask | other.xmask, self.ymask | other.ymask)
-
-    def quotient(self, other):
-        """self / other, defined when other divides self."""
-        assert other.divides(self)
-        return Monomial.of(self.xmask & ~other.xmask, self.ymask & ~other.ymask)
-
-    def times_disjoint(self, other):
-        """Product of monomials with disjoint supports (stays squarefree)."""
-        assert self.xmask & other.xmask == 0 and self.ymask & other.ymask == 0
         return Monomial.of(self.xmask | other.xmask, self.ymask | other.ymask)
 
     def strictly_divides(self, other):
@@ -103,9 +92,7 @@ def hibi_ideal(L):
 
     Distinct p give incomparable monomials, so no minimalization happens.
     """
-    top = full_mask(L.n)
-    gens = [Monomial.of(p, top & ~p) for p in L.elements]
-    I = MonomialIdeal.of(L.n, gens)
+    I = MonomialIdeal.of(L.n, [lattice_generator(L, p) for p in L.elements])
     if len(I.gens) != len(L.elements):
         raise ConsistencyError(
             f"{len(I.gens)} minimal generators for {len(L.elements)} elements"
@@ -126,23 +113,26 @@ def edge_ideal(G):
     return MonomialIdeal.of(G.n, gens)
 
 
-def alexander_dual(I, cap=GENERATOR_CAP):
+def alexander_dual(I, cap=CLOSURE_CAP):
     """Minimal transversals of the generator supports.
 
     Incremental expand-and-minimalize: fold the generators in one at a
     time, multiplying each partial transversal by each variable of the
     next generator and pruning non-minimal products.  Involutive on
-    minimalized squarefree ideals.
+    minimalized squarefree ideals.  Raises ClosureTooLarge once the list
+    of partial transversals passes cap.
     """
     if I.is_zero:
         raise ZeroIdeal("the zero ideal has no Alexander dual")
-    if len(I.gens) > cap:
-        raise ClosureTooLarge(f"{len(I.gens)} generators exceed the cap {cap}")
     trans = [UNIT]
     for g in I.gens:
         variables = [x_monomial(1 << (i - 1)) for i in indices_of(g.xmask)]
         variables += [y_monomial(1 << (j - 1)) for j in indices_of(g.ymask)]
         trans = list(_minimalize(t.lcm(v) for t in trans for v in variables))
+        if len(trans) > cap:
+            raise ClosureTooLarge(
+                f"{len(trans)} partial transversals exceed the cap {cap}"
+            )
     return MonomialIdeal(I.n, tuple(trans))
 
 

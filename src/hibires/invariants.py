@@ -9,7 +9,7 @@ total Betti number.
 from dataclasses import dataclass, field
 
 from .bitset import indices_of
-from .errors import NotCM
+from .errors import ConsistencyError, NotCM
 from .ideals import alexander_dual
 from .lattice import a_set, b_set, f_value
 from .resolution import multidegree_of
@@ -109,7 +109,10 @@ def cm_extremal_placement_check(I, oracle_table):
     when depth differs from dim (computed as ambient minus the smallest
     generator degree of the Alexander dual, the codimension).
     """
-    assert oracle_table.subject == "quotient"
+    if oracle_table.subject != "quotient":
+        raise ConsistencyError(
+            f"the placement check needs a quotient table, got {oracle_table.subject}"
+        )
     ambient = 2 * I.n
     codim = min(g.degree for g in alexander_dual(I).gens)
     depth = oracle_table.depth(ambient)

@@ -16,6 +16,7 @@ the 2^|b| subsets of supp(b) between them.  The oracle builds the smaller
 one: it enumerates Delta_b up to half of those subsets and switches to K^b
 once Delta_b has more.  Both come from one depth-first face generator, and
 the reduced homology ranks come from exact linear algebra over Q or F_p.
+A complex past FACE_CAP faces is refused with ClosureTooLarge.
 """
 
 from dataclasses import dataclass
@@ -25,6 +26,8 @@ from .betti import BettiTable
 from .errors import ClosureTooLarge, ZeroIdeal
 from .ideals import lcm_closure
 from .linalg import rank_exact
+
+FACE_CAP = 1 << 16  # max faces of one complex before the oracle refuses
 
 # variables are numbered 0..2n-1: x_i at bit i-1, y_j at bit n+j-1
 
@@ -109,8 +112,13 @@ def _faces(bmask, family, max_size=None):
 
 def _complex(bmask, faces):
     by_dim = {}
-    for f in faces:
+    for f in islice(faces, FACE_CAP + 1):
         by_dim.setdefault(f.bit_count() - 1, []).append(f)
+    if sum(map(len, by_dim.values())) > FACE_CAP:
+        raise ClosureTooLarge(
+            f"a complex on {bmask.bit_count()} vertices passes the cap of "
+            f"{FACE_CAP} faces"
+        )
     # built from a list: tuple() over a generator grows and shrinks the
     # tuple, which over many small complexes raised peak memory by ~1 MB
     verts = tuple([w.bit_length() - 1 for w in _bits(bmask)])
@@ -125,15 +133,16 @@ def upper_koszul_complex(I, b):
 
 def _smaller_side(I, b):
     """(complex, on_delta): Delta_b while it has at most half of the
-    subsets of supp(b), else K^b.
+    subsets of supp(b), else K^b.  Either side stops at FACE_CAP faces,
+    past which ClosureTooLarge is raised.
 
     A void Delta_b (only the unit ideal has one) falls to K^b, where the
     homology degree still reads off directly.
     """
     bmask, gens = _support(I, b)
-    half = (1 << bmask.bit_count()) >> 1
-    delta = list(islice(_faces(bmask, _delta(gens)), half + 1))
-    if 0 < len(delta) <= half:
+    limit = min((1 << bmask.bit_count()) >> 1, FACE_CAP)
+    delta = list(islice(_faces(bmask, _delta(gens)), limit + 1))
+    if 0 < len(delta) <= limit:
         return _complex(bmask, delta), True
     return _complex(bmask, _faces(bmask, _koszul(gens))), False
 
@@ -176,23 +185,16 @@ def reduced_homology_ranks(K, field="Q"):
     return out
 
 
-def betti_oracle(I, field="Q", closure_cap=5000, degree_filter=None):
+def betti_oracle(I, field="Q"):
     """Multigraded Betti table of the ideal from simplicial homology.
 
-    Candidate multidegrees are the lcm closure of the generators; pass
-    degree_filter (a set of total degrees) to restrict the computation to
-    those total degrees only.  Each multidegree is read off the smaller
-    of Delta_b and K^b.
+    Candidate multidegrees are the lcm closure of the generators; each is
+    read off the smaller of Delta_b and K^b.
     """
     if I.is_zero:
         raise ZeroIdeal("the zero ideal has no Betti table")
-    closure = lcm_closure(I, cap=closure_cap)
-    if len(closure) > closure_cap:
-        raise ClosureTooLarge(f"{len(closure)} multidegrees exceed the cap")
     table = BettiTable(I.n, "ideal")
-    for b in closure:
-        if degree_filter is not None and b.degree not in degree_filter:
-            continue
+    for b in lcm_closure(I):
         K, on_delta = _smaller_side(I, b)
         for d, h in reduced_homology_ranks(K, field).items():
             table.add(b.degree - d - 2 if on_delta else d + 1, b, h)
@@ -205,7 +207,7 @@ def betti_value_at(I, b, i, field="Q"):
     Much cheaper than the full table when only a few positions matter
     (last-column totals, single graded values).  The faces come from
     Delta_b up to |b|-i vertices or from K^b up to i+1 vertices, whichever
-    limit is smaller.
+    limit is smaller, and stop at FACE_CAP faces (ClosureTooLarge past it).
     """
     if i == 0:
         return 1 if b in I.gens else 0
@@ -221,11 +223,9 @@ def betti_value_at(I, b, i, field="Q"):
     )
 
 
-def total_betti_in_degree(I, i, field="Q", closure_cap=5000):
+def total_betti_in_degree(I, i, field="Q"):
     """Total Betti number of the ideal in one homological degree."""
-    return sum(
-        betti_value_at(I, b, i, field=field) for b in lcm_closure(I, cap=closure_cap)
-    )
+    return sum(betti_value_at(I, b, i, field=field) for b in lcm_closure(I))
 
 
 def graded_betti_in_degree(I, i, total_degree, field="Q", closure_cap=5000):

@@ -39,16 +39,16 @@ def multidegree_of(L, p, S):
     return Monomial.of(p, full_mask(L.n) & ~meet)
 
 
-def resolution_basis(L, neighbor_cap=NEIGHBOR_CAP):
+def resolution_basis(L):
     """Levels of basis elements; level i holds all b(p; S) with |S| = i.
 
     Within a level, elements are ordered by p in the lattice order, then
     by S lexicographically in the order of N(p).
     """
     for p in L.elements:
-        if len(L.neighbors(p)) > neighbor_cap:
+        if len(L.neighbors(p)) > NEIGHBOR_CAP:
             raise TooManyNeighbors(
-                f"|N(p)| = {len(L.neighbors(p))} exceeds the cap {neighbor_cap}"
+                f"|N(p)| = {len(L.neighbors(p))} exceeds the cap {NEIGHBOR_CAP}"
             )
     top_level = max(len(L.neighbors(p)) for p in L.elements)
     levels = []
@@ -65,7 +65,8 @@ def resolution_basis(L, neighbor_cap=NEIGHBOR_CAP):
 def differential(L, g):
     """Terms of the differential applied to one basis element.
 
-    Returns a list of (target BasisElement, sign, coefficient Monomial).
+    Returns a list of (target label (p', S'), sign, coefficient Monomial);
+    the label names a basis element, whose multidegree the basis holds.
     The two term families never share a target: one keeps p, the other
     moves to some q in S.
     """
@@ -77,15 +78,11 @@ def differential(L, g):
         rest = tuple(r for r in S if r != q)
         sign = -1 if sigma % 2 else 1
         # y-term: stay at p, drop q from S
-        target1 = BasisElement(p, rest, multidegree_of(L, p, rest))
-        ycoeff = y_monomial(L.meet_of(rest, p) & ~q)
-        terms.append((target1, sign, ycoeff))
+        terms.append(((p, rest), sign, y_monomial(L.meet_of(rest, p) & ~q)))
         # x-term: descend to q, meet the rest of S into N(q)
         T = tuple(sorted({q & r for r in rest}, key=order_key))
-        target2 = BasisElement(q, T, multidegree_of(L, q, T))
-        terms.append((target2, -sign, x_monomial(p & ~q)))
-    targets = [(t.p, t.S) for t, _, _ in terms]
-    if len(targets) != len(set(targets)):
+        terms.append(((q, T), -sign, x_monomial(p & ~q)))
+    if len({label for label, _, _ in terms}) != len(terms):
         raise ConsistencyError(f"differential targets collided at b({p}; {S})")
     return terms
 
@@ -101,23 +98,13 @@ class ResolutionComplex:
     L: object
     levels: list
     diffs: list
-    index: dict
-
-    @property
-    def top_level(self):
-        return len(self.levels) - 1
 
     def level_ranks(self):
         return [len(lv) for lv in self.levels]
 
-    def augmentation(self, g):
-        """Image of a degree-0 basis element: the generator attached to p."""
-        assert g.hom_degree == 0
-        return lattice_generator(self.L, g.p)
 
-
-def build_resolution(L, neighbor_cap=NEIGHBOR_CAP):
-    levels = resolution_basis(L, neighbor_cap)
+def build_resolution(L):
+    levels = resolution_basis(L)
     index = {
         (g.p, g.S): (i, pos)
         for i, lv in enumerate(levels)
@@ -127,19 +114,28 @@ def build_resolution(L, neighbor_cap=NEIGHBOR_CAP):
     for i in range(1, len(levels)):
         per_source = []
         for g in levels[i]:
+            deg = g.multidegree
             entries = []
-            for target, sign, coeff in differential(L, g):
-                ti, tpos = index[(target.p, target.S)]
+            for label, sign, coeff in differential(L, g):
+                found = index.get(label)
+                if found is None:
+                    raise ConsistencyError(
+                        f"differential of b({g.p}; {g.S}) names b{label}, "
+                        "which is not a basis element"
+                    )
+                ti, tpos = found
                 if ti != i - 1:
                     raise ConsistencyError(
                         f"differential of a level-{i} element lands in level {ti}"
                     )
-                # multigraded homogeneity of the entry
-                if target.multidegree.lcm(coeff) != g.multidegree:
+                # multigraded homogeneity: lcm(target degree, entry) = deg
+                t = levels[ti][tpos].multidegree
+                if (t.xmask | coeff.xmask != deg.xmask
+                        or t.ymask | coeff.ymask != deg.ymask):
                     raise ConsistencyError(
                         f"entry {coeff.render()} of b({g.p}; {g.S}) is not homogeneous"
                     )
-                if not coeff.divides(g.multidegree):
+                if not coeff.divides(deg):
                     raise ConsistencyError(
                         f"entry {coeff.render()} does not divide the degree of "
                         f"b({g.p}; {g.S})"
@@ -154,7 +150,7 @@ def build_resolution(L, neighbor_cap=NEIGHBOR_CAP):
     ranks = [len(lv) for lv in levels]
     if ranks != expected:
         raise ConsistencyError(f"level ranks {ranks}, expected {expected}")
-    return ResolutionComplex(L, levels, diffs, index)
+    return ResolutionComplex(L, levels, diffs)
 
 
 @dataclass
@@ -169,18 +165,21 @@ class CheckResult:
 def verify_complex(C):
     """Check that consecutive differentials compose to zero.
 
-    Compositions are expanded symbolically over integer coefficients; the
-    augmentation composed with the first differential must also vanish.
-    Returns a falsy result carrying the first violating pair on failure.
+    Compositions are expanded symbolically over integer coefficients, keyed
+    by the masks of each squarefree product; the augmentation b(p; ()) ->
+    u_p composed with the first differential must also vanish.  Returns a
+    falsy result carrying the first violating pair on failure, including a
+    product of coefficients that is not squarefree.
     """
     # augmentation after the first differential
     if C.diffs:
         for src_pos, g in enumerate(C.levels[1]):
             acc = {}
             for tpos, sign, coeff in C.diffs[0][src_pos]:
-                u = C.augmentation(C.levels[0][tpos])
-                m = coeff.times_disjoint(u)
-                key = (m.xmask, m.ymask)
+                u = lattice_generator(C.L, C.levels[0][tpos].p)
+                if coeff.xmask & u.xmask or coeff.ymask & u.ymask:
+                    return CheckResult(False, ("augmentation", g, (coeff, u)))
+                key = (coeff.xmask | u.xmask, coeff.ymask | u.ymask)
                 acc[key] = acc.get(key, 0) + sign
             if any(acc.values()):
                 return CheckResult(False, ("augmentation", g, acc))
@@ -188,9 +187,12 @@ def verify_complex(C):
         for src_pos, g in enumerate(C.levels[i + 1]):
             acc = {}
             for mid_pos, sign1, coeff1 in C.diffs[i][src_pos]:
+                x1, y1 = coeff1.xmask, coeff1.ymask
                 for tpos, sign2, coeff2 in C.diffs[i - 1][mid_pos]:
-                    m = coeff1.times_disjoint(coeff2)
-                    key = (tpos, m.xmask, m.ymask)
+                    x2, y2 = coeff2.xmask, coeff2.ymask
+                    if x1 & x2 or y1 & y2:
+                        return CheckResult(False, (i + 1, g, (coeff1, coeff2)))
+                    key = (tpos, x1 | x2, y1 | y2)
                     acc[key] = acc.get(key, 0) + sign1 * sign2
             if any(acc.values()):
                 return CheckResult(False, (i + 1, g, acc))

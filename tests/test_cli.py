@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from hibires import cli
+from hibires.betti import BettiTable
 from hibires.cli import load_lattice, main
 from hibires.fixtures import fig1
 from hibires.lattice import lattice_to_text, validate_sublattice
@@ -26,6 +28,18 @@ def assert_clean_error(capsys, kind):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert json.loads(err)["error"] == kind
+
+
+@pytest.fixture
+def wide_chain_file(tmp_path):
+    # empty < [10] < [21]: the oracle's complexes at the top multidegree
+    # pass its face cap, where uncapped they run for minutes
+    path = tmp_path / "wide.lat"
+    path.write_text(
+        "lattice 21\nempty\n" + " ".join(map(str, range(1, 11))) + "\n"
+        + " ".join(map(str, range(1, 22))) + "\n"
+    )
+    return str(path)
 
 
 @pytest.fixture
@@ -71,6 +85,31 @@ class TestAnalyze:
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["oracle_verdict"] == "MATCH"
 
+    def test_oracle_mismatch_names_entries(self, chain_file, capsys, monkeypatch):
+        right = cli.betti_table_from_basis
+
+        def wrong(C):
+            # one entry moved up a homological degree, one added
+            table = right(C)
+            (i, b), v = min(table.entries.items())
+            wrong_table = BettiTable(table.n, table.subject, dict(table.entries))
+            del wrong_table.entries[(i, b)]
+            wrong_table.add(i + 1, b, v)
+            return wrong_table
+
+        monkeypatch.setattr(cli, "betti_table_from_basis", wrong)
+        rc = main(
+            ["analyze", "--input", chain_file, "--level", "oracle", "--no-timestamp"]
+        )
+        assert rc == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["oracle_verdict"] == "MISMATCH"
+        assert out["oracle_differing"] == [
+            {"i": 0, "multidegree": "y1*y2", "basis": 0, "oracle": 1},
+            {"i": 1, "multidegree": "y1*y2", "basis": 1, "oracle": 0},
+        ]
+        assert {"depth", "reg", "pd", "betti_diagram_H", "input"} <= out.keys()
+
     def test_text_format(self, chain_file, capsys):
         rc = main(
             ["analyze", "--input", chain_file, "--format", "text", "--no-timestamp"]
@@ -91,6 +130,11 @@ class TestAnalyze:
 
     def test_oracle_limit_exit_1(self, boolean8_file, capsys):
         rc = main(["analyze", "--input", boolean8_file, "--level", "oracle"])
+        assert rc == 1
+        assert_clean_error(capsys, "ClosureTooLarge")
+
+    def test_oracle_face_cap_exit_1(self, wide_chain_file, capsys):
+        rc = main(["analyze", "--input", wide_chain_file, "--level", "oracle"])
         assert rc == 1
         assert_clean_error(capsys, "ClosureTooLarge")
 
@@ -176,10 +220,18 @@ class TestGroundSizeGuard:
 
     @pytest.mark.parametrize("command", ["random", "search-tightness"])
     def test_instance_error_exit_1(self, command, capsys):
-        # seed 3 draws a 3-element lattice on n = 21; its graph passes the
-        # dual's generator cap and its edge ideal the lcm-closure cap
-        assert main([command, "--n", "32", "--count", "1", "--seed", "3"]) == 1
+        # seed 3 draws a 3-element lattice on n = 21: its Hibi ideal passes
+        # the oracle's face cap, and its edge ideal the lcm-closure cap
+        argv = [command, "--n", "32", "--count", "1", "--seed", "3"]
+        assert main(argv + ["--level", "oracle"]) == 1
         assert_clean_error(capsys, "ClosureTooLarge")
+
+    @pytest.mark.parametrize("n", ["12", "16"])
+    def test_random_verifies_past_n_10(self, n, capsys):
+        # the duality check caps the growing transversal list, not the
+        # input generator count, so these corpora pass every check
+        assert main(["random", "--n", n, "--count", "20", "--seed", "0"]) == 0
+        assert "20/20 MATCH" in capsys.readouterr().out
 
 
 class TestSearchTightness:

@@ -36,10 +36,6 @@ class TestMonomial:
         a, b = mono(0b01, 0b10), mono(0b10, 0b10)
         l = a.lcm(b)
         assert l == mono(0b11, 0b10)
-        assert l.quotient(a) == mono(0b10, 0)
-
-    def test_times_disjoint(self):
-        assert mono(0b01, 0).times_disjoint(mono(0b10, 0b1)) == mono(0b11, 0b1)
 
     def test_strictly_divides(self):
         a = mono(0b1, 0)

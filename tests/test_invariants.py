@@ -1,5 +1,10 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import hibires
 from hibires.errors import NotCM
 from hibires.graphs import graph_from_lattice
 from hibires.ideals import Monomial, edge_ideal
@@ -116,6 +121,50 @@ class TestBoundAndCM:
         table = betti_oracle(I).to_quotient()
         with pytest.raises(NotCM):
             cm_extremal_placement_check(I, table)
+
+
+# Hands each subject check the wrong kind of table; run both in-process and
+# in a python -O subprocess.
+WRONG_SUBJECT = """
+from hibires.betti import BettiTable
+from hibires.errors import ConsistencyError
+from hibires.graphs import graph_from_lattice
+from hibires.fixtures import chain
+from hibires.ideals import edge_ideal
+from hibires.invariants import cm_extremal_placement_check
+from hibires.oracle import betti_oracle
+
+I = edge_ideal(graph_from_lattice(chain()))
+for call in (
+    lambda: BettiTable(2, "quotient").to_quotient(),
+    lambda: cm_extremal_placement_check(I, betti_oracle(I)),
+):
+    try:
+        call()
+    except ConsistencyError as exc:
+        print(exc)
+"""
+
+
+class TestSubjectChecks:
+    EXPECTED = [
+        "to_quotient needs an ideal table, got quotient",
+        "the placement check needs a quotient table, got ideal",
+    ]
+
+    def test_wrong_subject_raises(self, capsys):
+        exec(WRONG_SUBJECT, {})
+        assert capsys.readouterr().out.splitlines() == self.EXPECTED
+
+    def test_wrong_subject_raises_under_optimize(self):
+        # the checks are plain raises, so python -O keeps them
+        src = str(Path(hibires.__file__).resolve().parent.parent)
+        code = f"import sys; sys.path.insert(0, {src!r})\n" + WRONG_SUBJECT
+        out = subprocess.run(
+            [sys.executable, "-O", "-I", "-c", code],
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.splitlines() == self.EXPECTED
 
 
 class TestReport:

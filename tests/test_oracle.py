@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hibires import oracle
 from hibires.betti import BettiTable
-from hibires.errors import ZeroIdeal
+from hibires.errors import ClosureTooLarge, ZeroIdeal
 from hibires.fixtures import fixture_lattice
 from hibires.graphs import BipartiteGraph, graph_from_lattice
 from hibires.ideals import Monomial, MonomialIdeal, edge_ideal, hibi_ideal, lcm_closure
@@ -150,14 +151,6 @@ class TestBettiOracle:
         with pytest.raises(ZeroIdeal):
             betti_oracle(MonomialIdeal(1, ()))
 
-    def test_degree_filter(self, CHAIN):
-        H = hibi_ideal(CHAIN)
-        full = betti_oracle(H)
-        filtered = betti_oracle(H, degree_filter={3})
-        assert filtered.entries == {
-            k: v for k, v in full.entries.items() if k[1].degree == 3
-        }
-
     @given(st.integers(2, 4), st.integers(0, 4), st.integers(0, 2**32 - 1))
     @settings(max_examples=15, deadline=None)
     def test_field_independence_small(self, n, seeds, seed):
@@ -212,6 +205,29 @@ class TestCheapPaths:
         for i in range(3):
             for d in range(1, 5):
                 assert graded_betti_in_degree(I, i, d) == g.get((i, d), 0)
+
+
+class TestFaceCap:
+    def test_cap_is_exact(self, K22, monkeypatch):
+        # at the largest complex's face count nothing changes; one below
+        # it the oracle refuses
+        I = edge_ideal(graph_from_lattice(K22))
+        largest = max(
+            sum(map(len, _smaller_side(I, b)[0].faces.values()))
+            for b in lcm_closure(I)
+        )
+        expected = betti_oracle(I).entries
+        monkeypatch.setattr(oracle, "FACE_CAP", largest)
+        assert betti_oracle(I).entries == expected
+        monkeypatch.setattr(oracle, "FACE_CAP", largest - 1)
+        with pytest.raises(ClosureTooLarge, match="faces"):
+            betti_oracle(I)
+
+    def test_value_at_is_capped(self, K22, monkeypatch):
+        I = edge_ideal(graph_from_lattice(K22))
+        monkeypatch.setattr(oracle, "FACE_CAP", 1)
+        with pytest.raises(ClosureTooLarge, match="faces"):
+            total_betti_in_degree(I, 1)
 
 
 class TestInvariantsFromTable:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hibires
+from hibires import resolution
 from hibires.errors import ConsistencyError, HomDegreeZero, TooManyNeighbors
 from hibires.ideals import UNIT, Monomial, hibi_ideal, lcm_closure
 from hibires.lattice import random_sublattice
@@ -43,9 +44,10 @@ class TestBasis:
         assert top.p == 0b11 and top.S == (0b01, 0b10)
         assert top.multidegree == Monomial.of(0b11, 0b11)
 
-    def test_neighbor_cap(self, B2):
+    def test_neighbor_cap(self, B2, monkeypatch):
+        monkeypatch.setattr(resolution, "NEIGHBOR_CAP", 1)
         with pytest.raises(TooManyNeighbors):
-            resolution_basis(B2, neighbor_cap=1)
+            resolution_basis(B2)
 
     @given(st.integers(2, 6), st.integers(0, 6), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -68,19 +70,19 @@ class TestDifferential:
         # d b({1}; {empty}) = y1 * b({1}; {}) - x1 * b(empty; {})
         g = BasisElement(0b01, (0,), multidegree_of(CHAIN, 0b01, (0,)))
         terms = differential(CHAIN, g)
-        assert sorted((t.p, t.S, s, c) for t, s, c in terms) == sorted(
+        assert sorted(terms) == sorted(
             [
-                (0b01, (), 1, Monomial.of(0, 0b01)),
-                (0, (), -1, Monomial.of(0b01, 0)),
+                ((0b01, ()), 1, Monomial.of(0, 0b01)),
+                ((0, ()), -1, Monomial.of(0b01, 0)),
             ]
         )
 
     def test_homogeneity(self, FIG1):
         for level in resolution_basis(FIG1)[1:]:
             for g in level:
-                for target, _, coeff in differential(FIG1, g):
+                for (q, T), _, coeff in differential(FIG1, g):
                     assert coeff.divides(g.multidegree)
-                    assert target.multidegree.lcm(coeff) == g.multidegree
+                    assert multidegree_of(FIG1, q, T).lcm(coeff) == g.multidegree
 
     def test_term_count(self, FIG1):
         for level in resolution_basis(FIG1)[1:]:
@@ -107,6 +109,26 @@ class TestComplex:
         tpos, sign, _ = C.diffs[0][0][0]
         C.diffs[0][0][0] = (tpos, sign, UNIT)
         assert not verify_minimality(C)
+
+    def test_overlapping_product_fails(self, B2):
+        # an entry sharing a variable with the next differential's entries
+        # has no squarefree product: a failing result, not an exception
+        C = build_resolution(B2)
+        tpos, sign, _ = C.diffs[1][0][0]
+        C.diffs[1][0][0] = (tpos, sign, Monomial.of(0b11, 0b11))
+        result = verify_complex(C)
+        assert not result
+        assert result.failure[0] == 2
+        assert result.failure[2][0] == Monomial.of(0b11, 0b11)
+
+    def test_overlapping_augmentation_fails(self, B2):
+        C = build_resolution(B2)
+        tpos, sign, _ = C.diffs[0][0][0]
+        C.diffs[0][0][0] = (tpos, sign, Monomial.of(0b11, 0b11))
+        result = verify_complex(C)
+        assert not result
+        assert result.failure[0] == "augmentation"
+        assert result.failure[2][0] == Monomial.of(0b11, 0b11)
 
     @pytest.mark.parametrize("name", ["E1", "K22", "CHAIN", "B2"])
     def test_strand_exactness_everywhere(self, name, request):
@@ -171,6 +193,17 @@ class TestConsistencyChecks:
             capture_output=True, text=True, check=True,
         )
         assert "not homogeneous" in out.stdout
+
+    def test_unknown_target_raises(self, B2, monkeypatch):
+        right = resolution.differential
+
+        def stray(L, g):
+            _, sign, coeff = right(L, g)[0]
+            return [((g.p, (0b111,)), sign, coeff)]
+
+        monkeypatch.setattr(resolution, "differential", stray)
+        with pytest.raises(ConsistencyError, match="not a basis element"):
+            build_resolution(B2)
 
     def test_target_collision_raises(self, B2):
         # a malformed S repeating a neighbor sends two terms to b(p; ())
