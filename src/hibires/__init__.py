@@ -8,7 +8,6 @@ from .graphs import (
     VertexCover,
     cover_lattice,
     graph_from_lattice,
-    is_unmixed,
     minimal_vertex_covers,
     normalize_graph,
 )
@@ -46,7 +45,6 @@ from .oracle import (
     SimplicialComplex,
     betti_oracle,
     betti_value_at,
-    invariants_from_table,
     reduced_homology_ranks,
     upper_koszul_complex,
 )

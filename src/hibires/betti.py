@@ -2,9 +2,8 @@
 
 from dataclasses import dataclass, field
 
-from .bitset import indices_of, mask_of
 from .errors import ConsistencyError
-from .ideals import UNIT, Monomial
+from .ideals import UNIT
 
 
 @dataclass
@@ -104,7 +103,7 @@ class BettiTable:
                 out[(i, r)] = v
         return out
 
-    # --- rendering / serialization --------------------------------------
+    # --- rendering --------------------------------------------------------
 
     def diagram(self):
         """Betti diagram text: rows are j - i, columns are i."""
@@ -124,29 +123,3 @@ class BettiTable:
                 cells.append((str(v) if v else ".").rjust(width))
             lines.append(str(r).rjust(4) + ":" + "".join(cells))
         return "\n".join(lines) + "\n"
-
-    def to_json_obj(self):
-        return {
-            "subject": self.subject,
-            "n": self.n,
-            "entries": [
-                {
-                    "i": i,
-                    "deg": {"x": indices_of(b.xmask), "y": indices_of(b.ymask)},
-                    "value": v,
-                }
-                for (i, b), v in sorted(
-                    self.entries.items(), key=lambda kv: (kv[0][0], kv[0][1])
-                )
-            ],
-        }
-
-    @staticmethod
-    def from_json_obj(obj):
-        t = BettiTable(int(obj["n"]), obj["subject"])
-        for e in obj["entries"]:
-            b = Monomial.of(
-                mask_of(e["deg"]["x"], t.n), mask_of(e["deg"]["y"], t.n)
-            )
-            t.add(int(e["i"]), b, int(e["value"]))
-        return t

@@ -37,12 +37,14 @@ from .resolution import (
 )
 
 LEMMA_NEIGHBOR_CAP = 12  # exhaustive subset checks stay below 2^12
+COROLLARY_NEIGHBOR_CAP = 10  # nested subset pairs stay below 3^10
 
 
 @dataclass
 class CheckReport:
     results: list = field(default_factory=list)
     findings: list = field(default_factory=list)
+    skipped: list = field(default_factory=list)
 
     @property
     def ok(self):
@@ -61,12 +63,19 @@ class CheckReport:
         return None
 
 
+def _within_cap(L, report, name, cap):
+    """The elements with |N(p)| <= cap; the others are reported skipped."""
+    inside = [p for p in L.elements if len(L.neighbors(p)) <= cap]
+    if len(inside) < len(L):
+        skipped = len(L) - len(inside)
+        report.skipped.append((name, f"{skipped} elements with |N(p)| > {cap}"))
+    return inside
+
+
 def check_lemma_distinct_meets(L, report):
     """Distinct subsets of N(p) have distinct meets (empty meet is p)."""
-    for p in L.elements:
+    for p in _within_cap(L, report, "lemma1_distinct_meets", LEMMA_NEIGHBOR_CAP):
         nb = L.neighbors(p)
-        if len(nb) > LEMMA_NEIGHBOR_CAP:
-            continue
         seen = {}
         for k in range(len(nb) + 1):
             for S in combinations(nb, k):
@@ -80,10 +89,8 @@ def check_lemma_distinct_meets(L, report):
 
 def check_lemma_corollary(L, report):
     """Nested subsets S in S' of N(p): |S'| - |S| <= |meet S| - |meet S'|."""
-    for p in L.elements:
+    for p in _within_cap(L, report, "lemma1_corollary", COROLLARY_NEIGHBOR_CAP):
         nb = L.neighbors(p)
-        if len(nb) > 10:
-            continue
         for k in range(len(nb) + 1):
             for Sp in combinations(nb, k):
                 mp = L.meet_of(Sp, p).bit_count()
@@ -159,11 +166,11 @@ def check_duality(L, report):
     report.add("alexander_duality", ok)
 
 
-def check_resolution(L, report, field="Q"):
-    C = build_resolution(L)
+def check_resolution(C, report, field="Q"):
+    """d^2 = 0, minimality and strand exactness of C; returns its Betti table."""
     report.add("complex_d_squared_zero", bool(verify_complex(C)))
     report.add("complex_minimality", bool(verify_minimality(C)))
-    H = hibi_ideal(L)
+    H = hibi_ideal(C.L)
     bad = [
         b
         for b in lcm_closure(H)
@@ -175,7 +182,7 @@ def check_resolution(L, report, field="Q"):
         "basis_betti_multiplicity_one",
         all(v == 1 for v in table.entries.values()),
     )
-    return C, table
+    return table
 
 
 def check_formula_consistency(L, report):
@@ -273,12 +280,10 @@ def run_checks(L, level="formulas", field="Q", mutate=False):
     check_graph_round_trip(L, report)
     check_duality(L, report)
     check_formula_consistency(L, report)
+    C = build_resolution(L)
     if mutate:
-        C = build_resolution(L)
         _mutate_differential(C)
-        report.add("complex_d_squared_zero", bool(verify_complex(C)))
-        return report
-    _, basis_table = check_resolution(L, report, field=field)
+    basis_table = check_resolution(C, report, field=field)
     if level == "oracle":
         check_oracle_hibi(L, basis_table, report, field=field)
         check_oracle_edge_ring(L, report, field=field)

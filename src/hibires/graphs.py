@@ -11,7 +11,7 @@ from .errors import (
     NotUnmixed,
     TooLarge,
 )
-from .lattice import down_sets, validate_sublattice
+from .lattice import _smallest_containing, down_sets, validate_sublattice
 
 ENUMERATION_BOUND = 24  # max total vertices for exhaustive cover enumeration
 
@@ -132,7 +132,7 @@ def normalize_graph(raw_edges):
     return BipartiteGraph(n, n, edges, labels)
 
 
-def minimal_vertex_covers(G, bound=ENUMERATION_BOUND):
+def minimal_vertex_covers(G):
     """All minimal vertex covers, by enumeration over left-side subsets.
 
     For each subset xs of the left side, xs together with the right
@@ -141,9 +141,10 @@ def minimal_vertex_covers(G, bound=ENUMERATION_BOUND):
     has a neighbor outside it; each added right vertex has one by
     construction, so only the left vertices in xs are tested.
     """
-    if G.n_left + G.n_right > bound:
+    if G.n_left + G.n_right > ENUMERATION_BOUND:
         raise TooLarge(
-            f"{G.n_left + G.n_right} vertices exceed the enumeration bound {bound}"
+            f"{G.n_left + G.n_right} vertices exceed the enumeration bound "
+            f"{ENUMERATION_BOUND}"
         )
     right = [0] * G.n_left
     for i, j in G.edges:
@@ -157,12 +158,6 @@ def minimal_vertex_covers(G, bound=ENUMERATION_BOUND):
         if all(right[i] & ~ys for i in positions_of(xs)):
             covers.add(VertexCover(xs, ys))
     return covers
-
-
-def is_unmixed(G, bound=ENUMERATION_BOUND):
-    """True when all minimal vertex covers have the same cardinality."""
-    sizes = {c.size for c in minimal_vertex_covers(G, bound)}
-    return len(sizes) == 1
 
 
 def is_transitive(G):
@@ -190,7 +185,7 @@ def _implication_lattice_family(G):
     return set(down_sets(D))
 
 
-def cover_lattice(G, bound=ENUMERATION_BOUND):
+def cover_lattice(G):
     """The lattice {xs(C) : C minimal vertex cover} for a normalized unmixed G.
 
     Unmixedness is decided by the transitivity criterion at every size.
@@ -203,8 +198,8 @@ def cover_lattice(G, bound=ENUMERATION_BOUND):
     if not is_transitive(G):
         raise NotUnmixed("graph has minimal vertex covers of different sizes")
     fam = _implication_lattice_family(G)
-    if G.n_left + G.n_right <= bound:
-        slow = {c.xs for c in minimal_vertex_covers(G, bound)}
+    if G.n_left + G.n_right <= ENUMERATION_BOUND:
+        slow = {c.xs for c in minimal_vertex_covers(G)}
         if slow != fam:
             raise LatticeValidation(
                 "implication path and cover enumeration disagree (internal bug)"
@@ -216,20 +211,12 @@ def graph_from_lattice(L):
     """The unmixed bipartite graph whose cover lattice is L.
 
     Edge (i, j) is present exactly when every lattice element containing j
-    also contains i; the result is normalized and round-trips through
-    cover_lattice.
+    also contains i, i.e. i lies in D(j); the result is normalized and
+    round-trips through cover_lattice.
     """
-    n = L.n
-    edges = set()
-    for j in range(1, n + 1):
-        jbit = 1 << (j - 1)
-        forced = full_mask(n)
-        for p in L.elements:
-            if p & jbit:
-                forced &= p
-        for i in indices_of(forced):
-            edges.add((i, j))
-    return BipartiteGraph(n, n, frozenset(edges))
+    D = _smallest_containing(L.elements, L.n)
+    edges = frozenset((i, j) for j, d in enumerate(D, 1) for i in indices_of(d))
+    return BipartiteGraph(L.n, L.n, edges)
 
 
 # --- text / JSON formats -------------------------------------------------
@@ -260,24 +247,11 @@ def parse_graph_text(text):
     return BipartiteGraph(nl, nr, frozenset(edges))
 
 
-def graph_to_text(G):
-    lines = [f"graph {G.n_left} {G.n_right}"]
-    for i, j in sorted(G.edges):
-        lines.append(f"{i} {j}")
-    return "\n".join(lines) + "\n"
-
-
-def graph_to_json_obj(G):
-    return {
-        "left": G.n_left,
-        "right": G.n_right,
-        "edges": [list(e) for e in sorted(G.edges)],
-    }
-
-
 def graph_from_json_obj(obj):
-    return BipartiteGraph(
-        int(obj["left"]),
-        int(obj["right"]),
-        frozenset((int(i), int(j)) for i, j in obj["edges"]),
-    )
+    """Graph from {"left": n_left, "right": n_right, "edges": [[i, j], ...]}."""
+    try:
+        nl, nr = int(obj["left"]), int(obj["right"])
+        edges = frozenset((int(i), int(j)) for i, j in obj["edges"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputFormatError(f"malformed graph JSON: {exc!r}") from exc
+    return BipartiteGraph(nl, nr, edges)

@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 
-from .bitset import full_mask, indices_of, is_subset, mask_of
+from .bitset import full_mask, indices_of, is_subset
 from .errors import ClosureTooLarge, ConsistencyError, ZeroIdeal
 
 CLOSURE_CAP = 5000  # cap for lcm-closure and transversal-list sizes
@@ -83,9 +83,6 @@ class MonomialIdeal:
     def contains_monomial(self, m):
         return any(g.divides(m) for g in self.gens)
 
-    def render(self):
-        return "(" + ", ".join(g.render() for g in self.gens) + ")"
-
 
 def hibi_ideal(L):
     """Generators u_p = X_p * Y_(complement of p) over the lattice elements.
@@ -113,27 +110,36 @@ def edge_ideal(G):
     return MonomialIdeal.of(G.n, gens)
 
 
-def alexander_dual(I, cap=CLOSURE_CAP):
+def alexander_dual(I):
     """Minimal transversals of the generator supports.
 
-    Incremental expand-and-minimalize: fold the generators in one at a
-    time, multiplying each partial transversal by each variable of the
-    next generator and pruning non-minimal products.  Involutive on
+    Fold the generators in one at a time.  Of the minimal partial
+    transversals (an antichain), those that meet the next generator g
+    stay; each t that misses g is multiplied by each variable v of g, and
+    only a staying transversal through v can divide t*v.  Involutive on
     minimalized squarefree ideals.  Raises ClosureTooLarge once the list
-    of partial transversals passes cap.
+    of partial transversals passes CLOSURE_CAP.
     """
     if I.is_zero:
         raise ZeroIdeal("the zero ideal has no Alexander dual")
     trans = [UNIT]
     for g in I.gens:
+        kept = [t for t in trans if t.xmask & g.xmask or t.ymask & g.ymask]
+        missing = [t for t in trans if not (t.xmask & g.xmask or t.ymask & g.ymask)]
         variables = [x_monomial(1 << (i - 1)) for i in indices_of(g.xmask)]
         variables += [y_monomial(1 << (j - 1)) for j in indices_of(g.ymask)]
-        trans = list(_minimalize(t.lcm(v) for t in trans for v in variables))
-        if len(trans) > cap:
+        trans = kept[:]
+        for v in variables:
+            through = [k for k in kept if v.divides(k)]
+            for t in missing:
+                m = t.lcm(v)
+                if not any(k.divides(m) for k in through):
+                    trans.append(m)
+        if len(trans) > CLOSURE_CAP:
             raise ClosureTooLarge(
-                f"{len(trans)} partial transversals exceed the cap {cap}"
+                f"{len(trans)} partial transversals exceed the cap {CLOSURE_CAP}"
             )
-    return MonomialIdeal(I.n, tuple(trans))
+    return MonomialIdeal(I.n, tuple(sorted(trans)))
 
 
 def lcm_closure(I, cap=CLOSURE_CAP):
@@ -158,22 +164,3 @@ def lcm_closure(I, cap=CLOSURE_CAP):
             raise ClosureTooLarge(f"lcm closure exceeds the cap {cap}")
         frontier = new
     return sorted(closure)
-
-
-# --- JSON format ---------------------------------------------------------
-
-def ideal_to_json_obj(I):
-    return {
-        "n": I.n,
-        "gens": [
-            {"x": indices_of(g.xmask), "y": indices_of(g.ymask)} for g in I.gens
-        ],
-    }
-
-
-def ideal_from_json_obj(obj):
-    n = int(obj["n"])
-    gens = [
-        Monomial.of(mask_of(g["x"], n), mask_of(g["y"], n)) for g in obj["gens"]
-    ]
-    return MonomialIdeal.of(n, gens)

@@ -37,6 +37,8 @@ from .errors import (
     TooLarge,
 )
 
+CORPUS_SIZE_CAP = 24  # max elements of a random_corpus lattice
+
 
 @dataclass(frozen=True)
 class CoverLattice:
@@ -50,25 +52,16 @@ class CoverLattice:
     n: int
     elements: tuple
     lower: dict = field(compare=False)
-    index: dict = field(compare=False)
-
-    @property
-    def bottom(self):
-        return 0
-
-    @property
-    def top(self):
-        return full_mask(self.n)
 
     def __len__(self):
         return len(self.elements)
 
     def __contains__(self, mask):
-        return mask in self.index
+        return mask in self.lower
 
     def neighbors(self, p):
         """Lower neighbors N(p), as a tuple sorted by the total order."""
-        if p not in self.index:
+        if p not in self.lower:
             raise NotAnElement(f"{render_set(p)} is not a lattice element")
         return self.lower[p]
 
@@ -85,9 +78,6 @@ class CoverLattice:
         for q in masks:
             m &= q
         return m
-
-    def render(self):
-        return "{" + ", ".join(render_set(p) for p in self.elements) + "}"
 
     @cached_property
     def a_set(self):
@@ -176,9 +166,7 @@ def validate_sublattice(family, n):
         if p & q not in fam:
             raise NotClosed(p, q, "intersection")
     elements = tuple(sorted(fam, key=order_key))
-    lower = _lower_covers(elements, n)
-    index = {p: i for i, p in enumerate(elements)}
-    return CoverLattice(n=n, elements=elements, lower=lower, index=index)
+    return CoverLattice(n=n, elements=elements, lower=_lower_covers(elements, n))
 
 
 @dataclass(frozen=True)
@@ -309,21 +297,21 @@ def random_sublattice(n, seed_count, rng_seed):
     return validate_sublattice(fam, n)
 
 
-def random_corpus(count, rng_seed, n_max=6, n_min=2, size_cap=24):
-    """Deterministic stream of random lattices for verification runs.
+def random_corpus(count, rng_seed, n_max=6):
+    """Deterministic stream of random lattices on 2..n_max indices.
 
-    Sizes are capped so oracle-backed checks stay at desk scale; a draw is
-    skipped as soon as its enumeration passes the cap, keeping the stream
-    reproducible.
+    Sizes are capped at CORPUS_SIZE_CAP elements so oracle-backed checks
+    stay at desk scale; a draw is skipped as soon as its enumeration
+    passes the cap, keeping the stream reproducible.
     """
     rng = random.Random(rng_seed)
     out = []
     while len(out) < count:
-        n = rng.randint(n_min, n_max)
+        n = rng.randint(2, n_max)
         seed_count = rng.randint(1, n)
         D = _drawn_closures(n, seed_count, rng.getrandbits(32))
-        fam = set(islice(down_sets(D), size_cap + 1))
-        if len(fam) <= size_cap:
+        fam = set(islice(down_sets(D), CORPUS_SIZE_CAP + 1))
+        if len(fam) <= CORPUS_SIZE_CAP:
             out.append(validate_sublattice(fam, n))
     return out
 
@@ -363,11 +351,11 @@ def lattice_to_text(L):
     return "\n".join(lines) + "\n"
 
 
-def lattice_to_json_obj(L):
-    return {"n": L.n, "elements": [indices_of(p) for p in L.elements]}
-
-
 def lattice_from_json_obj(obj):
-    n = int(obj["n"])
-    fam = {mask_of(e, n) for e in obj["elements"]}
+    """Lattice from {"n": n, "elements": [[1-based indices], ...]}."""
+    try:
+        n = int(obj["n"])
+        fam = {mask_of(e, n) for e in obj["elements"]}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputFormatError(f"malformed lattice JSON: {exc!r}") from exc
     return validate_sublattice(fam, n)

@@ -44,7 +44,6 @@ class SimplicialComplex:
     -1 and is present iff the complex is nonvoid.
     """
 
-    vertices: tuple
     faces: dict
 
     @property
@@ -119,10 +118,7 @@ def _complex(bmask, faces):
             f"a complex on {bmask.bit_count()} vertices passes the cap of "
             f"{FACE_CAP} faces"
         )
-    # built from a list: tuple() over a generator grows and shrinks the
-    # tuple, which over many small complexes raised peak memory by ~1 MB
-    verts = tuple([w.bit_length() - 1 for w in _bits(bmask)])
-    return SimplicialComplex(verts, {d: sorted(fs) for d, fs in by_dim.items()})
+    return SimplicialComplex({d: sorted(fs) for d, fs in by_dim.items()})
 
 
 def upper_koszul_complex(I, b):
@@ -234,28 +230,4 @@ def graded_betti_in_degree(I, i, total_degree, field="Q", closure_cap=5000):
         betti_value_at(I, b, i, field=field)
         for b in lcm_closure(I, cap=closure_cap)
         if b.degree == total_degree
-    )
-
-
-@dataclass
-class TableInvariants:
-    pd: int
-    reg: int
-    depth: int
-    totals: dict
-    extremal_multigraded: list
-    extremal_graded: dict
-    t: int
-
-
-def invariants_from_table(T, ambient_vars):
-    """Homological invariants read off a complete Betti table."""
-    return TableInvariants(
-        pd=T.pd(),
-        reg=T.reg(),
-        depth=T.depth(ambient_vars),
-        totals=T.totals(),
-        extremal_multigraded=T.extremal_multigraded(),
-        extremal_graded=T.extremal_graded(),
-        t=T.t(),
     )

@@ -108,11 +108,3 @@ class TestRendering:
 
     def test_empty_diagram(self):
         assert BettiTable(2, "ideal").diagram() == "(zero table)\n"
-
-    def test_json_round_trip(self):
-        t = table(
-            2,
-            "quotient",
-            [(0, UNIT, 1), (1, mono(0b01, 0b10), 1), (2, mono(0b11, 0b11), 2)],
-        )
-        assert BettiTable.from_json_obj(t.to_json_obj()).entries == t.entries

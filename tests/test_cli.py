@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hibires import cli
+from hibires import checks, cli
 from hibires.betti import BettiTable
 from hibires.cli import load_lattice, main
 from hibires.fixtures import fig1
@@ -128,6 +128,18 @@ class TestAnalyze:
     def test_missing_file_exit_1(self, capsys):
         assert main(["analyze", "--input", "/nonexistent.lat"]) == 1
 
+    @pytest.mark.parametrize("doc", [
+        {"elements": [[], [1]]},
+        {"left": 1},
+        {"n": 1, "elements": 5},
+        {"n": 2, "elements": [["a"]]},
+    ])
+    def test_malformed_json_exit_1(self, doc, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", "--input", str(path)]) == 1
+        assert_clean_error(capsys, "InputFormatError")
+
     def test_oracle_limit_exit_1(self, boolean8_file, capsys):
         rc = main(["analyze", "--input", boolean8_file, "--level", "oracle"])
         assert rc == 1
@@ -171,6 +183,30 @@ class TestVerify:
     def test_closure_limit_exit_1(self, boolean8_file, capsys):
         assert main(["verify", "--input", boolean8_file]) == 1
         assert_clean_error(capsys, "ClosureTooLarge")
+
+    def test_fig1_oracle_downgrade_is_reported(self, capsys):
+        assert main(["verify", "--fixtures", "--level", "oracle"]) == 0
+        out = capsys.readouterr().out
+        assert "SKIP FIG1 oracle checks: run at formulas level" in out
+        assert "PASS B2 betti_formula_vs_oracle" in out
+        assert "PASS FIG1 betti_formula_vs_oracle" not in out
+
+    def test_neighbor_caps_are_reported(self, chain_file, capsys, monkeypatch):
+        # CHAIN has two elements with one lower neighbor each
+        assert main(["verify", "--input", chain_file]) == 0
+        plain = capsys.readouterr().out
+        assert "SKIP" not in plain
+        monkeypatch.setattr(checks, "LEMMA_NEIGHBOR_CAP", 0)
+        monkeypatch.setattr(checks, "COROLLARY_NEIGHBOR_CAP", 0)
+        assert main(["verify", "--input", chain_file]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        skips = [ln for ln in lines if ln.startswith("SKIP")]
+        assert skips == [
+            f"SKIP {chain_file} lemma1_distinct_meets: 2 elements with |N(p)| > 0",
+            f"SKIP {chain_file} lemma1_corollary: 2 elements with |N(p)| > 0",
+        ]
+        assert [ln for ln in lines if not ln.startswith("SKIP")] == \
+            plain.splitlines()
 
     def test_mutate_exits_2_with_counterexample(self, chain_file, capsys):
         rc = main(
@@ -223,7 +259,9 @@ class TestGroundSizeGuard:
         # seed 3 draws a 3-element lattice on n = 21: its Hibi ideal passes
         # the oracle's face cap, and its edge ideal the lcm-closure cap
         argv = [command, "--n", "32", "--count", "1", "--seed", "3"]
-        assert main(argv + ["--level", "oracle"]) == 1
+        if command == "random":
+            argv += ["--level", "oracle"]
+        assert main(argv) == 1
         assert_clean_error(capsys, "ClosureTooLarge")
 
     @pytest.mark.parametrize("n", ["12", "16"])
@@ -252,6 +290,24 @@ class TestSearchTightness:
         assert rc == 0
         out = capsys.readouterr().out
         assert "equality" in out
+
+
+@pytest.mark.parametrize("command, option", [
+    ("verify", "--format=json"),
+    ("verify", "--no-timestamp"),
+    ("random", "--format=json"),
+    ("random", "--no-timestamp"),
+    ("search-tightness", "--format=json"),
+    ("search-tightness", "--no-timestamp"),
+    ("search-tightness", "--level=oracle"),
+])
+def test_removed_option_is_a_usage_error(command, option, capsys):
+    # options these subcommands never read are not accepted
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--fixtures", option] if command == "verify"
+             else [command, "--count", "1", option])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestFixturesCmd:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hibires.graphs as graphs_mod
 from hibires.bitset import full_mask, is_subset, mask_of
 from hibires.errors import EmptyInput, NoPerfectMatching, NotUnmixed, TooLarge
 from hibires.graphs import (
@@ -12,9 +13,7 @@ from hibires.graphs import (
     _implication_lattice_family,
     cover_lattice,
     graph_from_lattice,
-    graph_to_text,
     is_transitive,
-    is_unmixed,
     minimal_vertex_covers,
     normalize_graph,
     parse_graph_text,
@@ -50,6 +49,12 @@ def covers_by_pairwise_filter(G):
             for oxs, oys in candidates
         )
     }
+
+
+def is_unmixed(G):
+    """True when all minimal vertex covers have the same cardinality: the
+    definition, which the transitivity criterion is checked against."""
+    return len({c.size for c in minimal_vertex_covers(G)}) == 1
 
 
 def normalized_graphs(n):
@@ -149,10 +154,11 @@ class TestMinimalVertexCovers:
         G = BipartiteGraph(2, 3, frozenset({(1, 1), (1, 2), (2, 2), (2, 3)}))
         assert minimal_vertex_covers(G) == covers_by_pairwise_filter(G)
 
-    def test_enumeration_bound(self):
+    def test_enumeration_bound(self, monkeypatch):
         G = BipartiteGraph(2, 2, frozenset({(1, 1), (2, 2)}))
+        monkeypatch.setattr(graphs_mod, "ENUMERATION_BOUND", 3)
         with pytest.raises(TooLarge):
-            minimal_vertex_covers(G, bound=3)
+            minimal_vertex_covers(G)
 
 
 class TestUnmixed:
@@ -256,7 +262,7 @@ class TestGraphFromLattice:
 class TestTextFormat:
     def test_round_trip(self):
         G = BipartiteGraph(2, 2, frozenset({(1, 1), (1, 2), (2, 2)}))
-        assert parse_graph_text(graph_to_text(G)) == G
+        assert parse_graph_text("graph 2 2\n1 1\n1 2\n2 2\n") == G
 
     def test_comments_ignored(self):
         G = parse_graph_text("# a path\ngraph 2 2\n1 1\n\n1 2\n2 2\n")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import hibires.lattice as lattice_mod
 
-from hibires.bitset import full_mask, is_subset, mask_of, order_key
+from hibires.bitset import full_mask, indices_of, is_subset, mask_of, order_key
 from hibires.errors import (
     BottomElement,
     InputFormatError,
@@ -26,7 +26,6 @@ from hibires.lattice import (
     f_value,
     interval_of,
     lattice_from_json_obj,
-    lattice_to_json_obj,
     lattice_to_text,
     parse_lattice_text,
     random_corpus,
@@ -136,7 +135,7 @@ class TestValidate:
         L = validate_sublattice(
             {0, 0b001, 0b010, 0b011, 0b111}, 3
         )
-        idx = L.index
+        idx = {p: k for k, p in enumerate(L.elements)}
         for p in L.elements:
             for q in L.elements:
                 if p != q and is_subset(p, q):
@@ -389,5 +388,5 @@ class TestSerialization:
             parse_lattice_text("lat 2\nempty\n1 2\n")
 
     def test_json_round_trip(self, FIG1):
-        obj = lattice_to_json_obj(FIG1)
+        obj = {"n": FIG1.n, "elements": [indices_of(p) for p in FIG1.elements]}
         assert lattice_from_json_obj(obj).elements == FIG1.elements

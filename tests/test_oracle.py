@@ -15,7 +15,6 @@ from hibires.oracle import (
     betti_oracle,
     betti_value_at,
     graded_betti_in_degree,
-    invariants_from_table,
     reduced_homology_ranks,
     total_betti_in_degree,
     upper_koszul_complex,
@@ -30,7 +29,6 @@ def koszul_reference(I, b):
     n = I.n
     bmask = b.xmask | (b.ymask << n)
     gens = [g.xmask | (g.ymask << n) for g in I.gens if g.divides(b)]
-    verts = tuple(i for i in range(2 * n) if bmask >> i & 1)
     faces = {}
     sub = bmask
     while True:
@@ -45,7 +43,7 @@ def koszul_reference(I, b):
         for i in range(2 * n):
             if f >> i & 1:
                 assert f & ~(1 << i) in all_faces, "complex not downward closed"
-    return SimplicialComplex(verts, {d: sorted(fs) for d, fs in faces.items()})
+    return SimplicialComplex({d: sorted(fs) for d, fs in faces.items()})
 
 
 def reference_table(I, field="Q"):
@@ -66,7 +64,7 @@ def simplex_complex(k):
     faces = {}
     for sub in range(1 << k):
         faces.setdefault(sub.bit_count() - 1, []).append(sub)
-    return SimplicialComplex(tuple(range(k)), {d: sorted(f) for d, f in faces.items()})
+    return SimplicialComplex({d: sorted(f) for d, f in faces.items()})
 
 
 def sphere_complex(k):
@@ -76,7 +74,7 @@ def sphere_complex(k):
     for sub in range(1 << k):
         if sub != full:
             faces.setdefault(sub.bit_count() - 1, []).append(sub)
-    return SimplicialComplex(tuple(range(k)), {d: sorted(f) for d, f in faces.items()})
+    return SimplicialComplex({d: sorted(f) for d, f in faces.items()})
 
 
 class TestHomologyEngine:
@@ -89,15 +87,15 @@ class TestHomologyEngine:
         assert reduced_homology_ranks(sphere_complex(k)) == {k - 2: 1}
 
     def test_two_points(self):
-        K = SimplicialComplex((0, 1), {-1: [0], 0: [0b01, 0b10]})
+        K = SimplicialComplex({-1: [0], 0: [0b01, 0b10]})
         assert reduced_homology_ranks(K) == {0: 1}
 
     def test_empty_complex(self):
-        K = SimplicialComplex((), {-1: [0]})
+        K = SimplicialComplex({-1: [0]})
         assert reduced_homology_ranks(K) == {-1: 1}
 
     def test_void_complex(self):
-        assert reduced_homology_ranks(SimplicialComplex((), {})) == {}
+        assert reduced_homology_ranks(SimplicialComplex({})) == {}
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_fields_agree_on_spheres(self, k):
@@ -228,11 +226,3 @@ class TestFaceCap:
         monkeypatch.setattr(oracle, "FACE_CAP", 1)
         with pytest.raises(ClosureTooLarge, match="faces"):
             total_betti_in_degree(I, 1)
-
-
-class TestInvariantsFromTable:
-    def test_chain(self, CHAIN):
-        T = betti_oracle(edge_ideal(graph_from_lattice(CHAIN))).to_quotient()
-        inv = invariants_from_table(T, 4)
-        assert (inv.depth, inv.reg, inv.pd) == (2, 1, 2)
-        assert inv.t == T.totals()[T.pd()]
