@@ -38,6 +38,27 @@ def positions_of(mask):
         mask ^= low
 
 
+def down_sets(closures):
+    """Every union of the given sets, the empty union first, each once.
+
+    Each step adds one given set whole, so every union is reached.  With
+    closures[j] = D(j) of a distributive family the unions are the
+    down-sets of its preorder (adding a lone index would not do).
+    """
+    closures = set(closures)
+    seen = {0}
+    stack = [0]
+    yield 0
+    while stack:
+        p = stack.pop()
+        for c in closures:
+            q = p | c
+            if q not in seen:
+                seen.add(q)
+                stack.append(q)
+                yield q
+
+
 def full_mask(n):
     return (1 << n) - 1
 

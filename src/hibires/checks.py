@@ -168,8 +168,10 @@ def check_duality(L, report):
 
 def check_resolution(C, report, field="Q"):
     """d^2 = 0, minimality and strand exactness of C; returns its Betti table."""
-    report.add("complex_d_squared_zero", bool(verify_complex(C)))
-    report.add("complex_minimality", bool(verify_minimality(C)))
+    d2 = verify_complex(C)
+    report.add("complex_d_squared_zero", d2.ok, d2.failure)
+    minimal = verify_minimality(C)
+    report.add("complex_minimality", minimal.ok, minimal.failure)
     H = hibi_ideal(C.L)
     bad = [
         b

@@ -56,6 +56,12 @@ def _parse_ground_size(text):
     return n
 
 
+def _parse_count(text):
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError("--count must be at least 1")
+    return int(text)
+
+
 def load_lattice(path):
     """Read a lattice from a lattice/graph file (text or JSON)."""
     text = Path(path).read_text()
@@ -313,7 +319,7 @@ def build_parser():
 
     p = sub.add_parser("random", help="generate and verify random lattices")
     p.add_argument("--n", type=_parse_ground_size, default=6)
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--count", type=_parse_count, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.add_argument("--level", **level)
@@ -324,7 +330,7 @@ def build_parser():
         "search-tightness", help="audit the last-Betti-number lower bound"
     )
     p.add_argument("--n", type=_parse_ground_size, default=4)
-    p.add_argument("--count", type=int, default=20)
+    p.add_argument("--count", type=_parse_count, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.add_argument("--field", **field)

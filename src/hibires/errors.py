@@ -34,11 +34,11 @@ class MissingTop(LatticeValidation):
 
 
 class NotClosed(LatticeValidation):
-    def __init__(self, p, q, op):
-        self.p = p
-        self.q = q
-        self.op = op
-        super().__init__(f"family not closed under {op} for pair ({p:#x}, {q:#x})")
+    """The family lacks ``missing``, which its unions and meets generate."""
+
+    def __init__(self, missing):
+        self.missing = missing
+        super().__init__(f"family generates {missing:#x} but does not contain it")
 
 
 class ConsistencyError(HibiresError):

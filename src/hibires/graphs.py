@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass, field
 
-from .bitset import full_mask, indices_of, positions_of
+from .bitset import down_sets, full_mask, indices_of, positions_of
 from .errors import (
     EmptyInput,
     InputFormatError,
@@ -11,7 +11,7 @@ from .errors import (
     NotUnmixed,
     TooLarge,
 )
-from .lattice import _smallest_containing, down_sets, validate_sublattice
+from .lattice import validate_sublattice
 
 ENUMERATION_BOUND = 24  # max total vertices for exhaustive cover enumeration
 
@@ -214,7 +214,7 @@ def graph_from_lattice(L):
     also contains i, i.e. i lies in D(j); the result is normalized and
     round-trips through cover_lattice.
     """
-    D = _smallest_containing(L.elements, L.n)
+    D = L.closures
     edges = frozenset((i, j) for j, d in enumerate(D, 1) for i in indices_of(d))
     return BipartiteGraph(L.n, L.n, edges)
 
@@ -237,13 +237,16 @@ def parse_graph_text(text):
     head = lines[0].split()
     if len(head) != 3 or head[0] != "graph":
         raise InputFormatError("first line must be 'graph <n_left> <n_right>'")
-    nl, nr = int(head[1]), int(head[2])
-    edges = set()
-    for ln in lines[1:]:
-        toks = ln.split()
-        if len(toks) != 2:
-            raise InputFormatError(f"bad edge line: {ln!r}")
-        edges.add((int(toks[0]), int(toks[1])))
+    try:
+        nl, nr = int(head[1]), int(head[2])
+        edges = set()
+        for ln in lines[1:]:
+            toks = ln.split()
+            if len(toks) != 2:
+                raise InputFormatError(f"bad edge line: {ln!r}")
+            edges.add((int(toks[0]), int(toks[1])))
+    except ValueError as exc:
+        raise InputFormatError(f"malformed graph text: {exc}") from exc
     return BipartiteGraph(nl, nr, frozenset(edges))
 
 

@@ -1,8 +1,9 @@
 """Squarefree monomials and monomial ideals in K[x_1..x_n, y_1..y_n]."""
 
 from dataclasses import dataclass
+from itertools import islice
 
-from .bitset import full_mask, indices_of, is_subset
+from .bitset import down_sets, full_mask, indices_of, is_subset, positions_of
 from .errors import ClosureTooLarge, ConsistencyError, ZeroIdeal
 
 CLOSURE_CAP = 5000  # cap for lcm-closure and transversal-list sizes
@@ -47,12 +48,13 @@ class Monomial:
 UNIT = Monomial.of(0, 0)
 
 
-def x_monomial(mask):
-    return Monomial.of(mask, 0)
+def variable_mask(m, n):
+    """Support of m over 2n variables: x_i at bit i-1, y_j at bit n+j-1."""
+    return m.xmask | (m.ymask << n)
 
 
-def y_monomial(mask):
-    return Monomial.of(0, mask)
+def _monomial_of(mask, n):
+    return Monomial.of(mask & full_mask(n), mask >> n)
 
 
 def _minimalize(monomials):
@@ -122,45 +124,36 @@ def alexander_dual(I):
     """
     if I.is_zero:
         raise ZeroIdeal("the zero ideal has no Alexander dual")
-    trans = [UNIT]
+    trans = [0]
     for g in I.gens:
-        kept = [t for t in trans if t.xmask & g.xmask or t.ymask & g.ymask]
-        missing = [t for t in trans if not (t.xmask & g.xmask or t.ymask & g.ymask)]
-        variables = [x_monomial(1 << (i - 1)) for i in indices_of(g.xmask)]
-        variables += [y_monomial(1 << (j - 1)) for j in indices_of(g.ymask)]
+        g = variable_mask(g, I.n)
+        kept = [t for t in trans if t & g]
+        missing = [t for t in trans if not t & g]
         trans = kept[:]
-        for v in variables:
-            through = [k for k in kept if v.divides(k)]
+        for v in positions_of(g):
+            through = [k for k in kept if k >> v & 1]
             for t in missing:
-                m = t.lcm(v)
-                if not any(k.divides(m) for k in through):
+                m = t | 1 << v
+                if not any(k & ~m == 0 for k in through):
                     trans.append(m)
         if len(trans) > CLOSURE_CAP:
             raise ClosureTooLarge(
                 f"{len(trans)} partial transversals exceed the cap {CLOSURE_CAP}"
             )
-    return MonomialIdeal(I.n, tuple(sorted(trans)))
+    return MonomialIdeal(I.n, tuple(sorted(_monomial_of(t, I.n) for t in trans)))
 
 
 def lcm_closure(I, cap=CLOSURE_CAP):
     """Smallest set containing the generators and closed under pairwise lcm.
 
-    These are the lcm-lattice elements above the bottom; every multidegree
-    with a nonzero Betti number lies here.
+    A squarefree lcm is a union of supports, so these are the unions of
+    nonempty sets of generator supports, sorted: the lcm-lattice elements
+    above the bottom, where every nonzero Betti multidegree lies.
     """
     if I.is_zero:
         raise ZeroIdeal("the zero ideal has an empty lcm closure")
-    closure = set(I.gens)
-    frontier = set(I.gens)
-    while frontier:
-        new = set()
-        for m in frontier:
-            for g in I.gens:
-                l = m.lcm(g)
-                if l not in closure:
-                    new.add(l)
-        closure |= new
-        if len(closure) > cap:
-            raise ClosureTooLarge(f"lcm closure exceeds the cap {cap}")
-        frontier = new
-    return sorted(closure)
+    masks = {variable_mask(g, I.n) for g in I.gens}
+    unions = list(islice(down_sets(masks), cap + 2))
+    if len(unions) > cap + 1:
+        raise ClosureTooLarge(f"lcm closure exceeds the cap {cap}")
+    return sorted(_monomial_of(u, I.n) for u in unions if u or 0 in masks)

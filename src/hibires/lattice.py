@@ -14,11 +14,13 @@ enumeration work on the D(j) rather than on pairs of elements.
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations, islice
+from operator import and_
 
 from .bitset import (
     MAX_GROUND,
+    down_sets,
     full_mask,
     indices_of,
     is_subset,
@@ -46,12 +48,14 @@ class CoverLattice:
 
     elements are sorted by the fixed total order (cardinality, then bit
     pattern); ``lower[p]`` is the set of lower neighbors N(p), i.e. the
-    maximal elements of the lattice strictly below p.
+    maximal elements of the lattice strictly below p; ``closures[j]`` is
+    D(j+1), the smallest element containing index j+1.
     """
 
     n: int
     elements: tuple
     lower: dict = field(compare=False)
+    closures: tuple = field(compare=False)
 
     def __len__(self):
         return len(self.elements)
@@ -72,12 +76,7 @@ class CoverLattice:
         carry the multidegree of the generator attached to p.
         """
         masks = list(masks)
-        if not masks:
-            return context_p
-        m = full_mask(self.n)
-        for q in masks:
-            m &= q
-        return m
+        return reduce(and_, masks) if masks else context_p
 
     @cached_property
     def a_set(self):
@@ -96,37 +95,14 @@ def _smallest_containing(family, n):
     return D
 
 
-def down_sets(closures):
-    """Every union of the given sets, the empty union first, each once.
-
-    closures[j] must be down-closed (D(k) within D(j) for each k in it);
-    then the unions are the down-sets of the preorder.  From each
-    down-set the walk adds one D(j) whole, never a lone index, so it
-    steps along covers of the down-set lattice and reaches each element.
-    """
-    closures = set(closures)
-    seen = {0}
-    stack = [0]
-    yield 0
-    while stack:
-        p = stack.pop()
-        for c in closures:
-            q = p | c
-            if q not in seen:
-                seen.add(q)
-                stack.append(q)
-                yield q
-
-
-def _lower_covers(elements, n):
+def _lower_covers(elements, D):
     """N(p) for every element: p minus one maximal preorder class of p.
 
     With U(i) = {j : i in D(j)} and the class cls(i) = D(i) & U(i), the
     class of i is maximal in p when no index of p lies strictly above i,
     i.e. U(i) & p == cls(i).  O(|L| * n) in all.
     """
-    D = _smallest_containing(elements, n)
-    U = [0] * n
+    U = [0] * len(D)
     for j, d in enumerate(D):
         for i in positions_of(d):
             U[i] |= 1 << j
@@ -147,7 +123,9 @@ def _lower_covers(elements, n):
 def validate_sublattice(family, n):
     """Check the family is a sublattice of B_n and build its Hasse data.
 
-    Rejects rather than repairs: missing bounds or a violating pair raise.
+    Rejects rather than repairs: missing bounds or a missing set raise.
+    The unions of the D(i) form the sublattice F generates and include F,
+    so F is closed exactly when the first |F| + 1 of them are members.
     """
     if n < 1 or n > MAX_GROUND:
         raise TooLarge(f"ground set size {n} outside 1..{MAX_GROUND}")
@@ -160,13 +138,12 @@ def validate_sublattice(family, n):
         raise MissingBottom("the empty set is missing")
     if top not in fam:
         raise MissingTop(f"the full set {render_set(top)} is missing")
-    for p, q in combinations(fam, 2):
-        if p | q not in fam:
-            raise NotClosed(p, q, "union")
-        if p & q not in fam:
-            raise NotClosed(p, q, "intersection")
+    D = tuple(_smallest_containing(fam, n))
+    for q in islice(down_sets(D), len(fam) + 1):
+        if q not in fam:
+            raise NotClosed(q)
     elements = tuple(sorted(fam, key=order_key))
-    return CoverLattice(n=n, elements=elements, lower=_lower_covers(elements, n))
+    return CoverLattice(n, elements, _lower_covers(elements, D), D)
 
 
 @dataclass(frozen=True)
@@ -248,16 +225,19 @@ def f_value(L, p):
 
 
 def _maximal_interval_tops(L):
-    """Scan for the tops p of maximal intervals [meet(N(p)), p].
+    """The tops p of maximal intervals [meet(N(p)), p], from upper covers.
 
-    Every Boolean interval [meet(S), p] sits inside [meet(N(p)), p], so
-    maximality only needs checking among the per-element intervals.
+    A Boolean interval strictly containing [meet(N(p)), p] contains an
+    upper cover q = p | D(j) of p, so lies inside [meet(N(q)), q].  Hence
+    p is a top unless some q = p | D(j), j outside p, has meet(N(q))
+    within meet(N(p)); q need not be a cover, as any such q rules p out.
     """
-    ivals = [(L.meet_of(L.lower[p], p), p) for p in L.elements if p != 0]
+    meet = {p: L.meet_of(L.lower[p], p) for p in L.elements}
     return {
         p
-        for a, p in ivals
-        if not any(q != p and b & a == b and p & q == p for b, q in ivals)
+        for p in L.elements
+        if p
+        and not any(meet[p | d] & ~meet[p] == 0 for d in L.closures if d & ~p)
     }
 
 
@@ -334,13 +314,14 @@ def parse_lattice_text(text):
     head = lines[0].split()
     if len(head) != 2 or head[0] != "lattice":
         raise InputFormatError("first line must be 'lattice <n>'")
-    n = int(head[1])
-    fam = set()
-    for ln in lines[1:]:
-        if ln == "empty":
-            fam.add(0)
-        else:
-            fam.add(mask_of((int(tok) for tok in ln.split()), n))
+    try:
+        n = int(head[1])
+        fam = {
+            0 if ln == "empty" else mask_of(map(int, ln.split()), n)
+            for ln in lines[1:]
+        }
+    except ValueError as exc:
+        raise InputFormatError(f"malformed lattice text: {exc}") from exc
     return validate_sublattice(fam, n)
 
 

@@ -24,16 +24,10 @@ from itertools import islice
 
 from .betti import BettiTable
 from .errors import ClosureTooLarge, ZeroIdeal
-from .ideals import lcm_closure
+from .ideals import lcm_closure, variable_mask
 from .linalg import rank_exact
 
 FACE_CAP = 1 << 16  # max faces of one complex before the oracle refuses
-
-# variables are numbered 0..2n-1: x_i at bit i-1, y_j at bit n+j-1
-
-
-def _combined(mono, n):
-    return mono.xmask | (mono.ymask << n)
 
 
 @dataclass(frozen=True)
@@ -57,7 +51,7 @@ class SimplicialComplex:
 def _support(I, b):
     """Mask of supp(b) and the generators of I dividing b, as masks."""
     n = I.n
-    return _combined(b, n), [_combined(g, n) for g in I.gens if g.divides(b)]
+    return variable_mask(b, n), [variable_mask(g, n) for g in I.gens if g.divides(b)]
 
 
 def _delta(gens):

@@ -14,7 +14,7 @@ from math import comb
 from .betti import BettiTable
 from .bitset import full_mask, order_key
 from .errors import ConsistencyError, HomDegreeZero, TooManyNeighbors
-from .ideals import Monomial, lattice_generator, x_monomial, y_monomial
+from .ideals import Monomial, lattice_generator
 from .linalg import rank_exact
 
 NEIGHBOR_CAP = 20  # max |N(p)| before basis enumeration is refused
@@ -78,10 +78,10 @@ def differential(L, g):
         rest = tuple(r for r in S if r != q)
         sign = -1 if sigma % 2 else 1
         # y-term: stay at p, drop q from S
-        terms.append(((p, rest), sign, y_monomial(L.meet_of(rest, p) & ~q)))
+        terms.append(((p, rest), sign, Monomial.of(0, L.meet_of(rest, p) & ~q)))
         # x-term: descend to q, meet the rest of S into N(q)
         T = tuple(sorted({q & r for r in rest}, key=order_key))
-        terms.append(((q, T), -sign, x_monomial(p & ~q)))
+        terms.append(((q, T), -sign, Monomial.of(p & ~q, 0)))
     if len({label for label, _, _ in terms}) != len(terms):
         raise ConsistencyError(f"differential targets collided at b({p}; {S})")
     return terms

@@ -140,6 +140,17 @@ class TestAnalyze:
         assert main(["analyze", "--input", str(path)]) == 1
         assert_clean_error(capsys, "InputFormatError")
 
+    @pytest.mark.parametrize("name, text", [
+        ("size.lat", "lattice x\nempty\n"),
+        ("range.lat", "lattice 2\nempty\n1 5\n1 2\n"),
+        ("edge.graph", "graph 2 2\n1 1\n1 x\n2 2\n"),
+    ])
+    def test_malformed_text_exit_1(self, name, text, tmp_path, capsys):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["analyze", "--input", str(path)]) == 1
+        assert_clean_error(capsys, "InputFormatError")
+
     def test_oracle_limit_exit_1(self, boolean8_file, capsys):
         rc = main(["analyze", "--input", boolean8_file, "--level", "oracle"])
         assert rc == 1
@@ -217,6 +228,14 @@ class TestVerify:
         assert "FAIL" in captured.out
         assert "counterexample" in captured.err
 
+    def test_mutate_counterexample_names_the_level(self, chain_file, capsys):
+        main(["verify", "--input", chain_file, "--debug-mutate-differential"])
+        failed = json.loads(capsys.readouterr().err)["counterexample"]
+        assert failed["check"] == "complex_d_squared_zero"
+        # the flipped sign sits in the first differential, so the violating
+        # composition is the augmentation after it
+        assert failed["detail"].startswith("('augmentation', BasisElement(")
+
 
 class TestRandom:
     def test_writes_corpus(self, tmp_path, capsys):
@@ -248,6 +267,14 @@ class TestGroundSizeGuard:
             main([command, "--n", n, "--count", "1"])
         assert exc.value.code == 2
         assert "--n must be in 2..32" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["random", "search-tightness"])
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_count_below_one_is_a_usage_error(self, command, count, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--n", "4", "--count", count])
+        assert exc.value.code == 2
+        assert "--count must be at least 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["random", "search-tightness"])
     def test_largest_n_finishes(self, command, capsys):

@@ -40,6 +40,38 @@ def dual_reference(I):
     return MonomialIdeal(I.n, trans)
 
 
+def closure_reference(I, cap=ideals_mod.CLOSURE_CAP):
+    """lcm closure by the frontier loop: lcm every new element with every
+    generator until nothing new appears, refusing past cap elements."""
+    closure = set(I.gens)
+    frontier = set(I.gens)
+    while frontier:
+        new = set()
+        for m in frontier:
+            for g in I.gens:
+                l = m.lcm(g)
+                if l not in closure:
+                    new.add(l)
+        closure |= new
+        if len(closure) > cap:
+            raise ClosureTooLarge("reference cap")
+        frontier = new
+    return sorted(closure)
+
+
+def random_ideal(rng):
+    """Squarefree monomials on n <= 4, minimalized or kept as drawn (a
+    drawn generating set may repeat itself, be redundant or hold 1)."""
+    n = rng.randint(1, 4)
+    monos = [
+        mono(rng.getrandbits(n), rng.getrandbits(n))
+        for _ in range(rng.randint(1, 7))
+    ]
+    if rng.random() < 0.5:
+        return MonomialIdeal.of(n, monos)
+    return MonomialIdeal(n, tuple(monos))
+
+
 class TestMonomial:
     def test_of_degree(self):
         assert mono(0b101, 0b1).degree == 3
@@ -195,3 +227,26 @@ class TestLcmClosure:
     def test_zero_ideal(self):
         with pytest.raises(ZeroIdeal):
             lcm_closure(MonomialIdeal(1, ()))
+
+    def test_unit_ideal(self):
+        assert lcm_closure(MonomialIdeal(1, (UNIT,))) == [UNIT]
+
+    def test_random_ideals_match_frontier_loop(self):
+        rng = random.Random(7)
+        for _ in range(500):
+            I = random_ideal(rng)
+            assert lcm_closure(I) == closure_reference(I)
+
+    @pytest.mark.parametrize("name", ["E1", "CHAIN", "B2", "K22", "FIG1"])
+    @pytest.mark.parametrize("side", ["hibi", "edge"])
+    def test_fixtures_match_frontier_loop(self, name, side, request):
+        L = request.getfixturevalue(name)
+        I = hibi_ideal(L) if side == "hibi" else edge_ideal(graph_from_lattice(L))
+        closure = lcm_closure(I, cap=200000)
+        assert closure == closure_reference(I, cap=200000)
+        if (name, side) == ("FIG1", "edge"):
+            assert len(closure) == 6973
+        # the cap admits a closure of exactly cap elements, and no larger
+        assert lcm_closure(I, cap=len(closure)) == closure
+        with pytest.raises(ClosureTooLarge):
+            lcm_closure(I, cap=len(closure) - 1)

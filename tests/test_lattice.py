@@ -48,12 +48,9 @@ def lower_neighbors_reference(elements, p):
     )
 
 
-def closure_reference(n, seed_count, rng_seed):
-    """The drawn family of random_sublattice, closed by pairwise passes."""
-    rng = random.Random(rng_seed)
-    fam = {0, full_mask(n)}
-    for _ in range(seed_count):
-        fam.add(rng.getrandbits(n))
+def generated(fam):
+    """The closure of fam under union and intersection, by pairwise passes."""
+    fam = set(fam)
     changed = True
     while changed:
         changed = False
@@ -63,6 +60,15 @@ def closure_reference(n, seed_count, rng_seed):
                     fam.add(x)
                     changed = True
     return fam
+
+
+def closure_reference(n, seed_count, rng_seed):
+    """The drawn family of random_sublattice, closed by pairwise passes."""
+    rng = random.Random(rng_seed)
+    fam = {0, full_mask(n)}
+    for _ in range(seed_count):
+        fam.add(rng.getrandbits(n))
+    return generated(fam)
 
 
 def corpus_reference(count, rng_seed, n_max=6, n_min=2, size_cap=24):
@@ -76,6 +82,44 @@ def corpus_reference(count, rng_seed, n_max=6, n_min=2, size_cap=24):
         if len(fam) <= size_cap:
             out.append((n, tuple(sorted(fam, key=order_key))))
     return out
+
+
+def closed_by_pairs(fam):
+    """The closure check by the pair scan: every union and meet of two
+    members is a member."""
+    return all(p | q in fam and p & q in fam for p, q in combinations(fam, 2))
+
+
+def a_set_reference(L):
+    """A_G by the element-pair scan: p is kept unless another interval
+    [meet(N(q)), q] contains [meet(N(p)), p]."""
+    ivals = [(L.meet_of(L.lower[p], p), p) for p in L.elements if p != 0]
+    return {
+        p
+        for a, p in ivals
+        if not any(q != p and b & a == b and p & q == p for b, q in ivals)
+    }
+
+
+def star_lattice(n):
+    """Cover lattice of the star graph: edges (i, i) and (1, j), so L is
+    the empty set and every set holding 1, with |L| = 2^(n-1) + 1."""
+    return validate_sublattice({0} | {p for p in range(1 << n) if p & 1}, n)
+
+
+def random_family(rng):
+    """A family holding both bounds: random sets, a random sublattice, or
+    a random sublattice with one inner element taken out."""
+    n = rng.randint(1, 5)
+    kind = rng.randrange(3)
+    if kind == 0:
+        fam = {rng.getrandbits(n) for _ in range(rng.randint(0, 8))}
+    else:
+        fam = set(random_sublattice(n, rng.randint(0, 4), rng.getrandbits(32)).elements)
+        inner = sorted(fam - {0, full_mask(n)})
+        if kind == 2 and inner:
+            fam.discard(rng.choice(inner))
+    return n, fam | {0, full_mask(n)}
 
 
 def random_preorder_closures(rng, n):
@@ -130,6 +174,31 @@ class TestValidate:
             validate_sublattice({0}, 0)
         with pytest.raises(TooLarge):
             validate_sublattice({0}, 33)
+
+    def test_not_closed_names_a_generated_set(self):
+        with pytest.raises(NotClosed) as exc:
+            validate_sublattice({0, 0b001, 0b010, 0b111}, 3)
+        assert exc.value.missing == 0b011
+
+    def test_closure_check_matches_pair_scan(self):
+        rng = random.Random(11)
+        outcomes = {True: 0, False: 0}
+        for _ in range(3000):
+            n, fam = random_family(rng)
+            closed = closed_by_pairs(fam)
+            outcomes[closed] += 1
+            if closed:
+                assert set(validate_sublattice(fam, n).elements) == fam
+                continue
+            with pytest.raises(NotClosed) as exc:
+                validate_sublattice(fam, n)
+            assert exc.value.missing not in fam
+            assert exc.value.missing in generated(fam)
+        assert min(outcomes.values()) > 400
+
+    def test_closures_are_kept(self, FIG1):
+        for j, d in enumerate(FIG1.closures):
+            assert d == min(p for p in FIG1.elements if p >> j & 1)
 
     def test_total_order_extends_containment(self):
         L = validate_sublattice(
@@ -320,6 +389,18 @@ class TestFAndSets:
         monkeypatch.setattr(lattice_mod, "_maximal_interval_tops", counted)
         invariant_report(FIG1)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_a_set_matches_pair_scan(self, seed):
+        rng = random.Random(seed)
+        L = random_sublattice(rng.randint(1, 9), rng.randint(0, 9), seed)
+        assert a_set(L) == a_set_reference(L)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_star_a_set_matches_pair_scan(self, n):
+        L = star_lattice(n)
+        assert len(L) == 2 ** (n - 1) + 1
+        assert a_set(L) == a_set_reference(L)
 
     @given(st.integers(2, 6), st.integers(0, 6), st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
