@@ -12,12 +12,13 @@ from .graphs import (
     normalize_graph,
 )
 from .ideals import (
-    Monomial,
-    MonomialIdeal,
+    SquarefreeIdeal,
     alexander_dual,
     edge_ideal,
     hibi_ideal,
     lcm_closure,
+    monomial,
+    render_monomial,
 )
 from .invariants import (
     InvariantReport,

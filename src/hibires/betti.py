@@ -2,16 +2,23 @@
 
 from dataclasses import dataclass, field
 
+from .bitset import order_key
 from .errors import ConsistencyError
-from .ideals import UNIT
+from .ideals import render_monomial
+
+
+def position_key(entry):
+    """Sort key for (i, multidegree, ...) entries: i, then the monomial order."""
+    return entry[0], order_key(entry[1])
 
 
 @dataclass
 class BettiTable:
     """Map (homological degree, multidegree) -> positive integer.
 
-    subject is "ideal" or "quotient"; graded and total views are always
-    derived from the multigraded entries.
+    Multidegrees are squarefree monomials over 2n variables (see
+    ``ideals``).  subject is "ideal" or "quotient"; graded and total views
+    are always derived from the multigraded entries.
     """
 
     n: int
@@ -29,7 +36,7 @@ class BettiTable:
     def graded(self):
         out = {}
         for (i, b), v in self.entries.items():
-            key = (i, b.degree)
+            key = (i, b.bit_count())
             out[key] = out.get(key, 0) + v
         return out
 
@@ -45,7 +52,7 @@ class BettiTable:
 
     def reg(self):
         """max(|b| - i) over the nonzero entries."""
-        return max((b.degree - i for (i, b) in self.entries), default=0)
+        return max((b.bit_count() - i for (i, b) in self.entries), default=0)
 
     def t(self):
         """Last nonzero total Betti number."""
@@ -62,7 +69,7 @@ class BettiTable:
                 f"to_quotient needs an ideal table, got {self.subject}"
             )
         out = BettiTable(self.n, "quotient")
-        out.add(0, UNIT, 1)
+        out.add(0, 0, 1)
         for (i, b), v in self.entries.items():
             out.add(i + 1, b, v)
         return out
@@ -72,7 +79,7 @@ class BettiTable:
     def is_i_extremal(self, i, b):
         """No nonzero entry at (i, c) with c strictly above b."""
         return not any(
-            j == i and b.strictly_divides(c) for (j, c) in self.entries
+            j == i and c != b and b & ~c == 0 for (j, c) in self.entries
         )
 
     def extremal_multigraded(self):
@@ -84,7 +91,10 @@ class BettiTable:
         out = []
         for (i, b), v in self.entries.items():
             blocked = any(
-                j >= i and b.strictly_divides(c) and c.degree - b.degree >= j - i
+                j >= i
+                and c != b
+                and b & ~c == 0
+                and c.bit_count() - b.bit_count() >= j - i
                 for (j, c) in self.entries
             )
             if not blocked:
@@ -104,6 +114,16 @@ class BettiTable:
         return out
 
     # --- rendering --------------------------------------------------------
+
+    def differing(self, other):
+        """(i, rendered multidegree, own value, other's value) at every
+        position where the two tables differ, in position order."""
+        keys = sorted(self.entries.keys() | other.entries.keys(), key=position_key)
+        return [
+            (i, render_monomial(b, self.n), self.value(i, b), other.value(i, b))
+            for i, b in keys
+            if self.value(i, b) != other.value(i, b)
+        ]
 
     def diagram(self):
         """Betti diagram text: rows are j - i, columns are i."""

@@ -198,21 +198,11 @@ def check_formula_consistency(L, report):
     report.add("formula_consistency", ok)
 
 
-def _differing_entries(formula, oracle):
-    """(i, multidegree, formula value, oracle value) where the tables differ."""
-    keys = sorted(formula.entries.keys() | oracle.entries.keys())
-    return [
-        (i, b.render(), formula.value(i, b), oracle.value(i, b))
-        for i, b in keys
-        if formula.value(i, b) != oracle.value(i, b)
-    ]
-
-
 def check_oracle_hibi(L, basis_table, report, field="Q"):
     """The decisive cross-check: basis counts equal the homology oracle."""
     H = hibi_ideal(L)
     oracle_table = betti_oracle(H, field=field)
-    differing = _differing_entries(basis_table, oracle_table)
+    differing = basis_table.differing(oracle_table)
     report.add("betti_formula_vs_oracle", not differing, differing[:3])
     i_extremal = all(
         oracle_table.is_i_extremal(i, b) for (i, b) in oracle_table.entries

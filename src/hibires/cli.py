@@ -49,17 +49,27 @@ def _parse_field(text):
     )
 
 
+def _parse_int(text, option):
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{option} must be an integer, got {text!r}"
+        ) from None
+
+
 def _parse_ground_size(text):
-    n = int(text)
+    n = _parse_int(text, "--n")
     if not 2 <= n <= MAX_GROUND:
         raise argparse.ArgumentTypeError(f"--n must be in 2..{MAX_GROUND}")
     return n
 
 
 def _parse_count(text):
-    if int(text) < 1:
+    count = _parse_int(text, "--count")
+    if count < 1:
         raise argparse.ArgumentTypeError("--count must be at least 1")
-    return int(text)
+    return count
 
 
 def load_lattice(path):
@@ -131,7 +141,7 @@ def cmd_analyze(args):
     out["input"] = str(args.input)
     out["betti_diagram_H"] = basis_table.diagram()
     if args.level == "oracle":
-        differing = checks._differing_entries(basis_table, oracle_table)
+        differing = basis_table.differing(oracle_table)
         out["oracle_verdict"] = "MISMATCH" if differing else "MATCH"
         if differing:
             out["oracle_differing"] = [
@@ -145,6 +155,9 @@ def cmd_analyze(args):
 
 
 def cmd_verify(args):
+    if not args.fixtures and not args.input:
+        print("verify needs --input files or --fixtures", file=sys.stderr)
+        return 1
     try:
         if args.fixtures:
             instances = [(name, fixture_lattice(name)) for name in FIXTURES]
@@ -345,10 +358,6 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if getattr(args, "fixtures", False) is False and args.command == "verify" \
-            and not args.input:
-        print("verify needs --input files or --fixtures", file=sys.stderr)
-        return 1
     return args.func(args)
 
 

@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass, field
 
-from .bitset import down_sets, full_mask, indices_of, positions_of
+from .bitset import MAX_GROUND, down_sets, full_mask, indices_of, positions_of
 from .errors import (
     EmptyInput,
     InputFormatError,
@@ -47,11 +47,11 @@ class BipartiteGraph:
         for i, j in self.edges:
             if not (1 <= i <= self.n_left and 1 <= j <= self.n_right):
                 raise InputFormatError(f"edge ({i},{j}) out of range")
+        # the endpoints are in range, so a side is covered iff all its
+        # n vertices occur
         lefts = {i for i, _ in self.edges}
         rights = {j for _, j in self.edges}
-        if lefts != set(range(1, self.n_left + 1)) or rights != set(
-            range(1, self.n_right + 1)
-        ):
+        if len(lefts) != self.n_left or len(rights) != self.n_right:
             raise EmptyInput("graph has an isolated vertex")
 
 
@@ -197,6 +197,10 @@ def cover_lattice(G):
         raise NotUnmixed("graph must be normalized first (use normalize_graph)")
     if not is_transitive(G):
         raise NotUnmixed("graph has minimal vertex covers of different sizes")
+    if G.n > MAX_GROUND:
+        raise TooLarge(
+            f"{G.n} matched pairs exceed the ground set bound {MAX_GROUND}"
+        )
     fam = _implication_lattice_family(G)
     if G.n_left + G.n_right <= ENUMERATION_BOUND:
         slow = {c.xs for c in minimal_vertex_covers(G)}

@@ -1,74 +1,45 @@
-"""Squarefree monomials and monomial ideals in K[x_1..x_n, y_1..y_n]."""
+"""Squarefree monomials and monomial ideals in K[x_1..x_n, y_1..y_n].
+
+A squarefree monomial is one int over the 2n variables: x_i at bit
+n+i-1 and y_j at bit j-1.  Divisibility is containment of masks, the lcm
+is their union and the degree their bit count.  With the x-variables in
+the high bits, ``bitset.order_key`` orders monomials by degree, then by
+the x-part, then by the y-part.  Only :func:`monomial` and
+:func:`render_monomial` know the layout.
+"""
 
 from dataclasses import dataclass
 from itertools import islice
 
-from .bitset import down_sets, full_mask, indices_of, is_subset, positions_of
+from .bitset import down_sets, full_mask, indices_of, order_key, positions_of
 from .errors import ClosureTooLarge, ConsistencyError, ZeroIdeal
 
 CLOSURE_CAP = 5000  # cap for lcm-closure and transversal-list sizes
 
 
-@dataclass(frozen=True, order=True)
-class Monomial:
-    """Squarefree monomial: xmask over the x-variables, ymask over the y's.
-
-    Ordering is (degree, xmask, ymask), the canonical generator order.
-    """
-
-    degree: int
-    xmask: int
-    ymask: int
-
-    @staticmethod
-    def of(xmask, ymask):
-        return Monomial(xmask.bit_count() + ymask.bit_count(), xmask, ymask)
-
-    @property
-    def is_unit(self):
-        return self.xmask == 0 and self.ymask == 0
-
-    def divides(self, other):
-        return is_subset(self.xmask, other.xmask) and is_subset(
-            self.ymask, other.ymask
-        )
-
-    def lcm(self, other):
-        return Monomial.of(self.xmask | other.xmask, self.ymask | other.ymask)
-
-    def strictly_divides(self, other):
-        return self != other and self.divides(other)
-
-    def render(self):
-        parts = [f"x{i}" for i in indices_of(self.xmask)]
-        parts += [f"y{j}" for j in indices_of(self.ymask)]
-        return "*".join(parts) if parts else "1"
+def monomial(xs, ys, n):
+    """X_xs * Y_ys, from subset masks of [n] for the x- and y-indices."""
+    return xs << n | ys
 
 
-UNIT = Monomial.of(0, 0)
-
-
-def variable_mask(m, n):
-    """Support of m over 2n variables: x_i at bit i-1, y_j at bit n+j-1."""
-    return m.xmask | (m.ymask << n)
-
-
-def _monomial_of(mask, n):
-    return Monomial.of(mask & full_mask(n), mask >> n)
+def render_monomial(m, n):
+    """Human-readable monomial over 2n variables, e.g. 'x1*x2*y3' or '1'."""
+    parts = [f"x{i}" for i in indices_of(m >> n)]
+    parts += [f"y{j}" for j in indices_of(m & full_mask(n))]
+    return "*".join(parts) if parts else "1"
 
 
 def _minimalize(monomials):
     """Keep the divisibility-minimal monomials, canonically sorted."""
-    ms = sorted(set(monomials))
     out = []
-    for m in ms:
-        if not any(g.divides(m) for g in out):
+    for m in sorted(set(monomials), key=order_key):
+        if not any(g & ~m == 0 for g in out):
             out.append(m)
     return tuple(out)
 
 
 @dataclass(frozen=True)
-class MonomialIdeal:
+class SquarefreeIdeal:
     """Minimal generating set of squarefree monomials, 2n ambient variables."""
 
     n: int
@@ -76,14 +47,14 @@ class MonomialIdeal:
 
     @staticmethod
     def of(n, monomials):
-        return MonomialIdeal(n, _minimalize(monomials))
+        return SquarefreeIdeal(n, _minimalize(monomials))
 
     @property
     def is_zero(self):
         return not self.gens
 
     def contains_monomial(self, m):
-        return any(g.divides(m) for g in self.gens)
+        return any(g & ~m == 0 for g in self.gens)
 
 
 def hibi_ideal(L):
@@ -91,7 +62,7 @@ def hibi_ideal(L):
 
     Distinct p give incomparable monomials, so no minimalization happens.
     """
-    I = MonomialIdeal.of(L.n, [lattice_generator(L, p) for p in L.elements])
+    I = SquarefreeIdeal.of(L.n, [lattice_generator(L, p) for p in L.elements])
     if len(I.gens) != len(L.elements):
         raise ConsistencyError(
             f"{len(I.gens)} minimal generators for {len(L.elements)} elements"
@@ -101,15 +72,13 @@ def hibi_ideal(L):
 
 def lattice_generator(L, p):
     """The generator u_p attached to a lattice element."""
-    return Monomial.of(p, full_mask(L.n) & ~p)
+    return monomial(p, full_mask(L.n) & ~p, L.n)
 
 
 def edge_ideal(G):
     """Generators x_i * y_j over the edges of a normalized graph."""
-    gens = [
-        Monomial.of(1 << (i - 1), 1 << (j - 1)) for i, j in G.edges
-    ]
-    return MonomialIdeal.of(G.n, gens)
+    gens = [monomial(1 << (i - 1), 1 << (j - 1), G.n) for i, j in G.edges]
+    return SquarefreeIdeal.of(G.n, gens)
 
 
 def alexander_dual(I):
@@ -126,7 +95,6 @@ def alexander_dual(I):
         raise ZeroIdeal("the zero ideal has no Alexander dual")
     trans = [0]
     for g in I.gens:
-        g = variable_mask(g, I.n)
         kept = [t for t in trans if t & g]
         missing = [t for t in trans if not t & g]
         trans = kept[:]
@@ -140,7 +108,7 @@ def alexander_dual(I):
             raise ClosureTooLarge(
                 f"{len(trans)} partial transversals exceed the cap {CLOSURE_CAP}"
             )
-    return MonomialIdeal(I.n, tuple(sorted(_monomial_of(t, I.n) for t in trans)))
+    return SquarefreeIdeal(I.n, tuple(sorted(trans, key=order_key)))
 
 
 def lcm_closure(I, cap=CLOSURE_CAP):
@@ -152,8 +120,8 @@ def lcm_closure(I, cap=CLOSURE_CAP):
     """
     if I.is_zero:
         raise ZeroIdeal("the zero ideal has an empty lcm closure")
-    masks = {variable_mask(g, I.n) for g in I.gens}
-    unions = list(islice(down_sets(masks), cap + 2))
+    gens = set(I.gens)
+    unions = list(islice(down_sets(gens), cap + 2))
     if len(unions) > cap + 1:
         raise ClosureTooLarge(f"lcm closure exceeds the cap {cap}")
-    return sorted(_monomial_of(u, I.n) for u in unions if u or 0 in masks)
+    return sorted((u for u in unions if u or 0 in gens), key=order_key)

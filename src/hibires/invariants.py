@@ -8,9 +8,10 @@ total Betti number.
 
 from dataclasses import dataclass, field
 
+from .betti import position_key
 from .bitset import indices_of
 from .errors import ConsistencyError, NotCM
-from .ideals import alexander_dual
+from .ideals import alexander_dual, render_monomial
 from .lattice import a_set, b_set, f_value
 from .resolution import multidegree_of
 
@@ -43,7 +44,7 @@ def extremal_multigraded_H(L):
     for p in sorted(a_set(L)):
         nb = L.neighbors(p)
         out.append((len(nb), multidegree_of(L, p, nb)))
-    return sorted(out)
+    return sorted(out, key=position_key)
 
 
 def extremal_multigraded_edge_ring(L):
@@ -54,8 +55,8 @@ def extremal_multigraded_edge_ring(L):
     """
     out = []
     for i, b in extremal_multigraded_H(L):
-        out.append((b.degree - i, b, 1))
-    return sorted(out, key=lambda e: (e[0], e[1]))
+        out.append((b.bit_count() - i, b, 1))
+    return sorted(out, key=position_key)
 
 
 def extremal_graded_edge_ring(L):
@@ -114,7 +115,7 @@ def cm_extremal_placement_check(I, oracle_table):
             f"the placement check needs a quotient table, got {oracle_table.subject}"
         )
     ambient = 2 * I.n
-    codim = min(g.degree for g in alexander_dual(I).gens)
+    codim = min(g.bit_count() for g in alexander_dual(I).gens)
     depth = oracle_table.depth(ambient)
     if depth != ambient - codim:
         raise NotCM(f"depth {depth} != dim {ambient - codim}")
@@ -153,10 +154,11 @@ class InvariantReport:
             "a_set": [indices_of(p) for p in self.a_set],
             "b_set": [indices_of(p) for p in self.b_set],
             "extremal_H": [
-                {"i": i, "deg": b.render()} for i, b in self.extremal_H
+                {"i": i, "deg": render_monomial(b, self.n)}
+                for i, b in self.extremal_H
             ],
             "extremal_multigraded": [
-                {"i": i, "deg": b.render(), "value": v}
+                {"i": i, "deg": render_monomial(b, self.n), "value": v}
                 for i, b, v in self.extremal_RI_multigraded
             ],
             "extremal_graded": [

@@ -24,7 +24,7 @@ from itertools import islice
 
 from .betti import BettiTable
 from .errors import ClosureTooLarge, ZeroIdeal
-from .ideals import lcm_closure, variable_mask
+from .ideals import lcm_closure
 from .linalg import rank_exact
 
 FACE_CAP = 1 << 16  # max faces of one complex before the oracle refuses
@@ -48,10 +48,9 @@ class SimplicialComplex:
         return len(self.faces.get(d, ()))
 
 
-def _support(I, b):
-    """Mask of supp(b) and the generators of I dividing b, as masks."""
-    n = I.n
-    return variable_mask(b, n), [variable_mask(g, n) for g in I.gens if g.divides(b)]
+def _divisors(I, b):
+    """The generators of I dividing b; b is also the mask of supp(b)."""
+    return [g for g in I.gens if g & ~b == 0]
 
 
 def _delta(gens):
@@ -117,8 +116,7 @@ def _complex(bmask, faces):
 
 def upper_koszul_complex(I, b):
     """Subsets t of supp(b) with b/t still in the ideal."""
-    bmask, gens = _support(I, b)
-    return _complex(bmask, _faces(bmask, _koszul(gens)))
+    return _complex(b, _faces(b, _koszul(_divisors(I, b))))
 
 
 def _smaller_side(I, b):
@@ -129,12 +127,12 @@ def _smaller_side(I, b):
     A void Delta_b (only the unit ideal has one) falls to K^b, where the
     homology degree still reads off directly.
     """
-    bmask, gens = _support(I, b)
-    limit = min((1 << bmask.bit_count()) >> 1, FACE_CAP)
-    delta = list(islice(_faces(bmask, _delta(gens)), limit + 1))
+    gens = _divisors(I, b)
+    limit = min((1 << b.bit_count()) >> 1, FACE_CAP)
+    delta = list(islice(_faces(b, _delta(gens)), limit + 1))
     if 0 < len(delta) <= limit:
-        return _complex(bmask, delta), True
-    return _complex(bmask, _faces(bmask, _koszul(gens))), False
+        return _complex(b, delta), True
+    return _complex(b, _faces(b, _koszul(gens))), False
 
 
 def _boundary_matrix(K, d):
@@ -187,7 +185,7 @@ def betti_oracle(I, field="Q"):
     for b in lcm_closure(I):
         K, on_delta = _smaller_side(I, b)
         for d, h in reduced_homology_ranks(K, field).items():
-            table.add(b.degree - d - 2 if on_delta else d + 1, b, h)
+            table.add(b.bit_count() - d - 2 if on_delta else d + 1, b, h)
     return table
 
 
@@ -201,13 +199,13 @@ def betti_value_at(I, b, i, field="Q"):
     """
     if i == 0:
         return 1 if b in I.gens else 0
-    bmask, gens = _support(I, b)
-    k = bmask.bit_count()
+    gens = _divisors(I, b)
+    k = b.bit_count()
     if k - i <= i + 1:
         family, d = _delta(gens), k - i - 2
     else:
         family, d = _koszul(gens), i - 1
-    K = _complex(bmask, _faces(bmask, family, max_size=d + 2))
+    K = _complex(b, _faces(b, family, max_size=d + 2))
     return (
         K.face_count(d) - _boundary_rank(K, d, field) - _boundary_rank(K, d + 1, field)
     )
@@ -223,5 +221,5 @@ def graded_betti_in_degree(I, i, total_degree, field="Q", closure_cap=5000):
     return sum(
         betti_value_at(I, b, i, field=field)
         for b in lcm_closure(I, cap=closure_cap)
-        if b.degree == total_degree
+        if b.bit_count() == total_degree
     )

@@ -14,7 +14,7 @@ from math import comb
 from .betti import BettiTable
 from .bitset import full_mask, order_key
 from .errors import ConsistencyError, HomDegreeZero, TooManyNeighbors
-from .ideals import Monomial, lattice_generator
+from .ideals import lattice_generator, monomial, render_monomial
 from .linalg import rank_exact
 
 NEIGHBOR_CAP = 20  # max |N(p)| before basis enumeration is refused
@@ -26,7 +26,7 @@ class BasisElement:
 
     p: int
     S: tuple
-    multidegree: Monomial
+    multidegree: int
 
     @property
     def hom_degree(self):
@@ -36,7 +36,7 @@ class BasisElement:
 def multidegree_of(L, p, S):
     """X_p * Y over the complement of the meet of S (empty meet = p)."""
     meet = L.meet_of(S, p)
-    return Monomial.of(p, full_mask(L.n) & ~meet)
+    return monomial(p, full_mask(L.n) & ~meet, L.n)
 
 
 def resolution_basis(L):
@@ -65,7 +65,7 @@ def resolution_basis(L):
 def differential(L, g):
     """Terms of the differential applied to one basis element.
 
-    Returns a list of (target label (p', S'), sign, coefficient Monomial);
+    Returns a list of (target label (p', S'), sign, coefficient monomial);
     the label names a basis element, whose multidegree the basis holds.
     The two term families never share a target: one keeps p, the other
     moves to some q in S.
@@ -78,10 +78,10 @@ def differential(L, g):
         rest = tuple(r for r in S if r != q)
         sign = -1 if sigma % 2 else 1
         # y-term: stay at p, drop q from S
-        terms.append(((p, rest), sign, Monomial.of(0, L.meet_of(rest, p) & ~q)))
+        terms.append(((p, rest), sign, monomial(0, L.meet_of(rest, p) & ~q, L.n)))
         # x-term: descend to q, meet the rest of S into N(q)
         T = tuple(sorted({q & r for r in rest}, key=order_key))
-        terms.append(((q, T), -sign, Monomial.of(p & ~q, 0)))
+        terms.append(((q, T), -sign, monomial(p & ~q, 0, L.n)))
     if len({label for label, _, _ in terms}) != len(terms):
         raise ConsistencyError(f"differential targets collided at b({p}; {S})")
     return terms
@@ -129,16 +129,15 @@ def build_resolution(L):
                         f"differential of a level-{i} element lands in level {ti}"
                     )
                 # multigraded homogeneity: lcm(target degree, entry) = deg
-                t = levels[ti][tpos].multidegree
-                if (t.xmask | coeff.xmask != deg.xmask
-                        or t.ymask | coeff.ymask != deg.ymask):
+                if levels[ti][tpos].multidegree | coeff != deg:
                     raise ConsistencyError(
-                        f"entry {coeff.render()} of b({g.p}; {g.S}) is not homogeneous"
+                        f"entry {render_monomial(coeff, L.n)} of b({g.p}; {g.S}) "
+                        "is not homogeneous"
                     )
-                if not coeff.divides(deg):
+                if coeff & ~deg:
                     raise ConsistencyError(
-                        f"entry {coeff.render()} does not divide the degree of "
-                        f"b({g.p}; {g.S})"
+                        f"entry {render_monomial(coeff, L.n)} does not divide "
+                        f"the degree of b({g.p}; {g.S})"
                     )
                 entries.append((tpos, sign, coeff))
             per_source.append(entries)
@@ -177,9 +176,9 @@ def verify_complex(C):
             acc = {}
             for tpos, sign, coeff in C.diffs[0][src_pos]:
                 u = lattice_generator(C.L, C.levels[0][tpos].p)
-                if coeff.xmask & u.xmask or coeff.ymask & u.ymask:
+                if coeff & u:
                     return CheckResult(False, ("augmentation", g, (coeff, u)))
-                key = (coeff.xmask | u.xmask, coeff.ymask | u.ymask)
+                key = coeff | u
                 acc[key] = acc.get(key, 0) + sign
             if any(acc.values()):
                 return CheckResult(False, ("augmentation", g, acc))
@@ -187,12 +186,10 @@ def verify_complex(C):
         for src_pos, g in enumerate(C.levels[i + 1]):
             acc = {}
             for mid_pos, sign1, coeff1 in C.diffs[i][src_pos]:
-                x1, y1 = coeff1.xmask, coeff1.ymask
                 for tpos, sign2, coeff2 in C.diffs[i - 1][mid_pos]:
-                    x2, y2 = coeff2.xmask, coeff2.ymask
-                    if x1 & x2 or y1 & y2:
+                    if coeff1 & coeff2:
                         return CheckResult(False, (i + 1, g, (coeff1, coeff2)))
-                    key = (tpos, x1 | x2, y1 | y2)
+                    key = (tpos, coeff1 | coeff2)
                     acc[key] = acc.get(key, 0) + sign1 * sign2
             if any(acc.values()):
                 return CheckResult(False, (i + 1, g, acc))
@@ -204,7 +201,7 @@ def verify_minimality(C):
     for i, per_source in enumerate(C.diffs):
         for src_pos, entries in enumerate(per_source):
             for tpos, sign, coeff in entries:
-                if coeff.is_unit:
+                if coeff == 0:
                     return CheckResult(
                         False, (i + 1, C.levels[i + 1][src_pos], tpos)
                     )
@@ -221,7 +218,7 @@ def strand_exactness(C, I, b, field="Q"):
     in every positive position and the augmentation is onto when present.
     """
     survivors = [
-        [pos for pos, g in enumerate(lv) if g.multidegree.divides(b)]
+        [pos for pos, g in enumerate(lv) if g.multidegree & ~b == 0]
         for lv in C.levels
     ]
     local = [

@@ -1,9 +1,10 @@
 from hibires.betti import BettiTable
-from hibires.ideals import UNIT, Monomial
+from hibires.ideals import monomial
 
 
 def mono(x, y):
-    return Monomial.of(x, y)
+    """A monomial over the 2 x 2 variables every table here uses."""
+    return monomial(x, y, 2)
 
 
 def table(n, subject, entries):
@@ -54,7 +55,7 @@ class TestAccumulation:
         t = table(2, "ideal", [(0, mono(0b1, 0), 1)])
         q = t.to_quotient()
         assert q.subject == "quotient"
-        assert q.value(0, UNIT) == 1
+        assert q.value(0, mono(0, 0)) == 1
         assert q.value(1, mono(0b1, 0)) == 1
 
 
@@ -108,3 +109,11 @@ class TestRendering:
 
     def test_empty_diagram(self):
         assert BettiTable(2, "ideal").diagram() == "(zero table)\n"
+
+    def test_differing_entries(self):
+        # both sides of each differing position, in position order, with
+        # the multidegree rendered over the table's own n
+        a = table(2, "ideal", [(1, mono(0b11, 0), 1), (0, mono(0b01, 0b10), 2)])
+        b = table(2, "ideal", [(1, mono(0b11, 0), 1), (0, mono(0, 0b01), 1)])
+        assert a.differing(b) == [(0, "y1", 0, 1), (0, "x1*y2", 2, 0)]
+        assert a.differing(a) == []

@@ -151,6 +151,35 @@ class TestAnalyze:
         assert main(["analyze", "--input", str(path)]) == 1
         assert_clean_error(capsys, "InputFormatError")
 
+    def test_matching_past_ground_bound_exit_1(self, tmp_path, capsys):
+        # 33 pairs: refused on n before the 2^33 down-sets are enumerated
+        path = tmp_path / "matching.graph"
+        path.write_text(
+            "graph 33 33\n" + "".join(f"{i} {i}\n" for i in range(1, 34))
+        )
+        assert main(["analyze", "--input", str(path)]) == 1
+        assert_clean_error(capsys, "TooLarge")
+
+    def test_fig1_extremal_lists(self, tmp_path, capsys):
+        path = tmp_path / "FIG1.lat"
+        path.write_text(lattice_to_text(fig1()))
+        assert main(["analyze", "--input", str(path), "--no-timestamp"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["extremal_H"] == [
+            {"deg": "x1*x2*x3*x4*x5*x6*x7*y6*y7", "i": 1},
+            {"deg": "x1*x2*x3*x5*y3*y4*y5*y6*y7", "i": 2},
+            {"deg": "x1*x2*x3*x4*x5*y4*y5*y6*y7", "i": 2},
+            {"deg": "x1*x2*x3*y1*y2*y3*y4*y5*y6*y7", "i": 2},
+            {"deg": "x1*x2*x3*x4*y1*y2*y4*y5*y6*y7", "i": 2},
+        ]
+        assert out["extremal_multigraded"] == [
+            {"deg": "x1*x2*x3*x5*y3*y4*y5*y6*y7", "i": 7, "value": 1},
+            {"deg": "x1*x2*x3*x4*x5*y4*y5*y6*y7", "i": 7, "value": 1},
+            {"deg": "x1*x2*x3*x4*x5*x6*x7*y6*y7", "i": 8, "value": 1},
+            {"deg": "x1*x2*x3*y1*y2*y3*y4*y5*y6*y7", "i": 8, "value": 1},
+            {"deg": "x1*x2*x3*x4*y1*y2*y4*y5*y6*y7", "i": 8, "value": 1},
+        ]
+
     def test_oracle_limit_exit_1(self, boolean8_file, capsys):
         rc = main(["analyze", "--input", boolean8_file, "--level", "oracle"])
         assert rc == 1
@@ -190,6 +219,7 @@ class TestVerify:
 
     def test_no_input_exit_1(self, capsys):
         assert main(["verify"]) == 1
+        assert "verify needs --input files or --fixtures" in capsys.readouterr().err
 
     def test_closure_limit_exit_1(self, boolean8_file, capsys):
         assert main(["verify", "--input", boolean8_file]) == 1
@@ -275,6 +305,16 @@ class TestGroundSizeGuard:
             main([command, "--n", "4", "--count", count])
         assert exc.value.code == 2
         assert "--count must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["random", "search-tightness"])
+    @pytest.mark.parametrize("option", ["--n", "--count"])
+    def test_non_integer_is_a_usage_error(self, command, option, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, option, "x"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{option} must be an integer, got 'x'" in err
+        assert "_parse_" not in err
 
     @pytest.mark.parametrize("command", ["random", "search-tightness"])
     def test_largest_n_finishes(self, command, capsys):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hibires.graphs as graphs_mod
-from hibires.bitset import full_mask, is_subset, mask_of
+from hibires.bitset import MAX_GROUND, full_mask, is_subset, mask_of
 from hibires.errors import EmptyInput, NoPerfectMatching, NotUnmixed, TooLarge
 from hibires.graphs import (
     BipartiteGraph,
@@ -225,6 +225,14 @@ class TestCoverLattice:
         with pytest.raises(NotUnmixed):
             cover_lattice(G)
 
+    def test_ground_bound_refused_before_enumeration(self):
+        # a matching on MAX_GROUND + 1 pairs has 2^33 down-sets; the size
+        # alone refuses it
+        n = MAX_GROUND + 1
+        G = BipartiteGraph(n, n, frozenset((i, i) for i in range(1, n + 1)))
+        with pytest.raises(TooLarge):
+            cover_lattice(G)
+
 
 class TestGraphFromLattice:
     def test_single_edge(self):
@@ -267,3 +275,14 @@ class TestTextFormat:
     def test_comments_ignored(self):
         G = parse_graph_text("# a path\ngraph 2 2\n1 1\n\n1 2\n2 2\n")
         assert len(G.edges) == 3
+
+    @pytest.mark.parametrize("text", [
+        "graph 2 2\n1 1\n1 2\n",
+        "graph 2 2\n1 1\n2 1\n",
+        f"graph {10**12} 1\n1 1\n",
+        f"graph 1 {10**12}\n1 1\n",
+    ])
+    def test_isolated_vertex(self, text):
+        # the huge headers are decided by counting endpoints, at once
+        with pytest.raises(EmptyInput):
+            parse_graph_text(text)

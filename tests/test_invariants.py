@@ -7,7 +7,7 @@ import pytest
 import hibires
 from hibires.errors import NotCM
 from hibires.graphs import graph_from_lattice
-from hibires.ideals import Monomial, edge_ideal
+from hibires.ideals import edge_ideal, monomial
 from hibires.invariants import (
     cm_extremal_placement_check,
     depth_edge_ring,
@@ -72,14 +72,14 @@ class TestGradedExtremal:
 class TestMultigradedExtremal:
     def test_chain_H(self, CHAIN):
         assert extremal_multigraded_H(CHAIN) == [
-            (1, Monomial.of(0b01, 0b11)),
-            (1, Monomial.of(0b11, 0b10)),
+            (1, monomial(0b01, 0b11, 2)),
+            (1, monomial(0b11, 0b10, 2)),
         ]
 
     def test_fig1_H_degrees(self, FIG1):
         positions = extremal_multigraded_H(FIG1)
         assert len(positions) == 5
-        assert sorted((i, b.degree) for i, b in positions) == [
+        assert sorted((i, b.bit_count()) for i, b in positions) == [
             (1, 9),
             (2, 9),
             (2, 9),
@@ -93,7 +93,7 @@ class TestMultigradedExtremal:
             H[b] = i
         for i, b, v in extremal_multigraded_edge_ring(FIG1):
             assert v == 1
-            assert i == b.degree - H[b]
+            assert i == b.bit_count() - H[b]
 
 
 class TestBoundAndCM:
