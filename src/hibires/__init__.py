@@ -37,7 +37,6 @@ from .lattice import (
     CoverLattice,
     a_set,
     b_set,
-    boolean_intervals,
     f_value,
     random_sublattice,
     validate_sublattice,

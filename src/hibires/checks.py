@@ -4,7 +4,8 @@ Each check verifies one structural claim: the distinct-meets lemma and its
 cardinality corollary, the rank-two neighbor fact, interval monotonicity,
 the basis/interval bijection, graph and duality round-trips, resolution
 correctness, and (at oracle level) agreement of every closed-form value
-with the homology oracle.  Checks return (name, ok, detail); findings that
+with the homology oracle.  The lemma and bijection checks read the basis
+of the built resolution.  Checks return (name, ok, detail); findings that
 are not failures (bound strictness, graded-value mismatches) are reported
 separately.
 """
@@ -12,9 +13,9 @@ separately.
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .bitset import is_subset
+from .bitset import full_mask, is_subset, render_set
 from .graphs import cover_lattice, graph_from_lattice
-from .ideals import alexander_dual, edge_ideal, hibi_ideal, lcm_closure
+from .ideals import alexander_dual, edge_ideal, hibi_ideal, lcm_closure, render_monomial
 from .invariants import (
     cm_extremal_placement_check,
     depth_edge_ring,
@@ -26,9 +27,10 @@ from .invariants import (
     pd_and_reg_H,
     regularity_edge_ring,
 )
-from .lattice import a_set, boolean_intervals, f_value, scan_boolean_intervals
+from .lattice import a_set, boolean_interval_scan, f_value, interval_of
 from .oracle import betti_oracle
 from .resolution import (
+    BasisElement,
     betti_table_from_basis,
     build_resolution,
     strand_exactness,
@@ -36,15 +38,11 @@ from .resolution import (
     verify_minimality,
 )
 
-LEMMA_NEIGHBOR_CAP = 12  # exhaustive subset checks stay below 2^12
-COROLLARY_NEIGHBOR_CAP = 10  # nested subset pairs stay below 3^10
-
 
 @dataclass
 class CheckReport:
     results: list = field(default_factory=list)
     findings: list = field(default_factory=list)
-    skipped: list = field(default_factory=list)
 
     @property
     def ok(self):
@@ -63,45 +61,40 @@ class CheckReport:
         return None
 
 
-def _within_cap(L, report, name, cap):
-    """The elements with |N(p)| <= cap; the others are reported skipped."""
-    inside = [p for p in L.elements if len(L.neighbors(p)) <= cap]
-    if len(inside) < len(L):
-        skipped = len(L) - len(inside)
-        report.skipped.append((name, f"{skipped} elements with |N(p)| > {cap}"))
-    return inside
+def check_lemma_distinct_meets(C, report):
+    """Distinct subsets of N(p) have distinct meets (empty meet is p).
 
-
-def check_lemma_distinct_meets(L, report):
-    """Distinct subsets of N(p) have distinct meets (empty meet is p)."""
-    for p in _within_cap(L, report, "lemma1_distinct_meets", LEMMA_NEIGHBOR_CAP):
-        nb = L.neighbors(p)
-        seen = {}
-        for k in range(len(nb) + 1):
-            for S in combinations(nb, k):
-                m = L.meet_of(S, p)
-                if m in seen:
-                    report.add("lemma1_distinct_meets", False, (p, S, seen[m]))
-                    return
-                seen[m] = S
+    The multidegree X_p * Y_{[n] - meet S} of b(p; S) determines the pair
+    (p, meet S), so the lemma holds exactly when no two basis elements of
+    C share a multidegree.
+    """
+    seen = {}
+    for level in C.levels:
+        for g in level:
+            other = seen.setdefault(g.multidegree, g)
+            if other is not g:
+                report.add("lemma1_distinct_meets", False, (g.p, g.S, other.S))
+                return
     report.add("lemma1_distinct_meets", True)
 
 
-def check_lemma_corollary(L, report):
-    """Nested subsets S in S' of N(p): |S'| - |S| <= |meet S| - |meet S'|."""
-    for p in _within_cap(L, report, "lemma1_corollary", COROLLARY_NEIGHBOR_CAP):
-        nb = L.neighbors(p)
-        for k in range(len(nb) + 1):
-            for Sp in combinations(nb, k):
-                mp = L.meet_of(Sp, p).bit_count()
-                for k2 in range(k + 1):
-                    for S in combinations(Sp, k2):
-                        m = L.meet_of(S, p).bit_count()
-                        if len(Sp) - len(S) > m - mp:
-                            report.add(
-                                "lemma1_corollary", False, (p, S, Sp)
-                            )
-                            return
+def check_lemma_corollary(C, report):
+    """Nested subsets S in S' of N(p): |S'| - |S| <= |meet S| - |meet S'|.
+
+    The degree of b(p; S) is |p| + n - |meet S|, so each one-step pair
+    S - {q} in S must raise the degree by at least one; a nested pair is
+    the end of a chain of |S'| - |S| such steps, whose rises add up.
+    """
+    degree = {
+        (g.p, g.S): g.multidegree.bit_count() for level in C.levels for g in level
+    }
+    for level in C.levels[1:]:
+        for g in level:
+            for q in g.S:
+                rest = tuple(r for r in g.S if r != q)
+                if degree[(g.p, rest)] >= degree[(g.p, g.S)]:
+                    report.add("lemma1_corollary", False, (g.p, rest, g.S))
+                    return
     report.add("lemma1_corollary", True)
 
 
@@ -126,8 +119,6 @@ def check_rank_two(L, report):
 
 def check_interval_monotonicity(L, report):
     """Interval containment into a maximal interval forces f(q) <= f(p)."""
-    from .lattice import interval_of
-
     for p in a_set(L):
         ip = interval_of(L, p)
         for q in L.elements:
@@ -139,15 +130,22 @@ def check_interval_monotonicity(L, report):
     report.add("interval_monotonicity", True)
 
 
-def check_interval_bijection(L, report):
-    """Basis labels biject onto the Boolean intervals of L."""
-    pairs = boolean_intervals(L)
-    expected = sum(2 ** len(L.neighbors(p)) for p in L.elements)
-    image = {(iv.bottom, iv.top, iv.rank) for _, iv in pairs}
+def check_interval_bijection(C, report):
+    """Basis labels biject onto the Boolean intervals of L.
+
+    b(p; S) goes to [meet S, p] of rank |S|, with meet S read off the
+    y-part of its multidegree; the image must have one member per basis
+    element and equal the structural scan of L.
+    """
+    n = C.L.n
+    image = {
+        (full_mask(n) & ~g.multidegree, g.multidegree >> n, g.hom_degree)
+        for level in C.levels
+        for g in level
+    }
     ok = (
-        len(pairs) == expected
-        and len(image) == expected
-        and image == scan_boolean_intervals(L)
+        len(image) == sum(C.level_ranks())
+        and image == boolean_interval_scan(C.L)
     )
     report.add("interval_bijection", ok)
 
@@ -169,9 +167,11 @@ def check_duality(L, report):
 def check_resolution(C, report, field="Q"):
     """d^2 = 0, minimality and strand exactness of C; returns its Betti table."""
     d2 = verify_complex(C)
-    report.add("complex_d_squared_zero", d2.ok, d2.failure)
+    report.add("complex_d_squared_zero", d2.ok, _render_failure(C, d2.failure))
     minimal = verify_minimality(C)
-    report.add("complex_minimality", minimal.ok, minimal.failure)
+    report.add(
+        "complex_minimality", minimal.ok, _render_failure(C, minimal.failure)
+    )
     H = hibi_ideal(C.L)
     bad = [
         b
@@ -185,6 +185,26 @@ def check_resolution(C, report, field="Q"):
         all(v == 1 for v in table.entries.values()),
     )
     return table
+
+
+def _render_failure(C, failure):
+    """A complex check's failure in the paper's terms: basis elements as
+    b(p; S) at their multidegree, monomials in x and y, no cancelled sums."""
+
+    def render(v):
+        if isinstance(v, BasisElement):
+            S = ", ".join(map(render_set, v.S))
+            return f"b({render_set(v.p)}; {{{S}}}) at {render(v.multidegree)}"
+        if isinstance(v, tuple):
+            return tuple(map(render, v))
+        if isinstance(v, dict):
+            return {render(k): c for k, c in v.items() if c}
+        return render_monomial(v, C.L.n)
+
+    if failure is None:
+        return None
+    level, g, found = failure
+    return (level, render(g), render(found))
 
 
 def check_formula_consistency(L, report):
@@ -258,21 +278,22 @@ def check_oracle_edge_ring(L, report, field="Q"):
 def run_checks(L, level="formulas", field="Q", mutate=False):
     """Run the property suite on one lattice.
 
+    The resolution is built first, for the checks that read its basis.
     level "formulas" runs the structural and resolution checks; "oracle"
     additionally compares everything against the homology oracle.  The
     mutate flag flips the sign of one differential entry first, as a
     self-test that the d^2 = 0 check can fail.
     """
     report = CheckReport()
-    check_lemma_distinct_meets(L, report)
-    check_lemma_corollary(L, report)
+    C = build_resolution(L)
+    check_lemma_distinct_meets(C, report)
+    check_lemma_corollary(C, report)
     check_rank_two(L, report)
     check_interval_monotonicity(L, report)
-    check_interval_bijection(L, report)
+    check_interval_bijection(C, report)
     check_graph_round_trip(L, report)
     check_duality(L, report)
     check_formula_consistency(L, report)
-    C = build_resolution(L)
     if mutate:
         _mutate_differential(C)
     basis_table = check_resolution(C, report, field=field)

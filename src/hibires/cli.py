@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import checks
 from .bitset import MAX_GROUND
-from .errors import HibiresError, LatticeValidation
+from .errors import HibiresError, InputFormatError, LatticeValidation
 from .fixtures import FIXTURES, fixture_files, fixture_lattice
 from .graphs import (
     cover_lattice,
@@ -73,11 +73,15 @@ def _parse_count(text):
 
 
 def load_lattice(path):
-    """Read a lattice from a lattice/graph file (text or JSON)."""
-    text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        obj = json.loads(text)
+    """Read a lattice from a lattice/graph file (text or JSON); a file that
+    cannot be read, decoded or parsed as JSON is an InputFormatError."""
+    try:
+        text = Path(path).read_text()
+        stripped = text.lstrip()
+        obj = json.loads(text) if stripped.startswith("{") else None
+    except (OSError, ValueError, RecursionError) as exc:  # decoding: ValueError
+        raise InputFormatError(f"cannot read {path}: {exc!r}") from exc
+    if obj is not None:
         if "elements" in obj:
             return lattice_from_json_obj(obj)
         G = graph_from_json_obj(obj)
@@ -116,27 +120,13 @@ def _emit_text(obj):
             print(f"{key}: {value}")
 
 
-def _error_exit(exc):
-    print(
-        json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-        file=sys.stderr,
-    )
-    return 1
-
-
 def cmd_analyze(args):
-    try:
-        L = load_lattice(args.input)
-    except (HibiresError, OSError, ValueError) as exc:
-        return _error_exit(exc)
-    try:
-        C = build_resolution(L)
-        report = invariant_report(L, level_ranks=C.level_ranks())
-        basis_table = betti_table_from_basis(C)
-        if args.level == "oracle":
-            oracle_table = betti_oracle(hibi_ideal(L), field=args.field)
-    except HibiresError as exc:
-        return _error_exit(exc)
+    L = load_lattice(args.input)
+    C = build_resolution(L)
+    report = invariant_report(L, level_ranks=C.level_ranks())
+    basis_table = betti_table_from_basis(C)
+    if args.level == "oracle":
+        oracle_table = betti_oracle(hibi_ideal(L), field=args.field)
     out = report.to_json_obj()
     out["input"] = str(args.input)
     out["betti_diagram_H"] = basis_table.diagram()
@@ -158,26 +148,20 @@ def cmd_verify(args):
     if not args.fixtures and not args.input:
         print("verify needs --input files or --fixtures", file=sys.stderr)
         return 1
-    try:
-        if args.fixtures:
-            instances = [(name, fixture_lattice(name)) for name in FIXTURES]
-        else:
-            instances = [(str(p), load_lattice(p)) for p in args.input]
-    except (HibiresError, OSError, ValueError) as exc:
-        return _error_exit(exc)
+    if args.fixtures:
+        instances = [(name, fixture_lattice(name)) for name in FIXTURES]
+    else:
+        instances = [(str(p), load_lattice(p)) for p in args.input]
     failed = None
     for name, L in instances:
         level = args.level
         if name == "FIG1" and level == "oracle":
             level = "formulas"  # its edge ideal's lcm closure passes CLOSURE_CAP
             print(f"SKIP {name} oracle checks: run at formulas level")
-        try:
-            report = checks.run_checks(
-                L, level=level, field=args.field,
-                mutate=args.debug_mutate_differential,
-            )
-        except HibiresError as exc:
-            return _error_exit(exc)
+        report = checks.run_checks(
+            L, level=level, field=args.field,
+            mutate=args.debug_mutate_differential,
+        )
         for check_name, ok, detail in report.results:
             print(f"{'PASS' if ok else 'FAIL'} {name} {check_name}")
             if not ok and failed is None:
@@ -186,8 +170,6 @@ def cmd_verify(args):
                     "check": check_name,
                     "detail": repr(detail),
                 }
-        for check_name, detail in report.skipped:
-            print(f"SKIP {name} {check_name}: {detail}")
         for kind, detail in report.findings:
             if kind != "bound_equality":
                 print(f"FINDING {name} {kind} {detail}")
@@ -198,14 +180,11 @@ def cmd_verify(args):
 
 
 def cmd_random(args):
-    try:
-        corpus = random_corpus(args.count, args.seed, n_max=args.n)
-        reports = [
-            checks.run_checks(L, level=args.level, field=args.field)
-            for L in corpus
-        ]
-    except HibiresError as exc:
-        return _error_exit(exc)
+    corpus = random_corpus(args.count, args.seed, n_max=args.n)
+    reports = [
+        checks.run_checks(L, level=args.level, field=args.field)
+        for L in corpus
+    ]
     outdir = Path(args.out) if args.out else None
     if outdir:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -242,20 +221,14 @@ def cmd_random(args):
 
 
 def cmd_search_tightness(args):
-    try:
-        corpus = random_corpus(args.count, args.seed, n_max=args.n)
-    except HibiresError as exc:
-        return _error_exit(exc)
+    corpus = random_corpus(args.count, args.seed, n_max=args.n)
     lines = []
     strict = 0
     for k, L in enumerate(corpus):
-        try:
-            I = edge_ideal(graph_from_lattice(L))
-            pd_RI, _ = pd_and_reg_H(L)
-            t = total_betti_in_degree(I, pd_RI - 1, field=args.field)
-            bound = last_betti_lower_bound(L)
-        except HibiresError as exc:
-            return _error_exit(exc)
+        I = edge_ideal(graph_from_lattice(L))
+        pd_RI, _ = pd_and_reg_H(L)
+        t = total_betti_in_degree(I, pd_RI - 1, field=args.field)
+        bound = last_betti_lower_bound(L)
         record = {
             "index": k,
             "n": L.n,
@@ -357,8 +330,17 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand; every HibiresError it raises exits with code 1
+    and one JSON line on stderr."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except HibiresError as exc:
+        print(
+            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
+            file=sys.stderr,
+        )
+        return 1
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from .errors import (
     NotUnmixed,
     TooLarge,
 )
-from .lattice import validate_sublattice
+from .lattice import json_int, validate_sublattice
 
 ENUMERATION_BOUND = 24  # max total vertices for exhaustive cover enumeration
 
@@ -257,8 +257,8 @@ def parse_graph_text(text):
 def graph_from_json_obj(obj):
     """Graph from {"left": n_left, "right": n_right, "edges": [[i, j], ...]}."""
     try:
-        nl, nr = int(obj["left"]), int(obj["right"])
-        edges = frozenset((int(i), int(j)) for i, j in obj["edges"])
+        nl, nr = json_int(obj["left"]), json_int(obj["right"])
+        edges = frozenset((json_int(i), json_int(j)) for i, j in obj["edges"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed graph JSON: {exc!r}") from exc
     return BipartiteGraph(nl, nr, edges)

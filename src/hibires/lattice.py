@@ -158,28 +158,12 @@ class BooleanInterval:
         return is_subset(self.bottom, other.bottom) and is_subset(other.top, self.top)
 
 
-def boolean_intervals(L):
-    """All pairs ((p, S), interval) for p in L and S a set of lower neighbors.
-
-    The map (p, S) -> [meet(S), p] is a bijection onto the intervals of L
-    isomorphic to Boolean lattices; rank-0 intervals [p, p] come from S
-    empty.
-    """
-    out = []
-    for p in L.elements:
-        nb = L.neighbors(p)
-        for k in range(len(nb) + 1):
-            for S in combinations(nb, k):
-                out.append(((p, S), BooleanInterval(L.meet_of(S, p), p, k)))
-    return out
-
-
-def scan_boolean_intervals(L):
+def boolean_interval_scan(L):
     """Independent scan: every interval of L that is Boolean, by structure.
 
     An interval [a, b] is Boolean when its elements are exactly the joins
     of subsets of its atoms and their count is 2^(#atoms).  Used to verify
-    the bijection claimed by :func:`boolean_intervals`.
+    that the resolution basis labels biject onto these intervals.
     """
     found = set()
     for a in L.elements:
@@ -332,11 +316,19 @@ def lattice_to_text(L):
     return "\n".join(lines) + "\n"
 
 
+def json_int(value):
+    """value, if it is a plain JSON integer; a bool or a float raises
+    TypeError, which the JSON readers turn into InputFormatError."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def lattice_from_json_obj(obj):
     """Lattice from {"n": n, "elements": [[1-based indices], ...]}."""
     try:
-        n = int(obj["n"])
-        fam = {mask_of(e, n) for e in obj["elements"]}
+        n = json_int(obj["n"])
+        fam = {mask_of(map(json_int, e), n) for e in obj["elements"]}
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed lattice JSON: {exc!r}") from exc
     return validate_sublattice(fam, n)

@@ -17,7 +17,7 @@ from .errors import ConsistencyError, HomDegreeZero, TooManyNeighbors
 from .ideals import lattice_generator, monomial, render_monomial
 from .linalg import rank_exact
 
-NEIGHBOR_CAP = 20  # max |N(p)| before basis enumeration is refused
+NEIGHBOR_CAP = 20  # basis enumeration is refused past 2^NEIGHBOR_CAP elements
 
 
 @dataclass(frozen=True)
@@ -43,13 +43,15 @@ def resolution_basis(L):
     """Levels of basis elements; level i holds all b(p; S) with |S| = i.
 
     Within a level, elements are ordered by p in the lattice order, then
-    by S lexicographically in the order of N(p).
+    by S lexicographically in the order of N(p).  The basis has
+    sum_p 2^|N(p)| elements and is refused past 2^NEIGHBOR_CAP, which
+    also bounds every single |N(p)|.
     """
-    for p in L.elements:
-        if len(L.neighbors(p)) > NEIGHBOR_CAP:
-            raise TooManyNeighbors(
-                f"|N(p)| = {len(L.neighbors(p))} exceeds the cap {NEIGHBOR_CAP}"
-            )
+    size = sum(1 << len(L.neighbors(p)) for p in L.elements)
+    if size > 1 << NEIGHBOR_CAP:
+        raise TooManyNeighbors(
+            f"the basis has {size} elements, more than 2^{NEIGHBOR_CAP}"
+        )
     top_level = max(len(L.neighbors(p)) for p in L.elements)
     levels = []
     for i in range(top_level + 1):
@@ -167,8 +169,9 @@ def verify_complex(C):
     Compositions are expanded symbolically over integer coefficients, keyed
     by the masks of each squarefree product; the augmentation b(p; ()) ->
     u_p composed with the first differential must also vanish.  Returns a
-    falsy result carrying the first violating pair on failure, including a
-    product of coefficients that is not squarefree.
+    falsy result carrying the first violating source element and its
+    uncancelled sums, keyed by target element and monomial, or the product
+    of coefficients that is not squarefree.
     """
     # augmentation after the first differential
     if C.diffs:
@@ -192,6 +195,8 @@ def verify_complex(C):
                     key = (tpos, coeff1 | coeff2)
                     acc[key] = acc.get(key, 0) + sign1 * sign2
             if any(acc.values()):
+                targets = C.levels[i - 1]
+                acc = {(targets[t], m): v for (t, m), v in acc.items()}
                 return CheckResult(False, (i + 1, g, acc))
     return CheckResult(True)
 
@@ -203,7 +208,7 @@ def verify_minimality(C):
             for tpos, sign, coeff in entries:
                 if coeff == 0:
                     return CheckResult(
-                        False, (i + 1, C.levels[i + 1][src_pos], tpos)
+                        False, (i + 1, C.levels[i + 1][src_pos], C.levels[i][tpos])
                     )
     return CheckResult(True)
 

@@ -211,12 +211,12 @@ def test_criterion_6_figure_one(capsys):
 def test_criterion_7_lemma_suite(capsys, corpus, small_fixtures):
     instances, _, _ = corpus
     ok = True
-    pool = [d["L"] for d in instances]
-    pool += [d["L"] for d in small_fixtures.values()]
-    for L in pool:
+    pool = [(d["L"], d["C"]) for d in instances]
+    pool += [(d["L"], d["C"]) for d in small_fixtures.values()]
+    for L, C in pool:
         report = CheckReport()
-        check_lemma_distinct_meets(L, report)
-        check_lemma_corollary(L, report)
+        check_lemma_distinct_meets(C, report)
+        check_lemma_corollary(C, report)
         check_rank_two(L, report)
         check_interval_monotonicity(L, report)
         ok = ok and report.ok

@@ -1,9 +1,28 @@
-import pytest
+import dataclasses
 
-from hibires.checks import CheckReport, check_oracle_hibi, run_checks
-from hibires.ideals import render_monomial
-from hibires.lattice import random_sublattice
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hibires.checks import (
+    CheckReport,
+    check_interval_bijection,
+    check_lemma_corollary,
+    check_lemma_distinct_meets,
+    check_oracle_hibi,
+    run_checks,
+)
+from hibires.fixtures import FIXTURES, fixture_lattice
+from hibires.ideals import monomial, render_monomial
+from hibires.lattice import random_corpus, random_sublattice
 from hibires.resolution import betti_table_from_basis, build_resolution
+
+from conftest import (
+    bijection_reference,
+    boolean_intervals,
+    corollary_reference,
+    distinct_meets_reference,
+)
 
 
 @pytest.mark.parametrize("name", ["E1", "K22", "CHAIN", "B2"])
@@ -50,3 +69,97 @@ def test_oracle_mismatch_names_the_entry(CHAIN):
     name, ok, detail = report.results[0]
     assert (name, ok) == ("betti_formula_vs_oracle", False)
     assert detail == [(i, render_monomial(b, CHAIN.n), v + 1, v)]
+
+
+BASIS_CHECKS = (
+    check_lemma_distinct_meets, check_lemma_corollary, check_interval_bijection
+)
+
+
+def basis_verdicts(C):
+    """(name, ok, detail) of each check that reads the basis of C."""
+    report = CheckReport()
+    for check in BASIS_CHECKS:
+        check(C, report)
+    return report.results
+
+
+def reference_verdicts(L):
+    return [
+        distinct_meets_reference(L),
+        corollary_reference(L),
+        bijection_reference(L),
+    ]
+
+
+def agree_with_references(L):
+    C = build_resolution(L)
+    assert [ok for _, ok, _ in basis_verdicts(C)] == reference_verdicts(L)
+    # the basis carries the same intervals as the pairs (p, S)
+    assert {
+        (L.meet_of(g.S, g.p), g.p, g.hom_degree)
+        for level in C.levels
+        for g in level
+    } == {(iv.bottom, iv.top, iv.rank) for _, iv in boolean_intervals(L)}
+
+
+class TestBasisReadChecks:
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixtures_agree_with_references(self, name):
+        L = fixture_lattice(name)
+        assert reference_verdicts(L) == [True, True, True]
+        agree_with_references(L)
+
+    def test_corpus_agrees_with_references(self):
+        for L in random_corpus(200, 42):
+            agree_with_references(L)
+
+    @given(st.integers(2, 5), st.integers(0, 5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_agrees_with_references(self, n, seeds, seed):
+        agree_with_references(random_sublattice(n, seeds, seed))
+
+
+def tampered(L, level, pos, **changes):
+    """The resolution of L with one basis element's fields replaced."""
+    C = build_resolution(L)
+    C.levels[level][pos] = dataclasses.replace(C.levels[level][pos], **changes)
+    return C
+
+
+def verdict(check, C):
+    report = CheckReport()
+    check(C, report)
+    return report.results[0]
+
+
+class TestTamperedBasis:
+    def test_shared_multidegree_fails_distinct_meets(self, B2):
+        # level 1 of B2 ends with b({1,2}; {{1}}) and b({1,2}; {{2}})
+        C = build_resolution(B2)
+        twin = C.levels[1][2].multidegree
+        C.levels[1][3] = dataclasses.replace(C.levels[1][3], multidegree=twin)
+        assert verdict(check_lemma_distinct_meets, C) == (
+            "lemma1_distinct_meets", False, (0b11, (0b10,), (0b01,))
+        )
+
+    def test_flat_step_fails_corollary(self, B2):
+        # b({1,2}; {{1},{2}}) at x1*x2*y2: degree 3, as b({1,2}; {{2}})
+        C = tampered(B2, 2, 0, multidegree=monomial(0b11, 0b10, 2))
+        assert verdict(check_lemma_corollary, C) == (
+            "lemma1_corollary", False, (0b11, (0b10,), (0b01, 0b10))
+        )
+
+    def test_non_boolean_interval_fails_bijection(self, CHAIN):
+        # b({1,2}; {{1}}) moved to [empty, {1,2}], which has three elements
+        C = tampered(CHAIN, 1, 1, multidegree=monomial(0b11, 0b11, 2))
+        assert verdict(check_interval_bijection, C)[:2] == (
+            "interval_bijection", False
+        )
+
+    def test_repeated_interval_fails_bijection(self, CHAIN):
+        C = build_resolution(CHAIN)
+        C.levels[1][1] = C.levels[1][0]
+        assert verdict(check_interval_bijection, C)[:2] == (
+            "interval_bijection", False
+        )

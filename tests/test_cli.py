@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hibires import checks, cli
+from hibires import cli
 from hibires.betti import BettiTable
 from hibires.cli import load_lattice, main
 from hibires.fixtures import fig1
@@ -125,14 +125,34 @@ class TestAnalyze:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "MissingBottom"
 
-    def test_missing_file_exit_1(self, capsys):
-        assert main(["analyze", "--input", "/nonexistent.lat"]) == 1
+    def test_missing_file_exit_1(self, tmp_path, capsys):
+        assert main(["analyze", "--input", str(tmp_path / "missing.lat")]) == 1
+        assert_clean_error(capsys, "InputFormatError")
+
+    @pytest.mark.parametrize("content", [
+        None,
+        b"lattice 2\nempty\n\xff\n1 2\n",
+        b'{"n": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+    ], ids=["directory", "not-utf8", "nested-too-deep"])
+    def test_unreadable_file_is_an_input_error(self, content, tmp_path, capsys):
+        path = tmp_path / "input.lat"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        assert main(["analyze", "--input", str(path)]) == 1
+        assert_clean_error(capsys, "InputFormatError")
 
     @pytest.mark.parametrize("doc", [
         {"elements": [[], [1]]},
         {"left": 1},
         {"n": 1, "elements": 5},
         {"n": 2, "elements": [["a"]]},
+        {"n": 2.9, "elements": [[], [True], [1, 2]]},
+        {"n": 2, "elements": [[], [True], [1, 2]]},
+        {"n": 1e400, "elements": [[], [1]]},  # inf, written as Infinity
+        {"left": 2, "right": 2, "edges": [[1, 1], [1, 2.7], [2, 2]]},
+        {"left": 2.0, "right": 2, "edges": [[1, 1], [2, 2]]},
     ])
     def test_malformed_json_exit_1(self, doc, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -159,6 +179,16 @@ class TestAnalyze:
         )
         assert main(["analyze", "--input", str(path)]) == 1
         assert_clean_error(capsys, "TooLarge")
+
+    def test_basis_past_the_cap_exit_1(self, tmp_path, capsys):
+        # 13 pairs: every |N(p)| <= 13, but the basis has 3^13 > 2^20
+        # elements and is refused before any of them is built
+        path = tmp_path / "matching.graph"
+        path.write_text(
+            "graph 13 13\n" + "".join(f"{i} {i}\n" for i in range(1, 14))
+        )
+        assert main(["analyze", "--input", str(path)]) == 1
+        assert_clean_error(capsys, "TooManyNeighbors")
 
     def test_fig1_extremal_lists(self, tmp_path, capsys):
         path = tmp_path / "FIG1.lat"
@@ -232,23 +262,6 @@ class TestVerify:
         assert "PASS B2 betti_formula_vs_oracle" in out
         assert "PASS FIG1 betti_formula_vs_oracle" not in out
 
-    def test_neighbor_caps_are_reported(self, chain_file, capsys, monkeypatch):
-        # CHAIN has two elements with one lower neighbor each
-        assert main(["verify", "--input", chain_file]) == 0
-        plain = capsys.readouterr().out
-        assert "SKIP" not in plain
-        monkeypatch.setattr(checks, "LEMMA_NEIGHBOR_CAP", 0)
-        monkeypatch.setattr(checks, "COROLLARY_NEIGHBOR_CAP", 0)
-        assert main(["verify", "--input", chain_file]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        skips = [ln for ln in lines if ln.startswith("SKIP")]
-        assert skips == [
-            f"SKIP {chain_file} lemma1_distinct_meets: 2 elements with |N(p)| > 0",
-            f"SKIP {chain_file} lemma1_corollary: 2 elements with |N(p)| > 0",
-        ]
-        assert [ln for ln in lines if not ln.startswith("SKIP")] == \
-            plain.splitlines()
-
     def test_mutate_exits_2_with_counterexample(self, chain_file, capsys):
         rc = main(
             ["verify", "--input", chain_file, "--debug-mutate-differential"]
@@ -264,7 +277,9 @@ class TestVerify:
         assert failed["check"] == "complex_d_squared_zero"
         # the flipped sign sits in the first differential, so the violating
         # composition is the augmentation after it
-        assert failed["detail"].startswith("('augmentation', BasisElement(")
+        assert failed["detail"] == (
+            "('augmentation', 'b({1}; {empty}) at x1*y1*y2', {'x1*y1*y2': -2})"
+        )
 
 
 class TestRandom:

@@ -21,7 +21,7 @@ from hibires.invariants import invariant_report
 from hibires.lattice import (
     a_set,
     b_set,
-    boolean_intervals,
+    boolean_interval_scan,
     down_sets,
     f_value,
     interval_of,
@@ -30,11 +30,10 @@ from hibires.lattice import (
     parse_lattice_text,
     random_corpus,
     random_sublattice,
-    scan_boolean_intervals,
     validate_sublattice,
 )
 
-from conftest import m
+from conftest import boolean_intervals, m
 
 
 def lower_neighbors_reference(elements, p):
@@ -327,7 +326,7 @@ class TestIntervals:
         image = {
             (iv.bottom, iv.top, iv.rank) for _, iv in boolean_intervals(L)
         }
-        assert image == scan_boolean_intervals(L)
+        assert image == boolean_interval_scan(L)
 
 
 class TestFAndSets:

@@ -11,7 +11,7 @@ import hibires
 from hibires import resolution
 from hibires.errors import ConsistencyError, HomDegreeZero, TooManyNeighbors
 from hibires.ideals import hibi_ideal, lcm_closure, monomial
-from hibires.lattice import random_sublattice
+from hibires.lattice import random_sublattice, validate_sublattice
 from hibires.resolution import (
     BasisElement,
     betti_table_from_basis,
@@ -48,6 +48,26 @@ class TestBasis:
         monkeypatch.setattr(resolution, "NEIGHBOR_CAP", 1)
         with pytest.raises(TooManyNeighbors):
             resolution_basis(B2)
+
+    def test_neighbor_cap_counts_the_whole_basis(self, B2, monkeypatch):
+        # every |N(p)| <= 2, but the basis has 9 > 2^2 elements
+        monkeypatch.setattr(resolution, "NEIGHBOR_CAP", 2)
+        with pytest.raises(TooManyNeighbors):
+            resolution_basis(B2)
+
+    @pytest.mark.parametrize("n, refused", [(12, False), (13, True)])
+    def test_boolean_basis_guard(self, n, refused, monkeypatch):
+        # B_n has a basis of 3^n elements: B_12 is enumerated, B_13 not
+        class Enumerated(Exception):
+            pass
+
+        def stop(*args):
+            raise Enumerated
+
+        monkeypatch.setattr(resolution, "multidegree_of", stop)
+        L = validate_sublattice(range(1 << n), n)
+        with pytest.raises(TooManyNeighbors if refused else Enumerated):
+            resolution_basis(L)
 
     @given(st.integers(2, 6), st.integers(0, 6), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
