@@ -21,7 +21,6 @@ from .ideals import (
     render_monomial,
 )
 from .invariants import (
-    InvariantReport,
     depth_edge_ring,
     extremal_graded_edge_ring,
     extremal_multigraded_edge_ring,
@@ -33,9 +32,7 @@ from .invariants import (
     regularity_edge_ring,
 )
 from .lattice import (
-    BooleanInterval,
     CoverLattice,
-    a_set,
     b_set,
     f_value,
     random_sublattice,

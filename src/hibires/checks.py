@@ -27,7 +27,7 @@ from .invariants import (
     pd_and_reg_H,
     regularity_edge_ring,
 )
-from .lattice import a_set, boolean_interval_scan, f_value, interval_of
+from .lattice import boolean_interval_scan, f_value
 from .oracle import betti_oracle
 from .resolution import (
     BasisElement,
@@ -118,13 +118,17 @@ def check_rank_two(L, report):
 
 
 def check_interval_monotonicity(L, report):
-    """Interval containment into a maximal interval forces f(q) <= f(p)."""
-    for p in a_set(L):
-        ip = interval_of(L, p)
-        for q in L.elements:
-            if q == 0:
-                continue
-            if ip.contains(interval_of(L, q)) and f_value(L, q) > f_value(L, p):
+    """Interval containment into a maximal interval forces f(q) <= f(p):
+    [meet N(q), q] inside [meet N(p), p] means meet N(p) within
+    meet N(q) and q within p."""
+    f = {q: f_value(L, q) for q in L.elements if q}
+    for p in L.a_set:
+        for q, fq in f.items():
+            if (
+                is_subset(L.bottom[p], L.bottom[q])
+                and is_subset(q, p)
+                and fq > f[p]
+            ):
                 report.add("interval_monotonicity", False, (p, q))
                 return
     report.add("interval_monotonicity", True)

@@ -3,12 +3,13 @@
 Subcommands: analyze (invariant report for one instance), verify (property
 suite), random (generate-and-verify a corpus), search-tightness (audit the
 last-Betti-number bound and record strict instances), fixtures (export the
-built-in lattices).  Exit codes: 0 success, 1 invalid input, 2
-verification mismatch.
+built-in lattices).  Exit codes: 0 success, 1 invalid input or a
+closed stdout, 2 verification mismatch.
 """
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -122,12 +123,10 @@ def _emit_text(obj):
 
 def cmd_analyze(args):
     L = load_lattice(args.input)
-    C = build_resolution(L)
-    report = invariant_report(L, level_ranks=C.level_ranks())
-    basis_table = betti_table_from_basis(C)
+    basis_table = betti_table_from_basis(build_resolution(L))
     if args.level == "oracle":
         oracle_table = betti_oracle(hibi_ideal(L), field=args.field)
-    out = report.to_json_obj()
+    out = invariant_report(L)
     out["input"] = str(args.input)
     out["betti_diagram_H"] = basis_table.diagram()
     if args.level == "oracle":
@@ -331,15 +330,25 @@ def build_parser():
 
 def main(argv=None):
     """Run one subcommand; every HibiresError it raises exits with code 1
-    and one JSON line on stderr."""
+    and one JSON line on stderr.  A reader that closes stdout early also
+    gives code 1: the rest of the output goes to the null device, so
+    nothing is printed at exit."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        finally:
+            sys.stdout.flush()
     except HibiresError as exc:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),
             file=sys.stderr,
         )
+        return 1
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

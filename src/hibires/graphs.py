@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass, field
 
-from .bitset import MAX_GROUND, down_sets, full_mask, indices_of, positions_of
+from .bitset import MAX_GROUND, full_mask, indices_of, positions_of
 from .errors import (
     EmptyInput,
     InputFormatError,
@@ -11,7 +11,7 @@ from .errors import (
     NotUnmixed,
     TooLarge,
 )
-from .lattice import json_int, validate_sublattice
+from .lattice import down_set_family, json_int, validate_sublattice
 
 ENUMERATION_BOUND = 24  # max total vertices for exhaustive cover enumeration
 
@@ -177,12 +177,13 @@ def _implication_lattice_family(G):
     """Fast path: subsets p of [n] with j in p => i in p for every edge (i, j).
 
     These are the down-sets of the preorder spanned by D(j) = {i : (i, j)
-    in E}; for a transitive G each D(j) is itself a down-set.
+    in E}; for a transitive G each D(j) is itself a down-set.  Past
+    2^NEIGHBOR_CAP of them it raises TooLarge.
     """
     D = [0] * G.n
     for i, j in G.edges:
         D[j - 1] |= 1 << (i - 1)
-    return set(down_sets(D))
+    return down_set_family(D)
 
 
 def cover_lattice(G):

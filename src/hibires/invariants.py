@@ -6,18 +6,17 @@ the lattice ideal by Alexander duality, and the lower bound on the last
 total Betti number.
 """
 
-from dataclasses import dataclass, field
+from math import comb
 
 from .betti import position_key
-from .bitset import indices_of
+from .bitset import full_mask, indices_of
 from .errors import ConsistencyError, NotCM
-from .ideals import alexander_dual, render_monomial
-from .lattice import a_set, b_set, f_value
-from .resolution import multidegree_of
+from .ideals import alexander_dual, monomial, render_monomial
+from .lattice import b_set, f_value
 
 
 def _max_f(L):
-    return max(f_value(L, p) for p in a_set(L))
+    return max(f_value(L, p) for p in L.a_set)
 
 
 def depth_edge_ring(L):
@@ -38,12 +37,14 @@ def pd_and_reg_H(L):
 def extremal_multigraded_H(L):
     """Extremal positions of the lattice ideal: (|N(p)|, multideg(b(p;N(p)))).
 
-    One position per element of A_G, each with Betti value 1.
+    One position per element of A_G, each with Betti value 1; b(p; N(p))
+    sits at X_p * Y over the complement of meet N(p).
     """
-    out = []
-    for p in sorted(a_set(L)):
-        nb = L.neighbors(p)
-        out.append((len(nb), multidegree_of(L, p, nb)))
+    top = full_mask(L.n)
+    out = [
+        (len(L.lower[p]), monomial(p, top & ~L.bottom[p], L.n))
+        for p in L.a_set
+    ]
     return sorted(out, key=position_key)
 
 
@@ -67,15 +68,15 @@ def extremal_graded_edge_ring(L):
     every q with equally many satisfies |q| - |meet(N(q))| <= the same
     quantity for p.
     """
-    A = sorted(a_set(L))
-    stats = {}
-    for p in A:
-        nb = L.neighbors(p)
-        stats[p] = (
-            len(nb),
+    A = sorted(L.a_set)
+    stats = {
+        p: (
+            len(L.lower[p]),
             f_value(L, p),
-            p.bit_count() - L.meet_of(nb, p).bit_count(),
+            p.bit_count() - L.bottom[p].bit_count(),
         )
+        for p in A
+    }
     out = {}
     for p in A:
         j, fp, span_p = stats[p]
@@ -123,71 +124,36 @@ def cm_extremal_placement_check(I, oracle_table):
     return all(i == pd for i, _, _ in oracle_table.extremal_multigraded())
 
 
-@dataclass
-class InvariantReport:
-    """All lattice-side invariants of one instance, serializable to JSON."""
-
-    n: int
-    depth_RI: int
-    reg_RI: int
-    pd_RI: int
-    reg_H: int
-    pd_H: int
-    a_set: list
-    b_set: list
-    extremal_H: list
-    extremal_RI_multigraded: list
-    extremal_RI_graded: dict
-    last_betti_lower_bound: int
-    is_cm: bool
-    lattice_size: int = 0
-    level_ranks: list = field(default_factory=list)
-
-    def to_json_obj(self):
-        return {
-            "n": self.n,
-            "depth": self.depth_RI,
-            "reg": self.reg_RI,
-            "pd": self.pd_RI,
-            "reg_H": self.reg_H,
-            "pd_H": self.pd_H,
-            "a_set": [indices_of(p) for p in self.a_set],
-            "b_set": [indices_of(p) for p in self.b_set],
-            "extremal_H": [
-                {"i": i, "deg": render_monomial(b, self.n)}
-                for i, b in self.extremal_H
-            ],
-            "extremal_multigraded": [
-                {"i": i, "deg": render_monomial(b, self.n), "value": v}
-                for i, b, v in self.extremal_RI_multigraded
-            ],
-            "extremal_graded": [
-                {"i": i, "j": j, "value": v}
-                for (i, j), v in sorted(self.extremal_RI_graded.items())
-            ],
-            "last_betti_lower_bound": self.last_betti_lower_bound,
-            "cohen_macaulay": self.is_cm,
-            "lattice_size": self.lattice_size,
-            "resolution_level_ranks": self.level_ranks,
-        }
-
-
-def invariant_report(L, level_ranks=None):
+def invariant_report(L):
+    """Every lattice-side invariant of L, as the JSON object `analyze`
+    prints; resolution_level_ranks are the sums over p of C(|N(p)|, i)."""
     pd_RI, pd_H = pd_and_reg_H(L)
-    return InvariantReport(
-        n=L.n,
-        depth_RI=depth_edge_ring(L),
-        reg_RI=regularity_edge_ring(L),
-        pd_RI=pd_RI,
-        reg_H=pd_RI,
-        pd_H=pd_H,
-        a_set=sorted(a_set(L)),
-        b_set=sorted(b_set(L)),
-        extremal_H=extremal_multigraded_H(L),
-        extremal_RI_multigraded=extremal_multigraded_edge_ring(L),
-        extremal_RI_graded=extremal_graded_edge_ring(L),
-        last_betti_lower_bound=last_betti_lower_bound(L),
-        is_cm=is_cohen_macaulay(L),
-        lattice_size=len(L),
-        level_ranks=level_ranks or [],
-    )
+    widths = [len(nb) for nb in L.lower.values()]
+    return {
+        "n": L.n,
+        "depth": depth_edge_ring(L),
+        "reg": regularity_edge_ring(L),
+        "pd": pd_RI,
+        "reg_H": pd_RI,
+        "pd_H": pd_H,
+        "a_set": [indices_of(p) for p in sorted(L.a_set)],
+        "b_set": [indices_of(p) for p in sorted(b_set(L))],
+        "extremal_H": [
+            {"i": i, "deg": render_monomial(b, L.n)}
+            for i, b in extremal_multigraded_H(L)
+        ],
+        "extremal_multigraded": [
+            {"i": i, "deg": render_monomial(b, L.n), "value": v}
+            for i, b, v in extremal_multigraded_edge_ring(L)
+        ],
+        "extremal_graded": [
+            {"i": i, "j": j, "value": v}
+            for (i, j), v in sorted(extremal_graded_edge_ring(L).items())
+        ],
+        "last_betti_lower_bound": last_betti_lower_bound(L),
+        "cohen_macaulay": is_cohen_macaulay(L),
+        "lattice_size": len(L),
+        "resolution_level_ranks": [
+            sum(comb(k, i) for k in widths) for i in range(max(widths) + 1)
+        ],
+    }

@@ -40,6 +40,9 @@ from .errors import (
 )
 
 CORPUS_SIZE_CAP = 24  # max elements of a random_corpus lattice
+# A basis past 2^NEIGHBOR_CAP elements is refused, and so is a lattice past
+# 2^NEIGHBOR_CAP elements: |L| <= sum_p 2^|N(p)|, so its basis is larger.
+NEIGHBOR_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -48,13 +51,16 @@ class CoverLattice:
 
     elements are sorted by the fixed total order (cardinality, then bit
     pattern); ``lower[p]`` is the set of lower neighbors N(p), i.e. the
-    maximal elements of the lattice strictly below p; ``closures[j]`` is
-    D(j+1), the smallest element containing index j+1.
+    maximal elements of the lattice strictly below p; ``bottom[p]`` is
+    their meet, the bottom of the Boolean interval [meet N(p), p], with
+    bottom[0] = 0; ``closures[j]`` is D(j+1), the smallest element
+    containing index j+1.
     """
 
     n: int
     elements: tuple
     lower: dict = field(compare=False)
+    bottom: dict = field(compare=False)
     closures: tuple = field(compare=False)
 
     def __len__(self):
@@ -96,7 +102,8 @@ def _smallest_containing(family, n):
 
 
 def _lower_covers(elements, D):
-    """N(p) for every element: p minus one maximal preorder class of p.
+    """N(p) and meet N(p) for every element: N(p) holds p minus one
+    maximal preorder class of p, and its meet is p minus all of them.
 
     With U(i) = {j : i in D(j)} and the class cls(i) = D(i) & U(i), the
     class of i is maximal in p when no index of p lies strictly above i,
@@ -107,17 +114,30 @@ def _lower_covers(elements, D):
         for i in positions_of(d):
             U[i] |= 1 << j
     cls = [d & u for d, u in zip(D, U)]
-    lower = {}
+    lower, bottom = {}, {}
     for p in elements:
         nb = []
+        removed = 0
         rest = p
         while rest:
             i = (rest & -rest).bit_length() - 1
             rest &= ~cls[i]
             if U[i] & p == cls[i]:
                 nb.append(p & ~cls[i])
+                removed |= cls[i]
         lower[p] = tuple(sorted(nb, key=order_key))
-    return lower
+        bottom[p] = p & ~removed
+    return lower, bottom
+
+
+def down_set_family(D):
+    """The set of unions of the D(j), refused with TooLarge as soon as it
+    passes 2^NEIGHBOR_CAP members."""
+    cap = 1 << NEIGHBOR_CAP
+    fam = set(islice(down_sets(D), cap + 1))
+    if len(fam) > cap:
+        raise TooLarge(f"the lattice has more than 2^{NEIGHBOR_CAP} elements")
+    return fam
 
 
 def validate_sublattice(family, n):
@@ -143,19 +163,7 @@ def validate_sublattice(family, n):
         if q not in fam:
             raise NotClosed(q)
     elements = tuple(sorted(fam, key=order_key))
-    return CoverLattice(n, elements, _lower_covers(elements, D), D)
-
-
-@dataclass(frozen=True)
-class BooleanInterval:
-    """Closed interval [bottom, top] of L isomorphic to B_rank."""
-
-    bottom: int
-    top: int
-    rank: int
-
-    def contains(self, other):
-        return is_subset(self.bottom, other.bottom) and is_subset(other.top, self.top)
+    return CoverLattice(n, elements, *_lower_covers(elements, D), D)
 
 
 def boolean_interval_scan(L):
@@ -192,20 +200,11 @@ def boolean_interval_scan(L):
     return found
 
 
-def interval_of(L, p):
-    """The interval [meet(N(p)), p]; defined for p != bottom."""
-    if p == 0:
-        raise BottomElement("the bottom element has no lower neighbors")
-    nb = L.neighbors(p)
-    return BooleanInterval(L.meet_of(nb, p), p, len(nb))
-
-
 def f_value(L, p):
     """|p| - |N(p)| - |meet(N(p))|, the lattice depth defect at p."""
     if p == 0:
         raise BottomElement("f is undefined at the bottom element")
-    nb = L.neighbors(p)
-    return p.bit_count() - len(nb) - L.meet_of(nb, p).bit_count()
+    return p.bit_count() - len(L.neighbors(p)) - L.bottom[p].bit_count()
 
 
 def _maximal_interval_tops(L):
@@ -216,24 +215,20 @@ def _maximal_interval_tops(L):
     p is a top unless some q = p | D(j), j outside p, has meet(N(q))
     within meet(N(p)); q need not be a cover, as any such q rules p out.
     """
-    meet = {p: L.meet_of(L.lower[p], p) for p in L.elements}
+    bottom = L.bottom
     return {
         p
         for p in L.elements
         if p
-        and not any(meet[p | d] & ~meet[p] == 0 for d in L.closures if d & ~p)
+        and not any(
+            bottom[p | d] & ~bottom[p] == 0 for d in L.closures if d & ~p
+        )
     }
-
-
-def a_set(L):
-    """Elements p whose interval [meet(N(p)), p] is a maximal Boolean
-    interval, as a frozenset computed once per lattice."""
-    return L.a_set
 
 
 def b_set(L):
     """Elements of A_G attaining the maximal f-value."""
-    A = a_set(L)
+    A = L.a_set
     if not A:
         return set()
     fmax = max(f_value(L, p) for p in A)
@@ -257,7 +252,7 @@ def random_sublattice(n, seed_count, rng_seed):
     D(i), so it is enumerated as down-sets.  Deterministic for a fixed
     rng_seed.
     """
-    fam = set(down_sets(_drawn_closures(n, seed_count, rng_seed)))
+    fam = down_set_family(_drawn_closures(n, seed_count, rng_seed))
     return validate_sublattice(fam, n)
 
 

@@ -15,9 +15,8 @@ from .betti import BettiTable
 from .bitset import full_mask, order_key
 from .errors import ConsistencyError, HomDegreeZero, TooManyNeighbors
 from .ideals import lattice_generator, monomial, render_monomial
+from .lattice import NEIGHBOR_CAP
 from .linalg import rank_exact
-
-NEIGHBOR_CAP = 20  # basis enumeration is refused past 2^NEIGHBOR_CAP elements
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import pytest
 
 from hibires.bitset import mask_of
 from hibires.fixtures import b2, chain, e1, fig1, k22
-from hibires.lattice import BooleanInterval, boolean_interval_scan
+from hibires.lattice import boolean_interval_scan
 
 
 @pytest.fixture
@@ -42,7 +42,8 @@ def m(n, *indices):
 # resolution_basis.
 
 def boolean_intervals(L):
-    """All pairs ((p, S), interval) for p in L and S a set of lower neighbors.
+    """All pairs ((p, S), (meet S, p, |S|)) for p in L and S a set of lower
+    neighbors.
 
     The map (p, S) -> [meet(S), p] is a bijection onto the intervals of L
     isomorphic to Boolean lattices; rank-0 intervals [p, p] come from S
@@ -53,7 +54,7 @@ def boolean_intervals(L):
         nb = L.neighbors(p)
         for k in range(len(nb) + 1):
             for S in combinations(nb, k):
-                out.append(((p, S), BooleanInterval(L.meet_of(S, p), p, k)))
+                out.append(((p, S), (L.meet_of(S, p), p, k)))
     return out
 
 
@@ -89,5 +90,5 @@ def corollary_reference(L):
 def bijection_reference(L):
     """The pairs (p, S) map one-to-one onto the structural interval scan."""
     pairs = boolean_intervals(L)
-    image = {(iv.bottom, iv.top, iv.rank) for _, iv in pairs}
+    image = {iv for _, iv in pairs}
     return len(image) == len(pairs) and image == boolean_interval_scan(L)

@@ -7,14 +7,16 @@ from hypothesis import strategies as st
 from hibires.checks import (
     CheckReport,
     check_interval_bijection,
+    check_interval_monotonicity,
     check_lemma_corollary,
     check_lemma_distinct_meets,
     check_oracle_hibi,
+    check_rank_two,
     run_checks,
 )
 from hibires.fixtures import FIXTURES, fixture_lattice
 from hibires.ideals import monomial, render_monomial
-from hibires.lattice import random_corpus, random_sublattice
+from hibires.lattice import random_corpus, random_sublattice, validate_sublattice
 from hibires.resolution import betti_table_from_basis, build_resolution
 
 from conftest import (
@@ -100,7 +102,7 @@ def agree_with_references(L):
         (L.meet_of(g.S, g.p), g.p, g.hom_degree)
         for level in C.levels
         for g in level
-    } == {(iv.bottom, iv.top, iv.rank) for _, iv in boolean_intervals(L)}
+    } == {iv for _, iv in boolean_intervals(L)}
 
 
 class TestBasisReadChecks:
@@ -162,4 +164,25 @@ class TestTamperedBasis:
         C.levels[1][1] = C.levels[1][0]
         assert verdict(check_interval_bijection, C)[:2] == (
             "interval_bijection", False
+        )
+
+
+class TestTamperedLattice:
+    def test_wide_interval_fails_rank_two(self):
+        # {empty, {1}, {2}, {1,2}, {1,2,3}} with N({1,2,3}) forged to
+        # ({1}, {2}): their meet is empty, and [empty, {1,2,3}] has five
+        # elements, not four
+        L = validate_sublattice({0, 0b001, 0b010, 0b011, 0b111}, 3)
+        L = dataclasses.replace(L, lower={**L.lower, 0b111: (0b001, 0b010)})
+        assert verdict(check_rank_two, L) == (
+            "rank_two_fact", False,
+            (0b111, 0b001, 0b010, [0, 0b001, 0b010, 0b011, 0b111]),
+        )
+
+    def test_raised_f_fails_monotonicity(self, B2):
+        # N({1}) forged empty: f({1}) = 1 - 0 - 0 exceeds f({1,2}) = 0,
+        # and [empty, {1}] lies in the maximal interval [empty, {1,2}]
+        L = dataclasses.replace(B2, lower={**B2.lower, 0b01: ()})
+        assert verdict(check_interval_monotonicity, L) == (
+            "interval_monotonicity", False, (0b11, 0b01)
         )

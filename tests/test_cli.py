@@ -1,7 +1,14 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hibires
+import hibires.lattice as lattice_mod
 from hibires import cli
 from hibires.betti import BettiTable
 from hibires.cli import load_lattice, main
@@ -189,6 +196,19 @@ class TestAnalyze:
         )
         assert main(["analyze", "--input", str(path)]) == 1
         assert_clean_error(capsys, "TooManyNeighbors")
+
+    def test_lattice_past_the_size_bound_exit_1(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # with the bound at 2^10, an 11-pair matching (2^11 down-sets) is
+        # refused while its down-sets are enumerated
+        monkeypatch.setattr(lattice_mod, "NEIGHBOR_CAP", 10)
+        path = tmp_path / "matching.graph"
+        path.write_text(
+            "graph 11 11\n" + "".join(f"{i} {i}\n" for i in range(1, 12))
+        )
+        assert main(["analyze", "--input", str(path)]) == 1
+        assert_clean_error(capsys, "TooLarge")
 
     def test_fig1_extremal_lists(self, tmp_path, capsys):
         path = tmp_path / "FIG1.lat"
@@ -398,3 +418,69 @@ class TestFixturesCmd:
         assert rc == 0
         text = (tmp_path / "FIG1.lat").read_text()
         assert text == lattice_to_text(fig1())
+
+
+# sha256 of `analyze --input <NAME>.lat --level L --format F --no-timestamp`
+# stdout, run in the directory the fixtures were exported to
+ANALYZE_DIGESTS = {
+    ("E1", "formulas", "json"): "8d9cde1bfdf6ea94e94702a431bcb75a568553de682a80434fe5e87d8ad84024",
+    ("E1", "formulas", "text"): "e0e99b5f0511176a09035769eac865926951e7a658403298a3d93974fdca56bc",
+    ("E1", "oracle", "json"): "3e42d29b098393c406eee80cce22f662c2740fe9a2e3e64e4401d97c2c7a9d86",
+    ("E1", "oracle", "text"): "d52c09e3ff14838ec452af026ec99f72d2049a10d9102f7b7c07ff5191b35b3d",
+    ("K22", "formulas", "json"): "99059c95eb769fa3687ad6978f59ea1cf3f8423878eab9e68b6fb76d794cf77c",
+    ("K22", "formulas", "text"): "b0feb71f46ac1816004f4b87b23a8e8ab765ec320f4e42ae94e035aeb9997f05",
+    ("K22", "oracle", "json"): "85681ec7ad56ffc347782f0e241725ba3b9c89aafea5ebac41009ef437d04088",
+    ("K22", "oracle", "text"): "976f4086ef19f9703f1ab0bcc439882a22195a3169eb7386bf1be55c3bd18c69",
+    ("CHAIN", "formulas", "json"): "0ffe046a68e87633ac66bb7c8936a2d0a9558712d69e979a81b1c2af383e081b",
+    ("CHAIN", "formulas", "text"): "1b004b82a9bb746e1ff2b2263ac4721ef955ab15e6e4483e40d9e3a0919f7283",
+    ("CHAIN", "oracle", "json"): "dfa3b130b50f796dbf66bae8dbc1ec53f0937b4b567dc56f55aadc0128e471e2",
+    ("CHAIN", "oracle", "text"): "175f359d1fa98683891aedc071b7e8f2c3f919de2b9a3899bdf2596c292dfd15",
+    ("B2", "formulas", "json"): "c488ff3d903699857cee9b65b148ce164771be956db5b8780d12109a4ad05f5a",
+    ("B2", "formulas", "text"): "afd84355daf0461bf94f8d52714e468e1a08337becae8e78510874ce8dbc9463",
+    ("B2", "oracle", "json"): "e34bee4c47cd1b49207306e6415d4402fafbc5367e527b472cb3a06ad37e8bc9",
+    ("B2", "oracle", "text"): "e68b18113df68ec3e664504cb9713714c81511024b4b89d093bcc3b78039e6b4",
+    ("FIG1", "formulas", "json"): "533602b5960ee994c075929b84b4a0afc04e19765e79f80113e5586885dd72dd",
+    ("FIG1", "formulas", "text"): "db576ab6e6797e68da409bfcad00738c1e41d8c7c44d2717503d3fca59cc3087",
+    ("FIG1", "oracle", "json"): "df54ffef62b21c8b2bb897e2cb71a7009dcecb14269c92213979f953fdcc9514",
+    ("FIG1", "oracle", "text"): "d88f95ec8cbe0814a75da95ee43a5e245bb52df014e14053eacb18e63be08575",
+}
+
+
+@pytest.fixture(scope="module")
+def exported_fixtures(tmp_path_factory):
+    outdir = tmp_path_factory.mktemp("fixtures")
+    assert main(["fixtures", "--out", str(outdir)]) == 0
+    return outdir
+
+
+@pytest.mark.parametrize("name, level, fmt", sorted(ANALYZE_DIGESTS))
+def test_analyze_output_is_pinned(
+    name, level, fmt, exported_fixtures, capsys, monkeypatch
+):
+    monkeypatch.chdir(exported_fixtures)
+    capsys.readouterr()
+    argv = ["analyze", "--input", f"{name}.lat", "--level", level,
+            "--format", fmt, "--no-timestamp"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == ANALYZE_DIGESTS[name, level, fmt]
+
+
+@pytest.mark.parametrize("command", ["fixtures", "analyze"])
+def test_closed_stdout_exit_1_quietly(command, tmp_path):
+    # the read end of the pipe is closed before the child starts
+    (tmp_path / "FIG1.lat").write_text(lattice_to_text(fig1()))
+    argv = ["fixtures"] if command == "fixtures" else [
+        "analyze", "--input", "FIG1.lat"]
+    src = str(Path(hibires.__file__).resolve().parent.parent)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hibires.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")

@@ -6,6 +6,7 @@ import pytest
 
 import hibires
 from hibires.errors import NotCM
+from hibires.fixtures import FIXTURES, fixture_lattice
 from hibires.graphs import graph_from_lattice
 from hibires.ideals import edge_ideal, monomial
 from hibires.invariants import (
@@ -20,7 +21,9 @@ from hibires.invariants import (
     pd_and_reg_H,
     regularity_edge_ring,
 )
+from hibires.lattice import random_corpus
 from hibires.oracle import betti_oracle
+from hibires.resolution import build_resolution
 
 from conftest import m
 
@@ -132,7 +135,9 @@ from hibires.graphs import graph_from_lattice
 from hibires.fixtures import chain
 from hibires.ideals import edge_ideal
 from hibires.invariants import cm_extremal_placement_check
+from hibires.lattice import random_corpus
 from hibires.oracle import betti_oracle
+from hibires.resolution import build_resolution
 
 I = edge_ideal(graph_from_lattice(chain()))
 for call in (
@@ -169,8 +174,7 @@ class TestSubjectChecks:
 
 class TestReport:
     def test_fig1_report_json(self, FIG1):
-        rep = invariant_report(FIG1, level_ranks=[1, 2, 3])
-        obj = rep.to_json_obj()
+        obj = invariant_report(FIG1)
         assert obj["depth"] == 6 and obj["pd"] == 8 and obj["reg"] == 2
         assert obj["extremal_graded"] == [{"i": 8, "j": 10, "value": 2}]
         assert sorted(map(tuple, obj["b_set"])) == [
@@ -178,4 +182,14 @@ class TestReport:
             (1, 2, 3, 4),
             (1, 2, 3, 4, 5, 6, 7),
         ]
-        assert obj["resolution_level_ranks"] == [1, 2, 3]
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_level_ranks_match_the_basis_fixtures(self, name):
+        L = fixture_lattice(name)
+        ranks = invariant_report(L)["resolution_level_ranks"]
+        assert ranks == build_resolution(L).level_ranks()
+
+    def test_level_ranks_match_the_basis_corpus(self):
+        for L in random_corpus(200, 42):
+            ranks = invariant_report(L)["resolution_level_ranks"]
+            assert ranks == build_resolution(L).level_ranks()

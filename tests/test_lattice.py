@@ -17,14 +17,13 @@ from hibires.errors import (
     NotClosed,
     TooLarge,
 )
+from hibires.fixtures import FIXTURES, fixture_lattice
 from hibires.invariants import invariant_report
 from hibires.lattice import (
-    a_set,
     b_set,
     boolean_interval_scan,
     down_sets,
     f_value,
-    interval_of,
     lattice_from_json_obj,
     lattice_to_text,
     parse_lattice_text,
@@ -304,28 +303,37 @@ class TestMeet:
 
 
 class TestIntervals:
-    def test_interval_of_top_b2(self, B2):
-        iv = interval_of(B2, 0b11)
-        assert (iv.bottom, iv.top, iv.rank) == (0, 0b11, 2)
+    def test_bottom_of_top_b2(self, B2):
+        assert (B2.bottom[0b11], len(B2.lower[0b11])) == (0, 2)
+        assert B2.bottom[0] == 0
 
-    def test_interval_of_bottom_raises(self, B2):
-        with pytest.raises(BottomElement):
-            interval_of(B2, 0)
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_bottom_is_meet_of_neighbors_fixtures(self, name):
+        L = fixture_lattice(name)
+        assert all(
+            L.bottom[p] == L.meet_of(L.lower[p], p) for p in L.elements
+        )
+
+    @given(st.integers(1, 10), st.integers(0, 10), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_bottom_is_meet_of_neighbors(self, n, seeds, seed):
+        L = random_sublattice(n, seeds, seed)
+        assert all(
+            L.bottom[p] == L.meet_of(L.lower[p], p) for p in L.elements
+        )
 
     def test_bijection_counts(self, FIG1):
         pairs = boolean_intervals(FIG1)
         expected = sum(2 ** len(FIG1.neighbors(p)) for p in FIG1.elements)
         assert len(pairs) == expected
-        image = {(iv.bottom, iv.top, iv.rank) for _, iv in pairs}
+        image = {iv for _, iv in pairs}
         assert len(image) == expected
 
     @given(st.integers(2, 5), st.integers(0, 5), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_bijection_against_structural_scan(self, n, seeds, seed):
         L = random_sublattice(n, seeds, seed)
-        image = {
-            (iv.bottom, iv.top, iv.rank) for _, iv in boolean_intervals(L)
-        }
+        image = {iv for _, iv in boolean_intervals(L)}
         assert image == boolean_interval_scan(L)
 
 
@@ -354,7 +362,7 @@ class TestFAndSets:
             assert f_value(FIG1, p) == f
 
     def test_fig1_a_set(self, FIG1):
-        assert a_set(FIG1) == {
+        assert FIG1.a_set == {
             m(7, 1, 2, 3),
             m(7, 1, 2, 3, 4),
             m(7, 1, 2, 3, 5),
@@ -370,12 +378,12 @@ class TestFAndSets:
         }
 
     def test_b2_sets(self, B2):
-        assert a_set(B2) == {0b11}
+        assert B2.a_set == {0b11}
         assert b_set(B2) == {0b11}
 
     def test_a_set_is_frozen(self, FIG1):
-        assert isinstance(a_set(FIG1), frozenset)
-        assert a_set(FIG1) is a_set(FIG1)
+        assert isinstance(FIG1.a_set, frozenset)
+        assert FIG1.a_set is FIG1.a_set
 
     def test_scan_runs_once_per_report(self, FIG1, monkeypatch):
         calls = []
@@ -393,13 +401,13 @@ class TestFAndSets:
     def test_a_set_matches_pair_scan(self, seed):
         rng = random.Random(seed)
         L = random_sublattice(rng.randint(1, 9), rng.randint(0, 9), seed)
-        assert a_set(L) == a_set_reference(L)
+        assert L.a_set == a_set_reference(L)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_star_a_set_matches_pair_scan(self, n):
         L = star_lattice(n)
         assert len(L) == 2 ** (n - 1) + 1
-        assert a_set(L) == a_set_reference(L)
+        assert L.a_set == a_set_reference(L)
 
     @given(st.integers(2, 6), st.integers(0, 6), st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
@@ -407,13 +415,18 @@ class TestFAndSets:
         # maximality among all Boolean intervals, not only per-element ones
         L = random_sublattice(n, seeds, seed)
         ivals = [iv for _, iv in boolean_intervals(L)]
-        per_element = {p: interval_of(L, p) for p in L.elements if p != 0}
+        per_element = {
+            p: (L.meet_of(L.lower[p], p), p) for p in L.elements if p != 0
+        }
         exhaustive = {
             p
-            for p, iv in per_element.items()
-            if not any(other != iv and other.contains(iv) for other in ivals)
+            for p, (a, b) in per_element.items()
+            if not any(
+                (c, d) != (a, b) and is_subset(c, a) and is_subset(b, d)
+                for c, d, _ in ivals
+            )
         }
-        assert a_set(L) == exhaustive
+        assert L.a_set == exhaustive
 
 
 class TestRandom:
@@ -437,6 +450,14 @@ class TestRandom:
     def test_family_matches_pairwise_closure(self, n, seeds, seed):
         L = random_sublattice(n, seeds, seed)
         assert set(L.elements) == closure_reference(n, seeds, seed)
+
+    def test_size_bound(self, monkeypatch):
+        # with the bound at 2^10, B_10 (2^10 elements) is drawn and B_12
+        # (2^12) is refused
+        monkeypatch.setattr(lattice_mod, "NEIGHBOR_CAP", 10)
+        assert len(random_sublattice(10, 40, 0)) == 1 << 10
+        with pytest.raises(TooLarge):
+            random_sublattice(12, 40, 0)
 
     def test_corpus_skips_large_draws_quickly(self):
         # n = 32 draws can close to millions of elements; each is cut at
