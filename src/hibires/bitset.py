@@ -38,8 +38,9 @@ def positions_of(mask):
         mask ^= low
 
 
-def down_sets(closures):
-    """Every union of the given sets, the empty union first, each once.
+def down_sets(closures, limit):
+    """The set of every union of the given sets, the empty union included,
+    or a set of more than limit of them once the walk passes limit.
 
     Each step adds one given set whole, so every union is reached.  With
     closures[j] = D(j) of a distributive family the unions are the
@@ -48,15 +49,16 @@ def down_sets(closures):
     closures = set(closures)
     seen = {0}
     stack = [0]
-    yield 0
     while stack:
         p = stack.pop()
         for c in closures:
             q = p | c
             if q not in seen:
                 seen.add(q)
+                if len(seen) > limit:
+                    return seen
                 stack.append(q)
-                yield q
+    return seen
 
 
 def full_mask(n):

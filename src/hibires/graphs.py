@@ -98,7 +98,8 @@ def normalize_graph(raw_edges):
 
     raw_edges are (left-label, right-label) pairs with arbitrary hashable
     labels.  Raises NoPerfectMatching when sides differ in size or no
-    perfect matching exists (such a graph cannot be unmixed bipartite).
+    perfect matching exists (such a graph cannot be unmixed bipartite),
+    and TooLarge past MAX_GROUND pairs, before the matching is searched.
     """
     raw_edges = list(dict.fromkeys(raw_edges))
     if not raw_edges:
@@ -110,6 +111,8 @@ def normalize_graph(raw_edges):
             f"side sizes differ: {len(lefts)} vs {len(rights)}"
         )
     n = len(lefts)
+    if n > MAX_GROUND:
+        raise TooLarge(f"{n} matched pairs exceed the ground set bound {MAX_GROUND}")
     lidx = {a: i for i, a in enumerate(lefts, 1)}
     ridx = {b: j for j, b in enumerate(rights, 1)}
     adj = {i: [] for i in range(1, n + 1)}

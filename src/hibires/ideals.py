@@ -9,7 +9,6 @@ the x-part, then by the y-part.  Only :func:`monomial` and
 """
 
 from dataclasses import dataclass
-from itertools import islice
 
 from .bitset import down_sets, full_mask, indices_of, order_key, positions_of
 from .errors import ClosureTooLarge, ConsistencyError, ZeroIdeal
@@ -121,7 +120,7 @@ def lcm_closure(I, cap=CLOSURE_CAP):
     if I.is_zero:
         raise ZeroIdeal("the zero ideal has an empty lcm closure")
     gens = set(I.gens)
-    unions = list(islice(down_sets(gens), cap + 2))
+    unions = down_sets(gens, cap + 1)
     if len(unions) > cap + 1:
         raise ClosureTooLarge(f"lcm closure exceeds the cap {cap}")
     return sorted((u for u in unions if u or 0 in gens), key=order_key)

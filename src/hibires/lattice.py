@@ -14,9 +14,8 @@ enumeration work on the D(j) rather than on pairs of elements.
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
-from itertools import combinations, islice
-from operator import and_
+from functools import cached_property
+from itertools import combinations
 
 from .bitset import (
     MAX_GROUND,
@@ -75,15 +74,6 @@ class CoverLattice:
             raise NotAnElement(f"{render_set(p)} is not a lattice element")
         return self.lower[p]
 
-    def meet_of(self, masks, context_p):
-        """Intersection of the given elements; the empty meet is context_p.
-
-        The empty-meet convention makes the degree-0 basis element b(p; {})
-        carry the multidegree of the generator attached to p.
-        """
-        masks = list(masks)
-        return reduce(and_, masks) if masks else context_p
-
     @cached_property
     def a_set(self):
         """A_G, the elements p whose interval [meet(N(p)), p] is a maximal
@@ -133,9 +123,8 @@ def _lower_covers(elements, D):
 def down_set_family(D):
     """The set of unions of the D(j), refused with TooLarge as soon as it
     passes 2^NEIGHBOR_CAP members."""
-    cap = 1 << NEIGHBOR_CAP
-    fam = set(islice(down_sets(D), cap + 1))
-    if len(fam) > cap:
+    fam = down_sets(D, 1 << NEIGHBOR_CAP)
+    if len(fam) > 1 << NEIGHBOR_CAP:
         raise TooLarge(f"the lattice has more than 2^{NEIGHBOR_CAP} elements")
     return fam
 
@@ -145,7 +134,8 @@ def validate_sublattice(family, n):
 
     Rejects rather than repairs: missing bounds or a missing set raise.
     The unions of the D(i) form the sublattice F generates and include F,
-    so F is closed exactly when the first |F| + 1 of them are members.
+    so F is closed exactly when a walk over them stopped past |F| finds
+    none outside F; NotClosed names the first one it finds in the order.
     """
     if n < 1 or n > MAX_GROUND:
         raise TooLarge(f"ground set size {n} outside 1..{MAX_GROUND}")
@@ -159,9 +149,9 @@ def validate_sublattice(family, n):
     if top not in fam:
         raise MissingTop(f"the full set {render_set(top)} is missing")
     D = tuple(_smallest_containing(fam, n))
-    for q in islice(down_sets(D), len(fam) + 1):
-        if q not in fam:
-            raise NotClosed(q)
+    missing = down_sets(D, len(fam)) - fam
+    if missing:
+        raise NotClosed(min(missing, key=order_key))
     elements = tuple(sorted(fam, key=order_key))
     return CoverLattice(n, elements, *_lower_covers(elements, D), D)
 
@@ -269,7 +259,7 @@ def random_corpus(count, rng_seed, n_max=6):
         n = rng.randint(2, n_max)
         seed_count = rng.randint(1, n)
         D = _drawn_closures(n, seed_count, rng.getrandbits(32))
-        fam = set(islice(down_sets(D), CORPUS_SIZE_CAP + 1))
+        fam = down_sets(D, CORPUS_SIZE_CAP)
         if len(fam) <= CORPUS_SIZE_CAP:
             out.append(validate_sublattice(fam, n))
     return out

@@ -2,17 +2,21 @@
 
 The free module at homological degree i has basis elements b(p; S) with p
 a lattice element and S an i-element subset of the lower neighbors N(p).
-The differential sends b(p; S), for each q in S, to a y-monomial multiple
-of b(p; S \\ {q}) and an x-monomial multiple of b(q; q meet (S \\ {q})),
-with alternating signs governed by the position of q inside S.
+Its multidegree m = X_p * Y_{[n] \\ meet S} names it: distinct (p, S) have
+distinct meets.  Each q in S is p minus one maximal class c, and
+d b(p; S) = sum_c +-(y^c * e_{m / y^c} - x^c * e_{m / x^c}), with
+e_{m / y^c} = b(p; S \\ {q}), e_{m / x^c} = b(q; q meet (S \\ {q})) and
+alternating signs governed by the position of q inside S.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import and_
 
 from .betti import BettiTable
-from .bitset import full_mask, order_key
+from .bitset import full_mask
 from .errors import ConsistencyError, HomDegreeZero, TooManyNeighbors
 from .ideals import lattice_generator, monomial, render_monomial
 from .lattice import NEIGHBOR_CAP
@@ -32,19 +36,13 @@ class BasisElement:
         return len(self.S)
 
 
-def multidegree_of(L, p, S):
-    """X_p * Y over the complement of the meet of S (empty meet = p)."""
-    meet = L.meet_of(S, p)
-    return monomial(p, full_mask(L.n) & ~meet, L.n)
-
-
 def resolution_basis(L):
     """Levels of basis elements; level i holds all b(p; S) with |S| = i.
 
     Within a level, elements are ordered by p in the lattice order, then
-    by S lexicographically in the order of N(p).  The basis has
-    sum_p 2^|N(p)| elements and is refused past 2^NEIGHBOR_CAP, which
-    also bounds every single |N(p)|.
+    by S lexicographically in the order of N(p); the empty meet is p.  The
+    basis has sum_p 2^|N(p)| elements and is refused past 2^NEIGHBOR_CAP,
+    which also bounds every single |N(p)|.
     """
     size = sum(1 << len(L.neighbors(p)) for p in L.elements)
     if size > 1 << NEIGHBOR_CAP:
@@ -52,13 +50,14 @@ def resolution_basis(L):
             f"the basis has {size} elements, more than 2^{NEIGHBOR_CAP}"
         )
     top_level = max(len(L.neighbors(p)) for p in L.elements)
+    full = full_mask(L.n)
     levels = []
     for i in range(top_level + 1):
         level = []
         for p in L.elements:
-            nb = L.neighbors(p)
-            for S in combinations(nb, i):
-                level.append(BasisElement(p, S, multidegree_of(L, p, S)))
+            for S in combinations(L.neighbors(p), i):
+                meet = reduce(and_, S, p)
+                level.append(BasisElement(p, S, monomial(p, full & ~meet, L.n)))
         levels.append(level)
     return levels
 
@@ -66,25 +65,23 @@ def resolution_basis(L):
 def differential(L, g):
     """Terms of the differential applied to one basis element.
 
-    Returns a list of (target label (p', S'), sign, coefficient monomial);
-    the label names a basis element, whose multidegree the basis holds.
-    The two term families never share a target: one keeps p, the other
-    moves to some q in S.
+    Returns a list of (target multidegree, sign, coefficient monomial): for
+    q in S and c = p minus q, y^c on b(p; S \\ {q}) at m / y^c and x^c on
+    b(q; q meet (S \\ {q})) at m / x^c.  The two term families never share
+    a target: one keeps p, the other moves to some q in S.
     """
     if g.hom_degree == 0:
         raise HomDegreeZero("degree-0 elements map through the augmentation")
-    p, S = g.p, g.S
+    m = g.multidegree
     terms = []
-    for sigma, q in enumerate(S):
-        rest = tuple(r for r in S if r != q)
+    for sigma, q in enumerate(g.S):
+        c = g.p & ~q
+        y, x = monomial(0, c, L.n), monomial(c, 0, L.n)
         sign = -1 if sigma % 2 else 1
-        # y-term: stay at p, drop q from S
-        terms.append(((p, rest), sign, monomial(0, L.meet_of(rest, p) & ~q, L.n)))
-        # x-term: descend to q, meet the rest of S into N(q)
-        T = tuple(sorted({q & r for r in rest}, key=order_key))
-        terms.append(((q, T), -sign, monomial(p & ~q, 0, L.n)))
-    if len({label for label, _, _ in terms}) != len(terms):
-        raise ConsistencyError(f"differential targets collided at b({p}; {S})")
+        terms.append((m & ~y, sign, y))
+        terms.append((m & ~x, -sign, x))
+    if len({target for target, _, _ in terms}) != len(terms):
+        raise ConsistencyError(f"differential targets collided at b({g.p}; {g.S})")
     return terms
 
 
@@ -107,22 +104,24 @@ class ResolutionComplex:
 def build_resolution(L):
     levels = resolution_basis(L)
     index = {
-        (g.p, g.S): (i, pos)
+        g.multidegree: (i, pos)
         for i, lv in enumerate(levels)
         for pos, g in enumerate(lv)
     }
+    if len(index) != sum(map(len, levels)):
+        raise ConsistencyError("two basis elements share a multidegree")
     diffs = []
     for i in range(1, len(levels)):
         per_source = []
         for g in levels[i]:
             deg = g.multidegree
             entries = []
-            for label, sign, coeff in differential(L, g):
-                found = index.get(label)
+            for target, sign, coeff in differential(L, g):
+                found = index.get(target)
                 if found is None:
                     raise ConsistencyError(
-                        f"differential of b({g.p}; {g.S}) names b{label}, "
-                        "which is not a basis element"
+                        f"differential of b({g.p}; {g.S}) targets degree "
+                        f"{render_monomial(target, L.n)}, not a basis element"
                     )
                 ti, tpos = found
                 if ti != i - 1:
@@ -130,7 +129,7 @@ def build_resolution(L):
                         f"differential of a level-{i} element lands in level {ti}"
                     )
                 # multigraded homogeneity: lcm(target degree, entry) = deg
-                if levels[ti][tpos].multidegree | coeff != deg:
+                if target | coeff != deg:
                     raise ConsistencyError(
                         f"entry {render_monomial(coeff, L.n)} of b({g.p}; {g.S}) "
                         "is not homogeneous"

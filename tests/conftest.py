@@ -1,10 +1,15 @@
+from functools import reduce
 from itertools import combinations
+from operator import and_
 
 import pytest
 
-from hibires.bitset import mask_of
+from hibires.bitset import full_mask, mask_of, order_key
+from hibires.errors import ConsistencyError
 from hibires.fixtures import b2, chain, e1, fig1, k22
+from hibires.ideals import monomial
 from hibires.lattice import boolean_interval_scan
+from hibires.resolution import BasisElement
 
 
 @pytest.fixture
@@ -37,6 +42,64 @@ def m(n, *indices):
     return mask_of(indices, n)
 
 
+def meet(S, p):
+    """Intersection of the elements S below p; the empty meet is p."""
+    return reduce(and_, S, p)
+
+
+def basis_element(L, p, S):
+    """b(p; S) with its multidegree X_p * Y over the complement of meet S."""
+    return BasisElement(p, S, monomial(p, full_mask(L.n) & ~meet(S, p), L.n))
+
+
+# --- reference resolution --------------------------------------------------
+# The resolution with basis elements labelled by (p, S): every term of the
+# differential is named by its (p', S') label, found through meets and a
+# (p, S) index.  build_resolution, keyed by multidegree, must agree with it.
+
+def reference_differential(L, g):
+    """(target label (p', S'), sign, coefficient) for each term of d g."""
+    p, S = g.p, g.S
+    terms = []
+    for sigma, q in enumerate(S):
+        rest = tuple(r for r in S if r != q)
+        sign = -1 if sigma % 2 else 1
+        # y-term: stay at p, drop q from S
+        terms.append(((p, rest), sign, monomial(0, meet(rest, p) & ~q, L.n)))
+        # x-term: descend to q, meet the rest of S into N(q)
+        T = tuple(sorted({q & r for r in rest}, key=order_key))
+        terms.append(((q, T), -sign, monomial(p & ~q, 0, L.n)))
+    if len({label for label, _, _ in terms}) != len(terms):
+        raise ConsistencyError(f"differential targets collided at b({p}; {S})")
+    return terms
+
+
+def reference_resolution(L):
+    """Levels and differentials, in the layout of ResolutionComplex."""
+    nb = {p: L.neighbors(p) for p in L.elements}
+    levels = [
+        [basis_element(L, p, S) for p in L.elements for S in combinations(nb[p], i)]
+        for i in range(max(map(len, nb.values())) + 1)
+    ]
+    index = {
+        (g.p, g.S): (i, pos)
+        for i, lv in enumerate(levels)
+        for pos, g in enumerate(lv)
+    }
+    diffs = []
+    for i in range(1, len(levels)):
+        per_source = []
+        for g in levels[i]:
+            entries = []
+            for label, sign, coeff in reference_differential(L, g):
+                ti, tpos = index[label]
+                assert ti == i - 1
+                entries.append((tpos, sign, coeff))
+            per_source.append(entries)
+        diffs.append(per_source)
+    return levels, diffs
+
+
 # --- references for the basis-read checks --------------------------------
 # Each enumerates the subsets of N(p) itself, independently of
 # resolution_basis.
@@ -54,7 +117,7 @@ def boolean_intervals(L):
         nb = L.neighbors(p)
         for k in range(len(nb) + 1):
             for S in combinations(nb, k):
-                out.append(((p, S), (L.meet_of(S, p), p, k)))
+                out.append(((p, S), (meet(S, p), p, k)))
     return out
 
 
@@ -63,7 +126,7 @@ def distinct_meets_reference(L):
     for p in L.elements:
         nb = L.neighbors(p)
         meets = [
-            L.meet_of(S, p)
+            meet(S, p)
             for k in range(len(nb) + 1)
             for S in combinations(nb, k)
         ]
@@ -78,10 +141,10 @@ def corollary_reference(L):
         nb = L.neighbors(p)
         for k in range(len(nb) + 1):
             for Sp in combinations(nb, k):
-                mp = L.meet_of(Sp, p).bit_count()
+                mp = meet(Sp, p).bit_count()
                 for k2 in range(k + 1):
                     for S in combinations(Sp, k2):
-                        m = L.meet_of(S, p).bit_count()
+                        m = meet(S, p).bit_count()
                         if len(Sp) - len(S) > m - mp:
                             return False
     return True

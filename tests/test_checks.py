@@ -24,6 +24,7 @@ from conftest import (
     boolean_intervals,
     corollary_reference,
     distinct_meets_reference,
+    meet,
 )
 
 
@@ -99,7 +100,7 @@ def agree_with_references(L):
     assert [ok for _, ok, _ in basis_verdicts(C)] == reference_verdicts(L)
     # the basis carries the same intervals as the pairs (p, S)
     assert {
-        (L.meet_of(g.S, g.p), g.p, g.hom_degree)
+        (meet(g.S, g.p), g.p, g.hom_degree)
         for level in C.levels
         for g in level
     } == {iv for _, iv in boolean_intervals(L)}

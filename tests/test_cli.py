@@ -187,6 +187,25 @@ class TestAnalyze:
         assert main(["analyze", "--input", str(path)]) == 1
         assert_clean_error(capsys, "TooLarge")
 
+    def test_long_augmenting_path_exit_1(self, tmp_path):
+        # 3000 pairs whose matching needs a 3000-step augmenting path:
+        # refused on n before the matching is searched
+        n = 3000
+        path = tmp_path / "cycle.graph"
+        path.write_text(
+            f"graph {n} {n}\n"
+            + "".join(f"{i} {i}\n{i} {i + 1}\n" for i in range(1, n))
+            + f"{n} 1\n"
+        )
+        src = str(Path(hibires.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "hibires.cli", "analyze", "--input", str(path)],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+        (line,) = proc.stderr.splitlines()
+        assert (proc.returncode, json.loads(line)["error"]) == (1, "TooLarge")
+
     def test_basis_past_the_cap_exit_1(self, tmp_path, capsys):
         # 13 pairs: every |N(p)| <= 13, but the basis has 3^13 > 2^20
         # elements and is refused before any of them is built

@@ -105,6 +105,23 @@ class TestNormalize:
         with pytest.raises(EmptyInput):
             normalize_graph([])
 
+    def test_long_augmenting_path_refused_on_size(self):
+        # edges (i, i), (i, i+1) and (n, 1): matching left n needs an
+        # augmenting path through every pair
+        n = 3000
+        edges = [(i, j) for i in range(1, n) for j in (i, i + 1)] + [(n, 1)]
+        with pytest.raises(TooLarge):
+            normalize_graph(edges)
+
+    def test_ground_bound(self):
+        n = MAX_GROUND
+        assert normalize_graph([(i, i) for i in range(1, n + 1)]).n == n
+        with pytest.raises(TooLarge):
+            normalize_graph([(i, i) for i in range(1, n + 2)])
+        # the side sizes are compared first
+        with pytest.raises(NoPerfectMatching):
+            normalize_graph([(1, j) for j in range(1, n + 2)])
+
     def test_labels_recorded(self):
         G = normalize_graph([("u", "v")])
         assert G.raw_labels["left"][1] == "u"

@@ -32,7 +32,7 @@ from hibires.lattice import (
     validate_sublattice,
 )
 
-from conftest import boolean_intervals, m
+from conftest import boolean_intervals, m, meet
 
 
 def lower_neighbors_reference(elements, p):
@@ -91,7 +91,7 @@ def closed_by_pairs(fam):
 def a_set_reference(L):
     """A_G by the element-pair scan: p is kept unless another interval
     [meet(N(q)), q] contains [meet(N(p)), p]."""
-    ivals = [(L.meet_of(L.lower[p], p), p) for p in L.elements if p != 0]
+    ivals = [(meet(L.lower[p], p), p) for p in L.elements if p != 0]
     return {
         p
         for a, p in ivals
@@ -265,12 +265,18 @@ class TestDownSets:
     def test_merged_classes(self):
         # K22's preorder has one class {1,2}: adding a lone index would
         # produce {1} or {2}, which are not down-sets
-        assert set(down_sets([0b11, 0b11])) == {0, 0b11}
+        assert down_sets([0b11, 0b11], 4) == {0, 0b11}
 
     def test_each_once_empty_first(self):
-        out = list(down_sets([0b001, 0b011, 0b100]))
-        assert out[0] == 0
-        assert len(out) == len(set(out)) == 6
+        assert down_sets([0b001, 0b011, 0b100], 6) == {
+            0, 0b001, 0b011, 0b100, 0b101, 0b111
+        }
+
+    @pytest.mark.parametrize("limit", range(1, 6))
+    def test_stops_past_the_limit(self, limit):
+        # six unions in all: the walk returns limit + 1 of them
+        out = down_sets([0b001, 0b011, 0b100], limit)
+        assert 0 in out and len(out) == limit + 1
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_preorders_against_scan(self, seed):
@@ -282,15 +288,15 @@ class TestDownSets:
             for p in range(1 << n)
             if all(D[j] & ~p == 0 for j in range(n) if p >> j & 1)
         }
-        assert set(down_sets(D)) == scan
+        assert down_sets(D, 1 << n) == scan
 
 
 class TestMeet:
     def test_empty_meet_is_context(self, B2):
-        assert B2.meet_of([], 0b11) == 0b11
+        assert meet([], 0b11) == 0b11
 
     def test_pair(self, B2):
-        assert B2.meet_of([0b01, 0b10], 0b11) == 0
+        assert meet([0b01, 0b10], 0b11) == 0
 
     def test_meet_lands_in_lattice(self, FIG1):
         from itertools import combinations
@@ -299,7 +305,7 @@ class TestMeet:
             nb = FIG1.neighbors(p)
             for k in range(len(nb) + 1):
                 for S in combinations(nb, k):
-                    assert FIG1.meet_of(S, p) in FIG1
+                    assert meet(S, p) in FIG1
 
 
 class TestIntervals:
@@ -311,7 +317,7 @@ class TestIntervals:
     def test_bottom_is_meet_of_neighbors_fixtures(self, name):
         L = fixture_lattice(name)
         assert all(
-            L.bottom[p] == L.meet_of(L.lower[p], p) for p in L.elements
+            L.bottom[p] == meet(L.lower[p], p) for p in L.elements
         )
 
     @given(st.integers(1, 10), st.integers(0, 10), st.integers(0, 2**32 - 1))
@@ -319,7 +325,7 @@ class TestIntervals:
     def test_bottom_is_meet_of_neighbors(self, n, seeds, seed):
         L = random_sublattice(n, seeds, seed)
         assert all(
-            L.bottom[p] == L.meet_of(L.lower[p], p) for p in L.elements
+            L.bottom[p] == meet(L.lower[p], p) for p in L.elements
         )
 
     def test_bijection_counts(self, FIG1):
@@ -416,7 +422,7 @@ class TestFAndSets:
         L = random_sublattice(n, seeds, seed)
         ivals = [iv for _, iv in boolean_intervals(L)]
         per_element = {
-            p: (L.meet_of(L.lower[p], p), p) for p in L.elements if p != 0
+            p: (meet(L.lower[p], p), p) for p in L.elements if p != 0
         }
         exhaustive = {
             p

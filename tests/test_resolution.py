@@ -11,19 +11,19 @@ import hibires
 from hibires import resolution
 from hibires.errors import ConsistencyError, HomDegreeZero, TooManyNeighbors
 from hibires.ideals import hibi_ideal, lcm_closure, monomial
-from hibires.lattice import random_sublattice, validate_sublattice
+from hibires.lattice import random_corpus, random_sublattice, validate_sublattice
 from hibires.resolution import (
-    BasisElement,
     betti_table_from_basis,
     build_resolution,
     differential,
-    multidegree_of,
     resolution_basis,
     strand_exactness,
     verify_complex,
     verify_minimality,
 )
 from hibires.checks import _mutate_differential
+
+from conftest import basis_element, reference_resolution
 
 
 class TestBasis:
@@ -32,10 +32,15 @@ class TestBasis:
         assert [len(lv) for lv in levels] == [3, 2]
 
     def test_chain_multidegrees(self, CHAIN):
-        assert multidegree_of(CHAIN, 0b01, ()) == monomial(0b01, 0b10, 2)
+        degrees = {
+            (g.p, g.S): g.multidegree
+            for level in resolution_basis(CHAIN)
+            for g in level
+        }
+        assert degrees[0b01, ()] == monomial(0b01, 0b10, 2)
         # b({1}; {empty}) has meet the empty set, so Y over everything
-        assert multidegree_of(CHAIN, 0b01, (0,)) == monomial(0b01, 0b11, 2)
-        assert multidegree_of(CHAIN, 0b11, (0b01,)) == monomial(0b11, 0b10, 2)
+        assert degrees[0b01, (0,)] == monomial(0b01, 0b11, 2)
+        assert degrees[0b11, (0b01,)] == monomial(0b11, 0b10, 2)
 
     def test_b2_top_element(self, B2):
         levels = resolution_basis(B2)
@@ -64,7 +69,7 @@ class TestBasis:
         def stop(*args):
             raise Enumerated
 
-        monkeypatch.setattr(resolution, "multidegree_of", stop)
+        monkeypatch.setattr(resolution, "BasisElement", stop)
         L = validate_sublattice(range(1 << n), n)
         with pytest.raises(TooManyNeighbors if refused else Enumerated):
             resolution_basis(L)
@@ -82,27 +87,27 @@ class TestBasis:
 
 class TestDifferential:
     def test_degree_zero_raises(self, CHAIN):
-        g = BasisElement(0b01, (), multidegree_of(CHAIN, 0b01, ()))
+        g = basis_element(CHAIN, 0b01, ())
         with pytest.raises(HomDegreeZero):
             differential(CHAIN, g)
 
     def test_chain_explicit(self, CHAIN):
         # d b({1}; {empty}) = y1 * b({1}; {}) - x1 * b(empty; {})
-        g = BasisElement(0b01, (0,), multidegree_of(CHAIN, 0b01, (0,)))
+        g = basis_element(CHAIN, 0b01, (0,))
         terms = differential(CHAIN, g)
         assert sorted(terms) == sorted(
             [
-                ((0b01, ()), 1, monomial(0, 0b01, 2)),
-                ((0, ()), -1, monomial(0b01, 0, 2)),
+                (monomial(0b01, 0b10, 2), 1, monomial(0, 0b01, 2)),
+                (monomial(0, 0b11, 2), -1, monomial(0b01, 0, 2)),
             ]
         )
 
     def test_homogeneity(self, FIG1):
         for level in resolution_basis(FIG1)[1:]:
             for g in level:
-                for (q, T), _, coeff in differential(FIG1, g):
+                for target, _, coeff in differential(FIG1, g):
                     assert coeff & ~g.multidegree == 0
-                    assert multidegree_of(FIG1, q, T) | coeff == g.multidegree
+                    assert target | coeff == g.multidegree
 
     def test_term_count(self, FIG1):
         for level in resolution_basis(FIG1)[1:]:
@@ -198,6 +203,43 @@ finally:
 """
 
 
+# Gives the last basis element the multidegree of the first; run both
+# in-process and in a python -O subprocess.
+SHARED_MULTIDEGREE = """
+import dataclasses
+import hibires.resolution as r
+from hibires.errors import ConsistencyError
+from hibires.fixtures import b2
+
+right = r.resolution_basis
+
+def shared(L):
+    levels = right(L)
+    levels[-1][-1] = dataclasses.replace(
+        levels[-1][-1], multidegree=levels[0][0].multidegree
+    )
+    return levels
+
+r.resolution_basis = shared
+try:
+    r.build_resolution(b2())
+except ConsistencyError as exc:
+    print(exc)
+finally:
+    r.resolution_basis = right
+"""
+
+
+def run_optimized(code):
+    """stdout of code run by python -O on this checkout's package."""
+    src = str(Path(hibires.__file__).resolve().parent.parent)
+    code = f"import sys; sys.path.insert(0, {src!r})\n" + code
+    return subprocess.run(
+        [sys.executable, "-O", "-I", "-c", code],
+        capture_output=True, text=True, check=True,
+    ).stdout
+
+
 class TestConsistencyChecks:
     def test_wrong_coefficient_raises(self, capsys):
         exec(WRONG_COEFFICIENT, {})
@@ -205,31 +247,86 @@ class TestConsistencyChecks:
 
     def test_wrong_coefficient_raises_under_optimize(self):
         # the checks are plain raises, so python -O keeps them
-        src = str(Path(hibires.__file__).resolve().parent.parent)
-        code = f"import sys; sys.path.insert(0, {src!r})\n" + WRONG_COEFFICIENT
-        out = subprocess.run(
-            [sys.executable, "-O", "-I", "-c", code],
-            capture_output=True, text=True, check=True,
-        )
-        assert "not homogeneous" in out.stdout
+        assert "not homogeneous" in run_optimized(WRONG_COEFFICIENT)
+
+    def test_shared_multidegree_raises(self, capsys):
+        exec(SHARED_MULTIDEGREE, {})
+        assert "share a multidegree" in capsys.readouterr().out
+
+    def test_shared_multidegree_raises_under_optimize(self):
+        out = run_optimized(SHARED_MULTIDEGREE)
+        assert "share a multidegree" in out
 
     def test_unknown_target_raises(self, B2, monkeypatch):
         right = resolution.differential
 
         def stray(L, g):
+            # no basis element has the unit multidegree
             _, sign, coeff = right(L, g)[0]
-            return [((g.p, (0b111,)), sign, coeff)]
+            return [(monomial(0, 0, L.n), sign, coeff)]
 
         monkeypatch.setattr(resolution, "differential", stray)
         with pytest.raises(ConsistencyError, match="not a basis element"):
             build_resolution(B2)
 
+    def test_wrong_level_target_raises(self, B2, monkeypatch):
+        right = resolution.differential
+
+        def upward(L, g):
+            # g itself is a basis element, one level above the right one
+            _, sign, coeff = right(L, g)[0]
+            return [(g.multidegree, sign, coeff)]
+
+        monkeypatch.setattr(resolution, "differential", upward)
+        with pytest.raises(ConsistencyError, match="lands in level 1"):
+            build_resolution(B2)
+
+    def test_level_rank_mismatch_raises(self, B2, monkeypatch):
+        right = resolution.resolution_basis
+
+        def short(L):
+            # drop the top element b({1,2}; N({1,2})), which no term targets
+            levels = right(L)
+            levels[-1].pop()
+            return levels
+
+        monkeypatch.setattr(resolution, "resolution_basis", short)
+        with pytest.raises(ConsistencyError, match=r"level ranks \[4, 4, 0\]"):
+            build_resolution(B2)
+
     def test_target_collision_raises(self, B2):
         # a malformed S repeating a neighbor sends two terms to b(p; ())
         S = (0b01, 0b01)
-        g = BasisElement(0b11, S, multidegree_of(B2, 0b11, S))
+        g = basis_element(B2, 0b11, S)
         with pytest.raises(ConsistencyError, match="collided"):
             differential(B2, g)
+
+
+def assert_matches_reference(L):
+    C = build_resolution(L)
+    assert (C.levels, C.diffs) == reference_resolution(L)
+
+
+class TestAgainstReference:
+    # the (p, S)-labelled differential of conftest, found through meets,
+    # against the multidegree-keyed one
+
+    @pytest.mark.parametrize("name", ["E1", "K22", "CHAIN", "B2", "FIG1"])
+    def test_fixtures(self, name, request):
+        assert_matches_reference(request.getfixturevalue(name))
+
+    def test_random_corpus(self):
+        for L in random_corpus(200, 42):
+            assert_matches_reference(L)
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_boolean(self, n):
+        assert_matches_reference(validate_sublattice(range(1 << n), n))
+
+    @given(st.integers(1, 8), st.integers(0, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random(self, n, seeds, seed):
+        assert_matches_reference(random_sublattice(n, seeds, seed))
 
 
 class TestBettiFromBasis:
