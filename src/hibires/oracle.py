@@ -10,13 +10,25 @@ squarefree monomial ideal I:
 * the upper Koszul complex K^b: the subsets t of supp(b) with b/t still in
   I, with beta_{i,b}(I) = dim H~_{i-1}(K^b).
 
+When every generator has degree 2 (every edge ideal, and the Hibi ideals
+with n = 2), Delta_b is the independence complex Ind(G[W]) of the graph G
+the generators span, on W = supp(b).  Engstrom's fold lemma ("Complexes
+of directed trees and independence complexes", Discrete Math. 309, 2009)
+says Ind(G) and Ind(G - v) are homotopy equivalent when N(u) is contained
+in N(v) for some u other than v.  The oracle folds G[W] until no fold
+applies and reads the residue R: an isolated vertex makes Ind a cone (no
+homology), a perfect matching with k edges makes it S^{k-1}
+(beta_{|W|-k-1,b} = 1), and any other residue is computed like the
+multidegree R below, its homological degree shifted by |W| - |R|.
+
 A subset t lies in K^b exactly when its complement in supp(b) does not lie
 in Delta_b (Alexander duality inside supp(b)), so the two complexes split
-the 2^|b| subsets of supp(b) between them.  The oracle builds the smaller
-one: it enumerates Delta_b up to half of those subsets and switches to K^b
-once Delta_b has more.  Both come from one depth-first face generator, and
-the reduced homology ranks come from exact linear algebra over Q or F_p.
-A complex past FACE_CAP faces is refused with ClosureTooLarge.
+the 2^|b| subsets of supp(b) between them.  Where it builds a complex,
+the oracle builds the smaller one: it enumerates Delta_b up to half of
+those subsets and switches to K^b once Delta_b has more.  Both come from
+one depth-first face generator, and the reduced homology ranks come from
+exact linear algebra over Q or F_p.  A complex past FACE_CAP faces is
+refused with ClosureTooLarge.
 """
 
 from dataclasses import dataclass
@@ -71,6 +83,46 @@ def _koszul(gens):
 
 def _bits(mask):
     return [1 << v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def _is_quadratic(I):
+    return all(g.bit_count() == 2 for g in I.gens)
+
+
+def _fold(b, gens):
+    """Fold the graph that the quadratic generators dividing b span on
+    supp(b): drop a vertex v while some u != v has N(u) inside N(v).
+
+    None when some vertex is (or becomes) isolated: Delta_b is a cone.
+    Otherwise (R, matching): the residue's vertex mask R, and whether the
+    induced graph on R is a perfect matching.
+    """
+    nbr = {}  # vertex bit -> mask of its neighbours
+    for g in gens:
+        u = g & -g
+        nbr[u] = nbr.get(u, 0) | g ^ u
+        nbr[g ^ u] = nbr.get(g ^ u, 0) | u
+    if len(nbr) < b.bit_count():
+        return None
+    folded = True
+    while folded:
+        folded = False
+        for v in list(nbr):
+            nv = nbr[v]
+            for u, nu in nbr.items():
+                if not nu & ~nv and u != v:
+                    break
+            else:
+                continue  # no other neighbourhood lies inside N(v)
+            del nbr[v]
+            while nv:
+                w = nv & -nv
+                nv ^= w
+                nbr[w] ^= v
+                if not nbr[w]:
+                    return None
+            folded = True
+    return sum(nbr), all(nv & (nv - 1) == 0 for nv in nbr.values())
 
 
 def _faces(bmask, family, max_size=None):
@@ -176,16 +228,30 @@ def reduced_homology_ranks(K, field="Q"):
 def betti_oracle(I, field="Q"):
     """Multigraded Betti table of the ideal from simplicial homology.
 
-    Candidate multidegrees are the lcm closure of the generators; each is
-    read off the smaller of Delta_b and K^b.
+    Candidate multidegrees are the lcm closure of the generators.  For a
+    quadratic ideal each is folded first (see the module docstring);
+    a residue that is neither a cone nor a matching, and every multidegree
+    of any other ideal, is read off the smaller of Delta_b and K^b.
     """
     if I.is_zero:
         raise ZeroIdeal("the zero ideal has no Betti table")
     table = BettiTable(I.n, "ideal")
+    quadratic = _is_quadratic(I)
     for b in lcm_closure(I):
-        K, on_delta = _smaller_side(I, b)
+        r, shift = b, 0
+        if quadratic:
+            folded = _fold(b, _divisors(I, b))
+            if folded is None:
+                continue
+            r, matching = folded
+            if matching:
+                table.add(b.bit_count() - r.bit_count() // 2 - 1, b)
+                continue
+            shift = b.bit_count() - r.bit_count()
+        K, on_delta = _smaller_side(I, r)
         for d, h in reduced_homology_ranks(K, field).items():
-            table.add(b.bit_count() - d - 2 if on_delta else d + 1, b, h)
+            i = r.bit_count() - d - 2 if on_delta else d + 1
+            table.add(i + shift, b, h)
     return table
 
 
@@ -193,12 +259,22 @@ def betti_value_at(I, b, i, field="Q"):
     """Single Betti number beta_{i,b}(I), touching only three face sizes.
 
     Much cheaper than the full table when only a few positions matter
-    (last-column totals, single graded values).  The faces come from
-    Delta_b up to |b|-i vertices or from K^b up to i+1 vertices, whichever
-    limit is smaller, and stop at FACE_CAP faces (ClosureTooLarge past it).
+    (last-column totals, single graded values).  A quadratic ideal folds
+    b first, as betti_oracle does.  The faces come from Delta_b up to
+    |b|-i vertices or from K^b up to i+1 vertices, whichever limit is
+    smaller, and stop at FACE_CAP faces (ClosureTooLarge past it).
     """
-    if i == 0:
-        return 1 if b in I.gens else 0
+    if _is_quadratic(I):
+        folded = _fold(b, _divisors(I, b))
+        if folded is None:
+            return 0
+        r, matching = folded
+        if matching:
+            return int(i == b.bit_count() - r.bit_count() // 2 - 1)
+        i -= b.bit_count() - r.bit_count()
+        b = r
+    if i <= 0:
+        return int(i == 0 and b in I.gens)
     gens = _divisors(I, b)
     k = b.bit_count()
     if k - i <= i + 1:

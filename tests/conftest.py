@@ -8,7 +8,11 @@ from hibires.bitset import full_mask, mask_of, order_key
 from hibires.errors import ConsistencyError
 from hibires.fixtures import b2, chain, e1, fig1, k22
 from hibires.ideals import monomial
-from hibires.lattice import boolean_interval_scan
+from hibires.lattice import (
+    boolean_interval_scan,
+    down_set_family,
+    validate_sublattice,
+)
 from hibires.resolution import BasisElement
 
 
@@ -155,3 +159,22 @@ def bijection_reference(L):
     pairs = boolean_intervals(L)
     image = {iv for _, iv in pairs}
     return len(image) == len(pairs) and image == boolean_interval_scan(L)
+
+
+# --- crowns ------------------------------------------------------------------
+
+def crown_lattice(k, twin=False):
+    """Down-sets of the 2k-crown poset: minimal elements 1, 3, ..., 2k-1,
+    maximal elements 2, 4, ..., 2k, and 2t-1, 2t+1 < 2t (cyclically).  Its
+    graph (edges x_i y_j for i <= j) induces the cycle C_2k on
+    x_1 x_3 ... x_(2k-1) y_2 y_4 ... y_2k.  With twin, a minimal element
+    2k+1 below 2 and 2k is added: on that cycle plus x_(2k+1), the vertex
+    x_(2k+1) has the neighbours of x_1."""
+    n = 2 * k + twin
+    D = [1 << j for j in range(n)]  # D[j-1]: the elements below or at j
+    for t in range(1, k + 1):
+        D[2 * t - 1] |= 1 << (2 * t - 2) | 1 << (2 * t % (2 * k))
+    if twin:
+        D[1] |= 1 << 2 * k
+        D[2 * k - 1] |= 1 << 2 * k
+    return validate_sublattice(down_set_family(D), n)

@@ -23,6 +23,7 @@ from conftest import (
     bijection_reference,
     boolean_intervals,
     corollary_reference,
+    crown_lattice,
     distinct_meets_reference,
     meet,
 )
@@ -31,6 +32,13 @@ from conftest import (
 @pytest.mark.parametrize("name", ["E1", "K22", "CHAIN", "B2"])
 def test_fixture_oracle_level(name, request):
     report = run_checks(request.getfixturevalue(name), level="oracle")
+    assert report.ok, report.first_failure()
+
+
+@pytest.mark.parametrize("twin", [False, True])
+def test_crown_oracle_level(twin):
+    # the k = 3 crown's edge oracle reaches the fold's fallback (Ind(C_6))
+    report = run_checks(crown_lattice(3, twin=twin), level="oracle")
     assert report.ok, report.first_failure()
 
 

@@ -286,6 +286,23 @@ class TestVerify:
     def test_input_files(self, chain_file, capsys):
         assert main(["verify", "--input", chain_file]) == 0
 
+    def test_runs_as_python_m_hibires(self):
+        # what `PYTHONPATH=src python -m hibires verify --fixtures` does,
+        # in an isolated interpreter that reads no PYTHONPATH: src goes on
+        # sys.path by hand and runpy runs the package's __main__
+        src = str(Path(hibires.__file__).resolve().parent.parent)
+        code = (
+            "import runpy, sys; sys.path.insert(0, sys.argv.pop(1)); "
+            "runpy.run_module('hibires', run_name='__main__', alter_sys=True)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c", code, src, "verify", "--fixtures"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "PASS FIG1 complex_d_squared_zero" in proc.stdout
+
     def test_no_input_exit_1(self, capsys):
         assert main(["verify"]) == 1
         assert "verify needs --input files or --fixtures" in capsys.readouterr().err
