@@ -9,6 +9,7 @@ the x-part, then by the y-part.  Only :func:`monomial` and
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .bitset import down_sets, full_mask, indices_of, order_key, positions_of
 from .errors import ClosureTooLarge, ConsistencyError, ZeroIdeal
@@ -54,6 +55,27 @@ class SquarefreeIdeal:
 
     def contains_monomial(self, m):
         return any(g & ~m == 0 for g in self.gens)
+
+    @cached_property
+    def degree_range(self):
+        """(d_min, d_max) over the generator degrees, or None for the zero
+        ideal; computed on first use and kept."""
+        degrees = [g.bit_count() for g in self.gens]
+        return (min(degrees), max(degrees)) if degrees else None
+
+    @cached_property
+    def graph(self):
+        """The graph the generators span when every one has degree 2, as
+        variable bit -> mask of its partners; None for any other ideal.
+        Computed on first use and kept."""
+        if any(g.bit_count() != 2 for g in self.gens):
+            return None
+        nbr = {}
+        for g in self.gens:
+            u = g & -g
+            nbr[u] = nbr.get(u, 0) | g ^ u
+            nbr[g ^ u] = nbr.get(g ^ u, 0) | u
+        return nbr
 
 
 def hibi_ideal(L):

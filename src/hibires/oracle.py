@@ -24,11 +24,22 @@ multidegree R below, its homological degree shifted by |W| - |R|.
 A subset t lies in K^b exactly when its complement in supp(b) does not lie
 in Delta_b (Alexander duality inside supp(b)), so the two complexes split
 the 2^|b| subsets of supp(b) between them.  Where it builds a complex,
-the oracle builds the smaller one: it enumerates Delta_b up to half of
-those subsets and switches to K^b once Delta_b has more.  Both come from
-one depth-first face generator, and the reduced homology ranks come from
+the oracle builds the smaller one.  A face of K^b misses a generator
+dividing b, so K^b has at most sum_g 2^(|b|-deg g) faces over those
+generators; when that bound is below half of the subsets, K^b is built
+at once.  Otherwise the oracle enumerates Delta_b up to half of the
+subsets and switches to K^b once Delta_b has more.  Both come from one
+depth-first face generator, and the reduced homology ranks come from
 exact linear algebra over Q or F_p.  A complex past FACE_CAP faces is
 refused with ClosureTooLarge.
+
+A single value beta_{i,b} is 0 outside the window
+d_min + i <= |b| <= d_max * (i+1) of the generator degrees (K^b has no
+face past |b| - d_min vertices, and by Taylor's resolution a multidegree
+that carries beta_i is the lcm of i+1 generators), so betti_value_at
+returns 0 there without folding or building a complex.  The degree range
+and the quadratic graph are computed once per ideal
+(SquarefreeIdeal.degree_range and SquarefreeIdeal.graph).
 """
 
 from dataclasses import dataclass
@@ -36,7 +47,7 @@ from itertools import islice
 
 from .betti import BettiTable
 from .errors import ClosureTooLarge, ZeroIdeal
-from .ideals import lcm_closure
+from .ideals import CLOSURE_CAP, lcm_closure
 from .linalg import rank_exact
 
 FACE_CAP = 1 << 16  # max faces of one complex before the oracle refuses
@@ -85,25 +96,23 @@ def _bits(mask):
     return [1 << v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
-def _is_quadratic(I):
-    return all(g.bit_count() == 2 for g in I.gens)
-
-
-def _fold(b, gens):
-    """Fold the graph that the quadratic generators dividing b span on
-    supp(b): drop a vertex v while some u != v has N(u) inside N(v).
+def _fold(b, graph):
+    """Fold the quadratic ideal's graph restricted to supp(b): drop a
+    vertex v while some u != v has N(u) inside N(v).
 
     None when some vertex is (or becomes) isolated: Delta_b is a cone.
     Otherwise (R, matching): the residue's vertex mask R, and whether the
-    induced graph on R is a perfect matching.
+    induced graph on R is a perfect matching.  The order of the folds does
+    not matter: the residue is the same graph up to isomorphism.
     """
-    nbr = {}  # vertex bit -> mask of its neighbours
-    for g in gens:
-        u = g & -g
-        nbr[u] = nbr.get(u, 0) | g ^ u
-        nbr[g ^ u] = nbr.get(g ^ u, 0) | u
-    if len(nbr) < b.bit_count():
-        return None
+    nbr = {}  # vertex bit -> mask of its neighbours inside supp(b)
+    rest = b
+    while rest:
+        v = rest & -rest
+        rest ^= v
+        nbr[v] = graph.get(v, 0) & b
+        if not nbr[v]:
+            return None
     folded = True
     while folded:
         folded = False
@@ -176,11 +185,18 @@ def _smaller_side(I, b):
     subsets of supp(b), else K^b.  Either side stops at FACE_CAP faces,
     past which ClosureTooLarge is raised.
 
-    A void Delta_b (only the unit ideal has one) falls to K^b, where the
-    homology degree still reads off directly.
+    A face of K^b misses some generator g dividing b, so K^b has at most
+    sum_g 2^(|b|-deg g) faces; when that bound is below half of the
+    subsets, K^b is built at once.  Otherwise Delta_b is enumerated up to
+    half of them.  A void Delta_b (only the unit ideal has one) falls to
+    K^b, where the homology degree still reads off directly.
     """
     gens = _divisors(I, b)
-    limit = min((1 << b.bit_count()) >> 1, FACE_CAP)
+    k = b.bit_count()
+    half = (1 << k) >> 1
+    if sum(1 << k - g.bit_count() for g in gens) < half:
+        return _complex(b, _faces(b, _koszul(gens))), False
+    limit = min(half, FACE_CAP)
     delta = list(islice(_faces(b, _delta(gens)), limit + 1))
     if 0 < len(delta) <= limit:
         return _complex(b, delta), True
@@ -236,11 +252,10 @@ def betti_oracle(I, field="Q"):
     if I.is_zero:
         raise ZeroIdeal("the zero ideal has no Betti table")
     table = BettiTable(I.n, "ideal")
-    quadratic = _is_quadratic(I)
     for b in lcm_closure(I):
         r, shift = b, 0
-        if quadratic:
-            folded = _fold(b, _divisors(I, b))
+        if I.graph is not None:
+            folded = _fold(b, I.graph)
             if folded is None:
                 continue
             r, matching = folded
@@ -259,24 +274,33 @@ def betti_value_at(I, b, i, field="Q"):
     """Single Betti number beta_{i,b}(I), touching only three face sizes.
 
     Much cheaper than the full table when only a few positions matter
-    (last-column totals, single graded values).  A quadratic ideal folds
-    b first, as betti_oracle does.  The faces come from Delta_b up to
-    |b|-i vertices or from K^b up to i+1 vertices, whichever limit is
-    smaller, and stop at FACE_CAP faces (ClosureTooLarge past it).
+    (last-column totals, single graded values).  It is 0 outside the
+    window d_min + i <= |b| <= d_max * (i+1) of the generator degrees:
+    K^b has no face with more than |b| - d_min vertices, and by Taylor's
+    resolution a b that carries beta_i is the lcm of i+1 generators.
+    Inside the window a quadratic ideal folds b first, as betti_oracle
+    does.  The faces come from Delta_b up to |b|-i vertices or from K^b up
+    to i+1 vertices, whichever limit is smaller, and stop at FACE_CAP
+    faces (ClosureTooLarge past it).
     """
-    if _is_quadratic(I):
-        folded = _fold(b, _divisors(I, b))
+    if I.is_zero:
+        return 0
+    k = b.bit_count()
+    d_min, d_max = I.degree_range
+    if not d_min + i <= k <= d_max * (i + 1):
+        return 0
+    if I.graph is not None:
+        folded = _fold(b, I.graph)
         if folded is None:
             return 0
         r, matching = folded
         if matching:
-            return int(i == b.bit_count() - r.bit_count() // 2 - 1)
-        i -= b.bit_count() - r.bit_count()
-        b = r
+            return int(i == k - r.bit_count() // 2 - 1)
+        i -= k - r.bit_count()
+        b, k = r, r.bit_count()
     if i <= 0:
         return int(i == 0 and b in I.gens)
     gens = _divisors(I, b)
-    k = b.bit_count()
     if k - i <= i + 1:
         family, d = _delta(gens), k - i - 2
     else:
@@ -292,7 +316,9 @@ def total_betti_in_degree(I, i, field="Q"):
     return sum(betti_value_at(I, b, i, field=field) for b in lcm_closure(I))
 
 
-def graded_betti_in_degree(I, i, total_degree, field="Q", closure_cap=5000):
+def graded_betti_in_degree(
+    I, i, total_degree, field="Q", closure_cap=CLOSURE_CAP
+):
     """Graded Betti number beta_{i, total_degree}(I), summed multigrade-wise."""
     return sum(
         betti_value_at(I, b, i, field=field)

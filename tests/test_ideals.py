@@ -19,6 +19,7 @@ from hibires.ideals import (
     render_monomial,
 )
 from hibires.lattice import random_sublattice
+from hibires.oracle import total_betti_in_degree
 
 
 def dual_reference(I):
@@ -106,6 +107,48 @@ class TestMonomialIdeal:
         I = SquarefreeIdeal.of(2, [monomial(0b1, 0b1, 2)])
         assert I.contains_monomial(monomial(0b11, 0b11, 2))
         assert not I.contains_monomial(monomial(0b1, 0, 2))
+
+
+class TestPerIdealFacts:
+    """degree_range and graph are cached on the ideal, like
+    CoverLattice.a_set, and the cache takes no part in equality."""
+
+    def test_values(self, CHAIN):
+        H = hibi_ideal(CHAIN)  # y1y2, x1y2, x1x2: the path y1 - y2 - x1 - x2
+        assert H.degree_range == (2, 2)
+        y1, y2, x1, x2 = 0b0001, 0b0010, 0b0100, 0b1000
+        assert H.graph == {y1: y2, y2: y1 | x1, x1: y2 | x2, x2: x1}
+        mixed = SquarefreeIdeal.of(2, [monomial(0b1, 0b1, 2),
+                                       monomial(0b10, 0b11, 2)])
+        assert mixed.degree_range == (2, 3)
+        assert mixed.graph is None
+        assert SquarefreeIdeal.of(1, [0]).degree_range == (0, 0)
+        assert SquarefreeIdeal(1, ()).degree_range is None
+
+    def test_computed_once(self, K22, monkeypatch):
+        calls = []
+        for name in ("degree_range", "graph"):
+            prop = SquarefreeIdeal.__dict__[name]
+
+            def counted(I, func=prop.func, name=name):
+                calls.append(name)
+                return func(I)
+
+            monkeypatch.setattr(prop, "func", counted)
+        I = edge_ideal(graph_from_lattice(K22))
+        for i in range(4):
+            total_betti_in_degree(I, i)
+        assert sorted(calls) == ["degree_range", "graph"]
+        assert I.graph is I.graph
+
+    def test_cache_does_not_change_equality(self, K22):
+        filled = edge_ideal(graph_from_lattice(K22))
+        total_betti_in_degree(filled, 1)
+        assert {"degree_range", "graph"} <= filled.__dict__.keys()
+        fresh = edge_ideal(graph_from_lattice(K22))
+        assert "graph" not in fresh.__dict__
+        assert filled == fresh and hash(filled) == hash(fresh)
+        assert {filled: 1}[fresh] == 1
 
 
 class TestHibiIdeal:

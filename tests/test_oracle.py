@@ -1,4 +1,6 @@
-from functools import partial
+from functools import partial, reduce
+from itertools import islice
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from hibires import ideals, oracle
 from hibires.betti import BettiTable
 from hibires.errors import ClosureTooLarge, ZeroIdeal
-from hibires.fixtures import fixture_lattice
+from hibires.fixtures import fig1, fixture_lattice
 from hibires.graphs import BipartiteGraph, graph_from_lattice
 from hibires.ideals import (
     SquarefreeIdeal,
@@ -215,6 +217,20 @@ class TestCheapPaths:
                 assert graded_betti_in_degree(I, i, d) == g.get((i, d), 0)
 
 
+def subsets(mask):
+    """Every submask of mask, from mask itself down to 0."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+def support(I):
+    return reduce(or_, I.gens, 0)
+
+
 # --- the fold path --------------------------------------------------------
 
 # the induced 6-cycle of the k = 3 crown's graph: x1 x3 x5 y2 y4 y6
@@ -226,7 +242,7 @@ def residues(I):
     build: neither a cone nor a perfect matching."""
     out = []
     for b in lcm_closure(I, cap=200000):
-        folded = _fold(b, _divisors(I, b))
+        folded = _fold(b, I.graph)
         if folded is not None and not folded[1]:
             out.append(b)
     return out
@@ -298,17 +314,10 @@ class TestFold:
     def test_every_subset_over_gf2(self, name):
         # also the b outside the closure, where Delta_b is a cone
         I = quadratic_case(name)
-        support = 0
-        for g in I.gens:
-            support |= g
-        sub = support
-        while True:
+        for sub in subsets(support(I)):
             expected = unfolded_ranks(I, sub, field=2)
             for i in range(sub.bit_count() + 1):
                 assert betti_value_at(I, sub, i, field=2) == expected.get(i, 0)
-            if not sub:
-                break
-            sub = (sub - 1) & support
 
     @pytest.mark.parametrize("k, i, value", [(3, 3, 2), (4, 4, 1)])
     def test_crown_cycle(self, k, i, value):
@@ -326,7 +335,7 @@ class TestFold:
         # beta_{3+1} at the seven vertices
         I = edge_ideal(graph_from_lattice(crown_lattice(3, twin=True)))
         b = monomial(0b1010101, 0b0101010, 7)
-        assert _fold(b, _divisors(I, b))[0].bit_count() == 6
+        assert _fold(b, I.graph)[0].bit_count() == 6
         assert betti_value_at(I, b, 4) == 2
         assert betti_oracle(I).value(4, b) == 2
 
@@ -336,11 +345,11 @@ class TestFold:
         # lies in N(y2), and dropping y2 isolates x2
         star = monomial(0b11, 0b01, 2)
         I = edge_ideal(graph_from_lattice(K22))
-        r, matching = _fold(star, _divisors(I, star))
+        r, matching = _fold(star, I.graph)
         assert matching and r.bit_count() == 2 and r & ~star == 0
         path = monomial(0b11, 0b11, 2)
         I = edge_ideal(graph_from_lattice(CHAIN))
-        assert _fold(path, _divisors(I, path)) is None
+        assert _fold(path, I.graph) is None
 
     @given(st.integers(1, 4), st.integers(0, 4), st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -359,6 +368,206 @@ class TestFold:
             for field in ("Q", 2):
                 expected = unfolded_table(I, field)
                 assert_fold_matches_unfolded(I, expected, mp, field)
+
+
+# --- the degree window and the K^b bound ---------------------------------
+
+def unpruned_value_at(I, b, i, field="Q"):
+    """betti_value_at with no degree window: fold, then three face sizes."""
+    if I.graph is not None:
+        folded = _fold(b, I.graph)
+        if folded is None:
+            return 0
+        r, matching = folded
+        if matching:
+            return int(i == b.bit_count() - r.bit_count() // 2 - 1)
+        i -= b.bit_count() - r.bit_count()
+        b = r
+    if i <= 0:
+        return int(i == 0 and b in I.gens)
+    gens = _divisors(I, b)
+    k = b.bit_count()
+    if k - i <= i + 1:
+        family, d = oracle._delta(gens), k - i - 2
+    else:
+        family, d = oracle._koszul(gens), i - 1
+    K = oracle._complex(b, oracle._faces(b, family, max_size=d + 2))
+    return (K.face_count(d) - oracle._boundary_rank(K, d, field)
+            - oracle._boundary_rank(K, d + 1, field))
+
+
+def old_smaller_side(I, b):
+    """The side rule with no K^b bound: enumerate Delta_b up to half of the
+    subsets of supp(b), else K^b."""
+    gens = _divisors(I, b)
+    limit = min((1 << b.bit_count()) >> 1, oracle.FACE_CAP)
+    delta = list(islice(oracle._faces(b, oracle._delta(gens)), limit + 1))
+    if 0 < len(delta) <= limit:
+        return oracle._complex(b, delta), True
+    return oracle._complex(b, oracle._faces(b, oracle._koszul(gens))), False
+
+
+def koszul_bound_fires(I, b):
+    """Whether sum over the generators g dividing b of 2^(|b|-deg g), a
+    bound on the faces of K^b, is below half of the subsets of supp(b)."""
+    k = b.bit_count()
+    return sum(1 << k - g.bit_count() for g in _divisors(I, b)) < (1 << k) >> 1
+
+
+# a mixed-degree ideal on x1..x3, y1..y3: x1y1, x2y2, x3y3 of degree 2,
+# x1x2y3 and x3y1y2 of degree 3
+MIXED = SquarefreeIdeal.of(3, [
+    monomial(0b001, 0b001, 3), monomial(0b010, 0b010, 3),
+    monomial(0b100, 0b100, 3), monomial(0b011, 0b100, 3),
+    monomial(0b100, 0b011, 3),
+])
+B3 = list(range(8))
+
+
+def window_case(name):
+    if name == "unit":
+        return SquarefreeIdeal.of(2, [0])
+    if name == "mixed":
+        return MIXED
+    if name == "hibi-B3":
+        return hibi_ideal(validate_sublattice(B3, 3))
+    return edge_ideal(graph_from_lattice(crown_lattice(3)))
+
+
+def assert_window_is_exact(I, field="Q"):
+    # every b over the 2n variables: for the unit ideal supp is empty
+    for b in subsets((1 << 2 * I.n) - 1):
+        for i in range(b.bit_count() + 2):
+            assert betti_value_at(I, b, i, field) == \
+                unpruned_value_at(I, b, i, field)
+
+
+class TestDegreeWindow:
+    """betti_value_at returns 0 outside d_min + i <= |b| <= d_max * (i+1)
+    without folding; inside, it is the unpruned value."""
+
+    @pytest.mark.parametrize("name", ["unit", "mixed", "hibi-B3", "crown3"])
+    def test_matches_unpruned(self, name):
+        assert_window_is_exact(window_case(name), field=2)
+
+    def test_mixed_has_values_in_several_degrees(self):
+        T = betti_oracle(MIXED)
+        assert MIXED.degree_range == (2, 3)
+        assert {i for i, _ in T.entries} == {0, 1, 2, 3}
+
+    @given(st.sets(st.integers(1, 255).filter(lambda g: g.bit_count() <= 4),
+                   min_size=1, max_size=6))
+    @settings(max_examples=25, deadline=None)
+    def test_random_ideals(self, gens):
+        # degrees 1..4 on eight variables, minimalized
+        assert_window_is_exact(SquarefreeIdeal.of(4, gens))
+
+    def test_generator_at_both_edges(self):
+        # beta_{0,g} = 1 at |g| = d_min + 0 and at |g| = d_max * 1
+        d_min, d_max = MIXED.degree_range
+        for g in MIXED.gens:
+            assert g.bit_count() in (d_min, d_max)
+            assert betti_value_at(MIXED, g, 0) == 1
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matching_at_upper_edge(self, k):
+        # k disjoint edges x_t y_t: the Koszul class at |b| = 2k = 2(i+1)
+        I = edge_ideal(BipartiteGraph(k, k, frozenset((t, t) for t in
+                                                      range(1, k + 1))))
+        b = support(I)
+        assert b.bit_count() == I.degree_range[1] * k
+        assert betti_value_at(I, b, k - 1) == 1
+        assert betti_value_at(I, b, k - 2) == 0
+
+    def test_hibi_at_lower_edge(self):
+        # a Hibi ideal has a linear resolution: every value sits at
+        # |b| = n + i, the lower edge
+        H = hibi_ideal(validate_sublattice(B3, 3))
+        T = betti_oracle(H)
+        assert all(b.bit_count() == 3 + i for i, b in T.entries)
+        for (i, b), h in T.entries.items():
+            assert betti_value_at(H, b, i) == h > 0
+
+    @pytest.mark.parametrize("name", ["mixed", "crown3", "K22-edge"])
+    def test_no_fold_outside(self, name, monkeypatch):
+        if name == "K22-edge":
+            I = edge_ideal(graph_from_lattice(fixture_lattice("K22")))
+        else:
+            I = window_case(name)
+        folded = []
+
+        def counted(b, graph):
+            folded.append(b)
+            return _fold(b, graph)
+
+        monkeypatch.setattr(oracle, "_fold", counted)
+        d_min, d_max = I.degree_range
+        inside = 0
+        for b in subsets(support(I)):
+            for i in range(b.bit_count() + 2):
+                folded.clear()
+                betti_value_at(I, b, i)
+                if d_min + i <= b.bit_count() <= d_max * (i + 1):
+                    inside += 1
+                    assert folded == ([b] if I.graph is not None else [])
+                else:
+                    assert folded == []
+        assert inside > 0
+
+
+def both_side_cases():
+    """B_3's Hibi ideal, and the Hibi and edge ideals of the fixtures and
+    crowns.  On an edge ideal the K^b bound fires only at the generators
+    (two edges already give 2 * 2^(|b|-2)), so the edge ideals of FIG1
+    (6,973 multidegrees, past CLOSURE_CAP) and of the k = 4 crown (4,910)
+    are left out: they add time, not cases."""
+    out = [hibi_ideal(validate_sublattice(B3, 3)), hibi_ideal(fig1()),
+           hibi_ideal(crown_lattice(4))]
+    for L in [*map(fixture_lattice, SMALL_FIXTURES), crown_lattice(3),
+              crown_lattice(3, twin=True)]:
+        out += both_ideals(L)
+    return out
+
+
+class TestKoszulBound:
+    """_smaller_side builds K^b at once when the K^b bound is below half of
+    the subsets, and takes the same side as the old rule everywhere."""
+
+    def test_same_side_as_old_rule(self):
+        fired = 0
+        for I in both_side_cases():
+            for b in lcm_closure(I):
+                K, on_delta = _smaller_side(I, b)
+                assert (K, on_delta) == old_smaller_side(I, b)
+                fired += koszul_bound_fires(I, b)
+        assert fired > 0
+
+    def test_no_delta_face_when_bound_fires(self, monkeypatch):
+        delta_faces = []
+        delta = oracle._delta
+
+        def counted(gens):
+            nonvoid, extends = delta(gens)
+
+            def counting(face, w):
+                delta_faces.append(face | w)
+                return extends(face, w)
+
+            return nonvoid, counting
+
+        monkeypatch.setattr(oracle, "_delta", counted)
+        H = hibi_ideal(crown_lattice(4))
+        fired = [b for b in lcm_closure(H) if koszul_bound_fires(H, b)]
+        assert fired
+        for b in fired:
+            _smaller_side(H, b)
+        assert delta_faces == []
+        # where the bound does not fire, Delta_b is enumerated as before
+        B = hibi_ideal(validate_sublattice(B3, 3))
+        for b in lcm_closure(B):
+            if not koszul_bound_fires(B, b):
+                _smaller_side(B, b)
+        assert delta_faces
 
 
 class TestFaceCap:
