@@ -5,10 +5,8 @@ against a brute-force simplicial homology oracle."""
 from .betti import BettiTable
 from .graphs import (
     BipartiteGraph,
-    VertexCover,
     cover_lattice,
     graph_from_lattice,
-    minimal_vertex_covers,
     normalize_graph,
 )
 from .ideals import (
@@ -35,6 +33,7 @@ from .lattice import (
     CoverLattice,
     b_set,
     f_value,
+    preorder_lattice,
     random_sublattice,
     validate_sublattice,
 )

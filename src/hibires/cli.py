@@ -3,8 +3,8 @@
 Subcommands: analyze (invariant report for one instance), verify (property
 suite), random (generate-and-verify a corpus), search-tightness (audit the
 last-Betti-number bound and record strict instances), fixtures (export the
-built-in lattices).  Exit codes: 0 success, 1 invalid input or a
-closed stdout, 2 verification mismatch.
+built-in lattices).  Exit codes: 0 success, 1 invalid input, an --out
+path that cannot be written, or a closed stdout, 2 verification mismatch.
 """
 
 import argparse
@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import checks
 from .bitset import MAX_GROUND
-from .errors import HibiresError, InputFormatError, LatticeValidation
+from .errors import HibiresError, InputFormatError, LatticeValidation, OutputError
 from .fixtures import FIXTURES, fixture_files, fixture_lattice
 from .graphs import (
     cover_lattice,
@@ -101,6 +101,25 @@ def _lattice_of_graph(G):
     return cover_lattice(G)
 
 
+def _out_dir(path):
+    """The --out directory, created before any work is done, or None."""
+    if not path:
+        return None
+    outdir = Path(path)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(f"cannot create {path}: {exc!r}") from exc
+    return outdir
+
+
+def _write(path, text):
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc!r}") from exc
+
+
 def _emit(obj, fmt, no_timestamp):
     if fmt == "json":
         if not no_timestamp:
@@ -179,14 +198,12 @@ def cmd_verify(args):
 
 
 def cmd_random(args):
+    outdir = _out_dir(args.out)
     corpus = random_corpus(args.count, args.seed, n_max=args.n)
     reports = [
         checks.run_checks(L, level=args.level, field=args.field)
         for L in corpus
     ]
-    outdir = Path(args.out) if args.out else None
-    if outdir:
-        outdir.mkdir(parents=True, exist_ok=True)
     failures = 0
     for k, (L, report) in enumerate(zip(corpus, reports)):
         verdict = "MATCH" if report.ok else "MISMATCH"
@@ -194,7 +211,7 @@ def cmd_random(args):
             failures += 1
         print(f"instance {k:04d} n={L.n} size={len(L)} {verdict}")
         if outdir:
-            (outdir / f"instance_{k:04d}.lat").write_text(lattice_to_text(L))
+            _write(outdir / f"instance_{k:04d}.lat", lattice_to_text(L))
             summary = {
                 "index": k,
                 "n": L.n,
@@ -204,8 +221,9 @@ def cmd_random(args):
                     {"name": name, "ok": ok} for name, ok, _ in report.results
                 ],
             }
-            (outdir / f"instance_{k:04d}.json").write_text(
-                json.dumps(summary, indent=2, sort_keys=True)
+            _write(
+                outdir / f"instance_{k:04d}.json",
+                json.dumps(summary, indent=2, sort_keys=True),
             )
         if not report.ok and failures == 1:
             first = report.first_failure()
@@ -220,6 +238,7 @@ def cmd_random(args):
 
 
 def cmd_search_tightness(args):
+    outdir = _out_dir(args.out)
     corpus = random_corpus(args.count, args.seed, n_max=args.n)
     lines = []
     strict = 0
@@ -246,22 +265,20 @@ def cmd_search_tightness(args):
         f"equality {equal}/{total}"
         + (f"; {strict} strict instances recorded" if strict else "")
     )
-    if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        with open(outdir / "tightness_findings.jsonl", "w") as fh:
-            for record in lines:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+    if outdir:
+        _write(
+            outdir / "tightness_findings.jsonl",
+            "".join(json.dumps(record, sort_keys=True) + "\n" for record in lines),
+        )
     return 0
 
 
 def cmd_fixtures(args):
+    outdir = _out_dir(args.out)
     files = fixture_files()
-    if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
+    if outdir:
         for name, text in files.items():
-            (outdir / f"{name}.lat").write_text(text)
+            _write(outdir / f"{name}.lat", text)
             print(f"wrote {outdir / (name + '.lat')}")
     else:
         for name, text in files.items():

@@ -79,3 +79,7 @@ class InputFormatError(HibiresError):
 
 class UnsupportedField(HibiresError):
     pass
+
+
+class OutputError(HibiresError):
+    """The --out directory or a file in it cannot be created or written."""

@@ -1,19 +1,23 @@
-"""Bipartite graphs, vertex covers, and the cover lattice in both directions."""
+"""Bipartite graphs and the cover lattice in both directions.
+
+An unmixed bipartite graph G, labelled so that its perfect matching is
+x_i y_i, has x_i y_j in E exactly when i <= j in a preorder on [n]; the
+x-parts of its minimal vertex covers are the down-sets of that preorder
+(Herzog-Hibi).  So cover_lattice reads D(j) = {i : x_i y_j in E} off the
+edges and builds L_G from them, and graph_from_lattice goes back.
+"""
 
 from dataclasses import dataclass, field
 
-from .bitset import MAX_GROUND, full_mask, indices_of, positions_of
+from .bitset import MAX_GROUND, indices_of
 from .errors import (
     EmptyInput,
     InputFormatError,
-    LatticeValidation,
     NoPerfectMatching,
     NotUnmixed,
     TooLarge,
 )
-from .lattice import down_set_family, json_int, validate_sublattice
-
-ENUMERATION_BOUND = 24  # max total vertices for exhaustive cover enumeration
+from .lattice import json_int, preorder_lattice
 
 
 @dataclass(frozen=True)
@@ -53,18 +57,6 @@ class BipartiteGraph:
         rights = {j for _, j in self.edges}
         if len(lefts) != self.n_left or len(rights) != self.n_right:
             raise EmptyInput("graph has an isolated vertex")
-
-
-@dataclass(frozen=True)
-class VertexCover:
-    """Vertex cover split by side: xs over [n_left], ys over [n_right]."""
-
-    xs: int
-    ys: int
-
-    @property
-    def size(self):
-        return self.xs.bit_count() + self.ys.bit_count()
 
 
 def _perfect_matching(n, adj):
@@ -135,34 +127,6 @@ def normalize_graph(raw_edges):
     return BipartiteGraph(n, n, edges, labels)
 
 
-def minimal_vertex_covers(G):
-    """All minimal vertex covers, by enumeration over left-side subsets.
-
-    For each subset xs of the left side, xs together with the right
-    vertices of the edges it misses is a cover, and every minimal cover
-    arises this way.  A cover is minimal exactly when each of its vertices
-    has a neighbor outside it; each added right vertex has one by
-    construction, so only the left vertices in xs are tested.
-    """
-    if G.n_left + G.n_right > ENUMERATION_BOUND:
-        raise TooLarge(
-            f"{G.n_left + G.n_right} vertices exceed the enumeration bound "
-            f"{ENUMERATION_BOUND}"
-        )
-    right = [0] * G.n_left
-    for i, j in G.edges:
-        right[i - 1] |= 1 << (j - 1)
-    left = full_mask(G.n_left)
-    covers = set()
-    for xs in range(1 << G.n_left):
-        ys = 0
-        for i in positions_of(left & ~xs):
-            ys |= right[i]
-        if all(right[i] & ~ys for i in positions_of(xs)):
-            covers.add(VertexCover(xs, ys))
-    return covers
-
-
 def is_transitive(G):
     """Villarreal's criterion for a normalized G: x_i y_j, x_j y_k in E
     imply x_i y_k in E.
@@ -176,26 +140,13 @@ def is_transitive(G):
     return all(right[j] <= right[i] for i, j in G.edges)
 
 
-def _implication_lattice_family(G):
-    """Fast path: subsets p of [n] with j in p => i in p for every edge (i, j).
-
-    These are the down-sets of the preorder spanned by D(j) = {i : (i, j)
-    in E}; for a transitive G each D(j) is itself a down-set.  Past
-    2^NEIGHBOR_CAP of them it raises TooLarge.
-    """
-    D = [0] * G.n
-    for i, j in G.edges:
-        D[j - 1] |= 1 << (i - 1)
-    return down_set_family(D)
-
-
 def cover_lattice(G):
     """The lattice {xs(C) : C minimal vertex cover} for a normalized unmixed G.
 
-    Unmixedness is decided by the transitivity criterion at every size.
-    The lattice comes from the edge-implication fast path and, within the
-    enumeration bound, is cross-checked against the cover-enumeration slow
-    path.
+    Unmixedness is decided by the transitivity criterion.  For a
+    transitive G each D(j) = {i : (i, j) in E} holds j and is a down-set,
+    and the x-parts of the minimal covers are the unions of the D(j), so
+    L_G is the lattice of down-sets of that preorder.
     """
     if not G.is_normalized:
         raise NotUnmixed("graph must be normalized first (use normalize_graph)")
@@ -205,14 +156,10 @@ def cover_lattice(G):
         raise TooLarge(
             f"{G.n} matched pairs exceed the ground set bound {MAX_GROUND}"
         )
-    fam = _implication_lattice_family(G)
-    if G.n_left + G.n_right <= ENUMERATION_BOUND:
-        slow = {c.xs for c in minimal_vertex_covers(G)}
-        if slow != fam:
-            raise LatticeValidation(
-                "implication path and cover enumeration disagree (internal bug)"
-            )
-    return validate_sublattice(fam, G.n)
+    D = [0] * G.n
+    for i, j in G.edges:
+        D[j - 1] |= 1 << (i - 1)
+    return preorder_lattice(D)
 
 
 def graph_from_lattice(L):

@@ -9,7 +9,9 @@ Such a family is distributive, so it is the set of down-sets of a
 preorder on [n] (Birkhoff): i <= j when every element containing j
 contains i.  The down-set of j is D(j), the smallest element containing
 j, and the elements are exactly the unions of these sets.  Hasse data and
-enumeration work on the D(j) rather than on pairs of elements.
+enumeration work on the D(j) rather than on pairs of elements.  A lattice
+known by its D(j) (a graph, a random draw) is built by preorder_lattice;
+a family given element by element is checked by validate_sublattice.
 """
 
 import random
@@ -46,7 +48,7 @@ NEIGHBOR_CAP = 20
 
 @dataclass(frozen=True)
 class CoverLattice:
-    """Validated sublattice of B_n.
+    """Sublattice of B_n with its Hasse data.
 
     elements are sorted by the fixed total order (cardinality, then bit
     pattern); ``lower[p]`` is the set of lower neighbors N(p), i.e. the
@@ -120,13 +122,24 @@ def _lower_covers(elements, D):
     return lower, bottom
 
 
-def down_set_family(D):
-    """The set of unions of the D(j), refused with TooLarge as soon as it
-    passes 2^NEIGHBOR_CAP members."""
+def _with_hasse(n, family, D):
+    """The CoverLattice of a closed family whose closures are D."""
+    elements = tuple(sorted(family, key=order_key))
+    return CoverLattice(n, elements, *_lower_covers(elements, D), tuple(D))
+
+
+def preorder_lattice(D):
+    """The lattice of down-sets of a preorder on [n], n = len(D) (Birkhoff).
+
+    D[j-1] = D(j) must hold j and be a down-set: i in D(j) implies
+    D(i) <= D(j).  The down-sets are then the unions of the D(j), found by
+    one walk refused with TooLarge as soon as it passes 2^NEIGHBOR_CAP
+    members, and D(j) is the smallest of them containing j.
+    """
     fam = down_sets(D, 1 << NEIGHBOR_CAP)
     if len(fam) > 1 << NEIGHBOR_CAP:
         raise TooLarge(f"the lattice has more than 2^{NEIGHBOR_CAP} elements")
-    return fam
+    return _with_hasse(len(D), fam, D)
 
 
 def validate_sublattice(family, n):
@@ -148,12 +161,11 @@ def validate_sublattice(family, n):
         raise MissingBottom("the empty set is missing")
     if top not in fam:
         raise MissingTop(f"the full set {render_set(top)} is missing")
-    D = tuple(_smallest_containing(fam, n))
+    D = _smallest_containing(fam, n)
     missing = down_sets(D, len(fam)) - fam
     if missing:
         raise NotClosed(min(missing, key=order_key))
-    elements = tuple(sorted(fam, key=order_key))
-    return CoverLattice(n, elements, *_lower_covers(elements, D), D)
+    return _with_hasse(n, fam, D)
 
 
 def boolean_interval_scan(L):
@@ -239,11 +251,10 @@ def random_sublattice(n, seed_count, rng_seed):
     """Closure of seed_count random subsets together with the two bounds.
 
     The closure under union and intersection is the set of unions of the
-    D(i), so it is enumerated as down-sets.  Deterministic for a fixed
-    rng_seed.
+    D(i), so it is the lattice of down-sets of their preorder.
+    Deterministic for a fixed rng_seed.
     """
-    fam = down_set_family(_drawn_closures(n, seed_count, rng_seed))
-    return validate_sublattice(fam, n)
+    return preorder_lattice(_drawn_closures(n, seed_count, rng_seed))
 
 
 def random_corpus(count, rng_seed, n_max=6):
@@ -261,7 +272,7 @@ def random_corpus(count, rng_seed, n_max=6):
         D = _drawn_closures(n, seed_count, rng.getrandbits(32))
         fam = down_sets(D, CORPUS_SIZE_CAP)
         if len(fam) <= CORPUS_SIZE_CAP:
-            out.append(validate_sublattice(fam, n))
+            out.append(_with_hasse(n, fam, D))
     return out
 
 

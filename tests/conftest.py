@@ -1,18 +1,15 @@
+from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import and_
 
 import pytest
 
-from hibires.bitset import full_mask, mask_of, order_key
+from hibires.bitset import full_mask, mask_of, order_key, positions_of
 from hibires.errors import ConsistencyError
 from hibires.fixtures import b2, chain, e1, fig1, k22
 from hibires.ideals import monomial
-from hibires.lattice import (
-    boolean_interval_scan,
-    down_set_family,
-    validate_sublattice,
-)
+from hibires.lattice import boolean_interval_scan, preorder_lattice
 from hibires.resolution import BasisElement
 
 
@@ -177,4 +174,43 @@ def crown_lattice(k, twin=False):
     if twin:
         D[1] |= 1 << 2 * k
         D[2 * k - 1] |= 1 << 2 * k
-    return validate_sublattice(down_set_family(D), n)
+    return preorder_lattice(D)
+
+
+# --- minimal vertex covers ---------------------------------------------------
+# The definition of L_G: cover_lattice builds it from the edge preorder
+# (Herzog-Hibi), and the tests check that against this enumeration.
+
+@dataclass(frozen=True)
+class VertexCover:
+    """Vertex cover split by side: xs over [n_left], ys over [n_right]."""
+
+    xs: int
+    ys: int
+
+    @property
+    def size(self):
+        return self.xs.bit_count() + self.ys.bit_count()
+
+
+def minimal_vertex_covers(G):
+    """All minimal vertex covers, by enumeration over left-side subsets.
+
+    For each subset xs of the left side, xs together with the right
+    vertices of the edges it misses is a cover, and every minimal cover
+    arises this way.  A cover is minimal exactly when each of its vertices
+    has a neighbor outside it; each added right vertex has one by
+    construction, so only the left vertices in xs are tested.
+    """
+    right = [0] * G.n_left
+    for i, j in G.edges:
+        right[i - 1] |= 1 << (j - 1)
+    left = full_mask(G.n_left)
+    covers = set()
+    for xs in range(1 << G.n_left):
+        ys = 0
+        for i in positions_of(left & ~xs):
+            ys |= right[i]
+        if all(right[i] & ~ys for i in positions_of(xs)):
+            covers.add(VertexCover(xs, ys))
+    return covers

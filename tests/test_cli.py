@@ -12,7 +12,7 @@ import hibires.lattice as lattice_mod
 from hibires import cli
 from hibires.betti import BettiTable
 from hibires.cli import load_lattice, main
-from hibires.fixtures import fig1
+from hibires.fixtures import FIXTURES, fig1
 from hibires.lattice import lattice_to_text, validate_sublattice
 
 
@@ -454,6 +454,38 @@ class TestFixturesCmd:
         assert rc == 0
         text = (tmp_path / "FIG1.lat").read_text()
         assert text == lattice_to_text(fig1())
+
+
+OUT_COMMANDS = {
+    "fixtures": ["fixtures"],
+    "random": ["random", "--n", "3", "--count", "2"],
+    "search-tightness": ["search-tightness", "--n", "3", "--count", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+@pytest.mark.parametrize("where", ["existing-file", "below-a-file"])
+def test_out_dir_not_creatable_exit_1(command, where, tmp_path, capsys):
+    # refused before any instance is computed or printed
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" if where == "existing-file" else tmp_path / "file" / "d"
+    assert main([*OUT_COMMANDS[command], "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert "Traceback" not in captured.err
+    assert json.loads(line)["error"] == "OutputError"
+
+
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_out_file_not_writable_exit_1(command, tmp_path, capsys):
+    # every file a command writes is taken by a directory
+    names = [f"{name}.lat" for name in FIXTURES]
+    names += ["instance_0000.lat", "tightness_findings.jsonl"]
+    for name in names:
+        (tmp_path / name).mkdir()
+    assert main([*OUT_COMMANDS[command], "--out", str(tmp_path)]) == 1
+    assert_clean_error(capsys, "OutputError")
 
 
 # sha256 of `analyze --input <NAME>.lat --level L --format F --no-timestamp`

@@ -4,21 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import hibires.graphs as graphs_mod
-from hibires.bitset import MAX_GROUND, full_mask, is_subset, mask_of
+from hibires.bitset import MAX_GROUND, full_mask, is_subset
 from hibires.errors import EmptyInput, NoPerfectMatching, NotUnmixed, TooLarge
+from hibires.fixtures import FIXTURES, fixture_lattice
 from hibires.graphs import (
     BipartiteGraph,
-    VertexCover,
-    _implication_lattice_family,
     cover_lattice,
     graph_from_lattice,
     is_transitive,
-    minimal_vertex_covers,
     normalize_graph,
     parse_graph_text,
 )
-from hibires.lattice import random_sublattice, validate_sublattice
+from hibires.lattice import random_corpus, random_sublattice, validate_sublattice
+
+from conftest import VertexCover, crown_lattice, minimal_vertex_covers
 
 
 def implication_scan(G):
@@ -171,12 +170,6 @@ class TestMinimalVertexCovers:
         G = BipartiteGraph(2, 3, frozenset({(1, 1), (1, 2), (2, 2), (2, 3)}))
         assert minimal_vertex_covers(G) == covers_by_pairwise_filter(G)
 
-    def test_enumeration_bound(self, monkeypatch):
-        G = BipartiteGraph(2, 2, frozenset({(1, 1), (2, 2)}))
-        monkeypatch.setattr(graphs_mod, "ENUMERATION_BOUND", 3)
-        with pytest.raises(TooLarge):
-            minimal_vertex_covers(G)
-
 
 class TestUnmixed:
     def test_k22(self):
@@ -214,12 +207,12 @@ class TestCoverLattice:
     def test_down_sets_match_implication_scan(self, n):
         for G in normalized_graphs(n):
             if is_transitive(G):
-                assert _implication_lattice_family(G) == implication_scan(G)
+                assert set(cover_lattice(G).elements) == implication_scan(G)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_preorder_graphs_match_implication_scan(self, seed):
         G = preorder_graph(seed)
-        assert _implication_lattice_family(G) == implication_scan(G)
+        assert set(cover_lattice(G).elements) == implication_scan(G)
 
     def test_not_normalized_rejected(self):
         G = BipartiteGraph(2, 2, frozenset({(1, 2), (2, 1)}))
@@ -231,12 +224,13 @@ class TestCoverLattice:
         G = BipartiteGraph(
             3, 3, frozenset({(1, 1), (2, 2), (3, 3), (3, 1), (1, 3), (2, 3)})
         )
-        if not is_unmixed(G):
-            with pytest.raises(NotUnmixed):
-                cover_lattice(G)
+        assert not is_unmixed(G)
+        with pytest.raises(NotUnmixed):
+            cover_lattice(G)
 
     def test_mixed_rejected_above_enumeration_bound(self):
-        # 26 vertices: cover enumeration is out of reach, transitivity is not
+        # 26 vertices, past the covers the tests enumerate: transitivity
+        # alone refuses it
         edges = {(i, i) for i in range(1, 14)} | {(1, 2), (2, 3)}
         G = BipartiteGraph(13, 13, frozenset(edges))
         with pytest.raises(NotUnmixed):
@@ -282,6 +276,77 @@ class TestGraphFromLattice:
         covers = minimal_vertex_covers(G)
         assert all(c.size == n for c in covers)
         assert all(c.ys == full_mask(n) & ~c.xs for c in covers)
+
+
+# --- the Birkhoff path against the definition --------------------------------
+# cover_lattice, random_sublattice and random_corpus build L from D(j) with
+# one down-set walk.  Every graph below has at most 24 vertices, so its
+# minimal covers are enumerated in full and compared with L; and each built
+# lattice must equal, field by field, what validate_sublattice derives from
+# its element list (CoverLattice.__eq__ reads only n and elements).
+
+LATTICE_SOURCES = {
+    "fixtures": lambda: [fixture_lattice(name) for name in FIXTURES],
+    "corpus": lambda: random_corpus(200, 42),
+    "crowns": lambda: [crown_lattice(k) for k in (3, 4, 5)]
+    + [crown_lattice(3, twin=True)],
+}
+
+# the graph inputs of test_cli.py with at most 24 vertices
+CLI_GRAPHS = [
+    "graph 2 2\n1 1\n1 2\n2 2\n",
+    "graph 11 11\n" + "".join(f"{i} {i}\n" for i in range(1, 12)),
+]
+
+GRAPH_SOURCES = {
+    **{
+        name: lambda make=make: [graph_from_lattice(L) for L in make()]
+        for name, make in LATTICE_SOURCES.items()
+    },
+    "transitive-n<=3": lambda: [
+        G for n in (1, 2, 3) for G in normalized_graphs(n) if is_transitive(G)
+    ],
+    "cli-inputs": lambda: list(map(parse_graph_text, CLI_GRAPHS)),
+}
+
+
+def assert_fields_match_validation(L):
+    M = validate_sublattice(set(L.elements), L.n)
+    assert (L.n, L.elements, L.lower, L.bottom, L.closures) == (
+        M.n, M.elements, M.lower, M.bottom, M.closures
+    )
+
+
+def assert_covers_match(G):
+    assert G.n_left + G.n_right <= 24
+    xs = {c.xs for c in minimal_vertex_covers(G)}
+    assert xs == set(cover_lattice(G).elements)
+
+
+class TestBirkhoffPath:
+    @pytest.mark.parametrize("source", sorted(GRAPH_SOURCES))
+    def test_cover_lattice_is_the_cover_x_parts(self, source):
+        for G in GRAPH_SOURCES[source]():
+            assert_covers_match(G)
+
+    @pytest.mark.parametrize("source", sorted(GRAPH_SOURCES))
+    def test_cover_lattice_fields_match_validation(self, source):
+        for G in GRAPH_SOURCES[source]():
+            assert_fields_match_validation(cover_lattice(G))
+
+    @pytest.mark.parametrize("source", ["corpus", "crowns"])
+    def test_built_lattice_fields_match_validation(self, source):
+        for L in LATTICE_SOURCES[source]():
+            assert_fields_match_validation(L)
+
+    @given(st.integers(1, 12), st.integers(0, 12), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_random_sublattice_graphs(self, n, seeds, seed):
+        L = random_sublattice(n, seeds, seed)
+        assert_fields_match_validation(L)
+        G = graph_from_lattice(L)
+        assert_covers_match(G)
+        assert_fields_match_validation(cover_lattice(G))
 
 
 class TestTextFormat:
