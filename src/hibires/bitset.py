@@ -40,24 +40,25 @@ def positions_of(mask):
 
 def down_sets(closures, limit):
     """The set of every union of the given sets, the empty union included,
-    or a set of more than limit of them once the walk passes limit.
+    or exactly limit + 1 of them once there are more than limit.
 
-    Each step adds one given set whole, so every union is reached.  With
-    closures[j] = D(j) of a distributive family the unions are the
-    down-sets of its preorder (adding a lone index would not do).
+    One levelwise pass: after the step for c, seen holds every union of
+    the sets met so far, so it ends with every union.  A step that cannot
+    pass limit (it at most doubles seen) is one bulk update; a step
+    that could adds one union at a time and stops at limit + 1, so seen
+    never grows past that.  With closures[j] = D(j) of a distributive
+    family the unions are the down-sets of its preorder (adding a lone
+    index would not do).
     """
-    closures = set(closures)
     seen = {0}
-    stack = [0]
-    while stack:
-        p = stack.pop()
-        for c in closures:
-            q = p | c
-            if q not in seen:
-                seen.add(q)
-                if len(seen) > limit:
-                    return seen
-                stack.append(q)
+    for c in set(closures):
+        if 2 * len(seen) <= limit:
+            seen.update([p | c for p in seen])
+            continue
+        for p in list(seen):
+            if len(seen) > limit:
+                return seen
+            seen.add(p | c)
     return seen
 
 

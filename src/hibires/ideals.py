@@ -136,13 +136,18 @@ def lcm_closure(I, cap=CLOSURE_CAP):
     """Smallest set containing the generators and closed under pairwise lcm.
 
     A squarefree lcm is a union of supports, so these are the unions of
-    nonempty sets of generator supports, sorted: the lcm-lattice elements
-    above the bottom, where every nonzero Betti multidegree lies.
+    nonempty sets of generator supports: the lcm-lattice elements above
+    the bottom, where every nonzero Betti multidegree lies.  One
+    ``down_sets`` walk finds them, refused with ClosureTooLarge past cap.
+    The list is sorted by ``order_key`` (degree, then value).
     """
     if I.is_zero:
         raise ZeroIdeal("the zero ideal has an empty lcm closure")
-    gens = set(I.gens)
-    unions = down_sets(gens, cap + 1)
+    unions = down_sets(I.gens, cap + 1)
     if len(unions) > cap + 1:
         raise ClosureTooLarge(f"lcm closure exceeds the cap {cap}")
-    return sorted((u for u in unions if u or 0 in gens), key=order_key)
+    if 0 not in I.gens:
+        unions.discard(0)
+    # order_key order, keyed by a C function: a stable sort by degree of
+    # the list sorted by value
+    return sorted(sorted(unions), key=int.bit_count)

@@ -124,7 +124,8 @@ def _lower_covers(elements, D):
 
 def _with_hasse(n, family, D):
     """The CoverLattice of a closed family whose closures are D."""
-    elements = tuple(sorted(family, key=order_key))
+    # order_key order without a Python call per element
+    elements = tuple(sorted(sorted(family), key=int.bit_count))
     return CoverLattice(n, elements, *_lower_covers(elements, D), tuple(D))
 
 
@@ -148,7 +149,8 @@ def validate_sublattice(family, n):
     Rejects rather than repairs: missing bounds or a missing set raise.
     The unions of the D(i) form the sublattice F generates and include F,
     so F is closed exactly when a walk over them stopped past |F| finds
-    none outside F; NotClosed names the first one it finds in the order.
+    none outside F; NotClosed names the least, in the total order, of
+    those the walk met.
     """
     if n < 1 or n > MAX_GROUND:
         raise TooLarge(f"ground set size {n} outside 1..{MAX_GROUND}")

@@ -37,9 +37,10 @@ A single value beta_{i,b} is 0 outside the window
 d_min + i <= |b| <= d_max * (i+1) of the generator degrees (K^b has no
 face past |b| - d_min vertices, and by Taylor's resolution a multidegree
 that carries beta_i is the lcm of i+1 generators), so betti_value_at
-returns 0 there without folding or building a complex.  The degree range
-and the quadratic graph are computed once per ideal
-(SquarefreeIdeal.degree_range and SquarefreeIdeal.graph).
+returns 0 there without folding or building a complex, and the totals
+skip those b before they call it.  The degree range and the quadratic
+graph are computed once per ideal (SquarefreeIdeal.degree_range and
+SquarefreeIdeal.graph).
 """
 
 from dataclasses import dataclass
@@ -286,8 +287,8 @@ def betti_value_at(I, b, i, field="Q"):
     if I.is_zero:
         return 0
     k = b.bit_count()
-    d_min, d_max = I.degree_range
-    if not d_min + i <= k <= d_max * (i + 1):
+    lo, hi = _degree_window(I, i)
+    if not lo <= k <= hi:
         return 0
     if I.graph is not None:
         folded = _fold(b, I.graph)
@@ -311,17 +312,39 @@ def betti_value_at(I, b, i, field="Q"):
     )
 
 
+def _degree_window(I, i):
+    """(lo, hi): beta_{i,b} of the nonzero ideal I can be nonzero only where
+    lo <= |b| <= hi, that is d_min + i <= |b| <= d_max * (i+1)."""
+    d_min, d_max = I.degree_range
+    return d_min + i, d_max * (i + 1)
+
+
 def total_betti_in_degree(I, i, field="Q"):
-    """Total Betti number of the ideal in one homological degree."""
-    return sum(betti_value_at(I, b, i, field=field) for b in lcm_closure(I))
+    """Total Betti number of the ideal in one homological degree.
+
+    The whole lcm closure is walked first (ZeroIdeal and ClosureTooLarge
+    come from there), but betti_value_at is called only on its members
+    inside the degree window, where a value can be nonzero.
+    """
+    closure = lcm_closure(I)
+    lo, hi = _degree_window(I, i)
+    return sum(
+        betti_value_at(I, b, i, field=field)
+        for b in closure if lo <= b.bit_count() <= hi
+    )
 
 
 def graded_betti_in_degree(
     I, i, total_degree, field="Q", closure_cap=CLOSURE_CAP
 ):
-    """Graded Betti number beta_{i, total_degree}(I), summed multigrade-wise."""
+    """Graded Betti number beta_{i, total_degree}(I), summed multigrade-wise
+    over the closure members of that degree; none outside the degree
+    window is visited."""
+    closure = lcm_closure(I, cap=closure_cap)
+    lo, hi = _degree_window(I, i)
+    if not lo <= total_degree <= hi:
+        return 0
     return sum(
         betti_value_at(I, b, i, field=field)
-        for b in lcm_closure(I, cap=closure_cap)
-        if b.bit_count() == total_degree
+        for b in closure if b.bit_count() == total_degree
     )

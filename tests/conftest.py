@@ -158,6 +158,29 @@ def bijection_reference(L):
     return len(image) == len(pairs) and image == boolean_interval_scan(L)
 
 
+# --- union walk ----------------------------------------------------------
+# bitset.down_sets is one levelwise pass; this depth-first walk is the
+# reference it is compared with.
+
+def down_sets_reference(closures, limit):
+    """Every union of the given sets, the empty union included, or more
+    than limit of them: from each union reached, add each given set whole,
+    stopping as soon as the set passes limit."""
+    closures = set(closures)
+    seen = {0}
+    stack = [0]
+    while stack:
+        p = stack.pop()
+        for c in closures:
+            q = p | c
+            if q not in seen:
+                seen.add(q)
+                if len(seen) > limit:
+                    return seen
+                stack.append(q)
+    return seen
+
+
 # --- crowns ------------------------------------------------------------------
 
 def crown_lattice(k, twin=False):

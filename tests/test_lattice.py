@@ -18,6 +18,8 @@ from hibires.errors import (
     TooLarge,
 )
 from hibires.fixtures import FIXTURES, fixture_lattice
+from hibires.graphs import BipartiteGraph, cover_lattice, graph_from_lattice
+from hibires.ideals import edge_ideal, hibi_ideal, lcm_closure
 from hibires.invariants import invariant_report
 from hibires.lattice import (
     b_set,
@@ -32,7 +34,7 @@ from hibires.lattice import (
     validate_sublattice,
 )
 
-from conftest import boolean_intervals, m, meet
+from conftest import boolean_intervals, down_sets_reference, m, meet
 
 
 def lower_neighbors_reference(elements, p):
@@ -120,13 +122,13 @@ def random_family(rng):
     return n, fam | {0, full_mask(n)}
 
 
-def random_preorder_closures(rng, n):
+def random_preorder_closures(rng, n, density=0.3):
     """D(j) = {i : i <= j} for the reflexive-transitive closure of a random
-    relation on [n]."""
+    relation on [n] that holds each pair with probability density."""
     D = [1 << j for j in range(n)]
     for i in range(n):
         for j in range(n):
-            if rng.random() < 0.3:
+            if rng.random() < density:
                 D[j] |= 1 << i
     changed = True
     while changed:
@@ -289,6 +291,101 @@ class TestDownSets:
             if all(D[j] & ~p == 0 for j in range(n) if p >> j & 1)
         }
         assert down_sets(D, 1 << n) == scan
+
+
+def random_generator_family(rng, n):
+    """Subsets of [n] that need not be any preorder's D(j), the way
+    generator supports come: repeats, the empty set, and sets nested in or
+    overlapping earlier ones."""
+    fam = []
+    for _ in range(rng.randint(1, 12)):
+        r = rng.random()
+        if fam and r < 0.15:
+            fam.append(rng.choice(fam))
+        elif r < 0.25:
+            fam.append(0)
+        elif fam and r < 0.45:
+            fam.append(rng.choice(fam) | rng.getrandbits(n))
+        elif fam and r < 0.6:
+            fam.append(rng.choice(fam) & rng.getrandbits(n))
+        elif r < 0.8:
+            fam.append(rng.getrandbits(n))
+        else:  # a small set, so that the unions do not all reach [n]
+            fam.append(rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n))
+    return fam
+
+
+class TestLevelwiseWalk:
+    """down_sets against the depth-first reference walk at every limit
+    from 0 to one past the number of unions."""
+
+    def assert_matches_reference(self, fam):
+        unions = down_sets_reference(fam, 1 << 10)  # n <= 10: all of them
+        for limit in range(len(unions) + 2):
+            out = down_sets(fam, limit)
+            if len(unions) <= limit:
+                assert out == unions == down_sets_reference(fam, limit)
+            else:
+                assert 0 in out and out <= unions
+                assert len(out) == limit + 1
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_generator_families(self, seed):
+        rng = random.Random(seed)
+        self.assert_matches_reference(
+            random_generator_family(rng, rng.randint(1, 10))
+        )
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_preorder_closures(self, seed):
+        rng = random.Random(1000 + seed)
+        n = rng.randint(1, 10)
+        self.assert_matches_reference(
+            random_preorder_closures(rng, n, density=rng.choice([0.05, 0.3]))
+        )
+
+    def test_refusal_returns_limit_plus_one(self, monkeypatch):
+        # a 13-pair matching has D(j) = {j} and 2^13 down-sets; with the
+        # bound at 2^12 the walk hands back exactly 2^12 + 1 of them
+        monkeypatch.setattr(lattice_mod, "NEIGHBOR_CAP", 12)
+        sizes = []
+
+        def counted(closures, limit):
+            out = down_sets(closures, limit)
+            sizes.append(len(out))
+            return out
+
+        monkeypatch.setattr(lattice_mod, "down_sets", counted)
+        G = BipartiteGraph(13, 13, frozenset((i, i) for i in range(1, 14)))
+        with pytest.raises(TooLarge):
+            cover_lattice(G)
+        assert sizes == [(1 << 12) + 1]
+
+
+class TestDegreeValueSort:
+    """Elements and lcm closures are sorted by a stable sort on bit count
+    of the list sorted by value, which is the order_key order."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_equals_order_key_sort(self, seed):
+        # masks up to 64 bits wide (2n for n <= MAX_GROUND), few distinct
+        # bit counts among many masks, repeats and 0
+        rng = random.Random(seed)
+        width = rng.randint(1, 64)
+        counts = rng.sample(range(width + 1), min(3, width + 1))
+        xs = [0] * rng.randint(1, 3)
+        for _ in range(rng.randint(0, 300)):
+            k = rng.choice(counts)
+            xs.append(sum(1 << b for b in rng.sample(range(width), k)))
+        xs += rng.sample(xs, len(xs) // 4)
+        assert sorted(sorted(xs), key=int.bit_count) == sorted(xs, key=order_key)
+
+    def test_elements_and_closures_in_order(self):
+        for L in [*map(fixture_lattice, FIXTURES), *random_corpus(200, 42)]:
+            assert list(L.elements) == sorted(L.elements, key=order_key)
+            for I in hibi_ideal(L), edge_ideal(graph_from_lattice(L)):
+                closure = lcm_closure(I, cap=200000)
+                assert closure == sorted(closure, key=order_key)
 
 
 class TestMeet:

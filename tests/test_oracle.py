@@ -609,3 +609,66 @@ class TestFaceCap:
         monkeypatch.setattr(oracle, "FACE_CAP", 1)
         with pytest.raises(ClosureTooLarge, match="faces"):
             total_betti_in_degree(H, 1)
+
+
+# --- the totals visit only the degree window -------------------------------
+
+# "mixed" has d_min < d_max; "unit" is the unit ideal
+WINDOW_FILTER_CASES = [
+    *(f"{name}-{side}" for name in [*SMALL_FIXTURES, "FIG1"]
+      for side in ("hibi", "edge")),
+    *CROWNS, *N2_HIBI, "mixed", "unit",
+]
+
+
+def window_filter_case(name):
+    if name in ("mixed", "unit"):
+        return window_case(name)
+    if name in CROWNS or name in N2_HIBI:
+        return quadratic_case(name)
+    fixture, side = name.split("-")
+    L = fixture_lattice(fixture)
+    return hibi_ideal(L) if side == "hibi" else \
+        edge_ideal(graph_from_lattice(L))
+
+
+class TestWindowFilter:
+    """total_betti_in_degree and graded_betti_in_degree call betti_value_at
+    only on closure members inside the degree window; their sums equal the
+    sums over the whole closure."""
+
+    @pytest.mark.parametrize("name", WINDOW_FILTER_CASES)
+    def test_totals_match_unfiltered(self, name, monkeypatch):
+        I = window_filter_case(name)
+        # FIG1's edge closure has 6,973 elements, past CLOSURE_CAP
+        monkeypatch.setattr(oracle, "lcm_closure",
+                            partial(ideals.lcm_closure, cap=200000))
+        closure = lcm_closure(I, cap=200000)
+        for i in range(-1, 2 * I.n + 1):
+            values = [(b.bit_count(), betti_value_at(I, b, i)) for b in closure]
+            assert total_betti_in_degree(I, i) == sum(v for _, v in values)
+            for d in range(-1, 2 * I.n + 2):
+                assert graded_betti_in_degree(I, i, d, closure_cap=200000) \
+                    == sum(v for k, v in values if k == d)
+
+    def test_calls_only_inside_the_window(self, monkeypatch):
+        I = edge_ideal(graph_from_lattice(crown_lattice(3)))
+        seen = []
+
+        def counted(I, b, i, field="Q"):
+            seen.append(b)
+            return betti_value_at(I, b, i, field)
+
+        monkeypatch.setattr(oracle, "betti_value_at", counted)
+        for i in range(2 * I.n):
+            seen.clear()
+            total_betti_in_degree(I, i)
+            assert seen == [b for b in lcm_closure(I)
+                            if 2 + i <= b.bit_count() <= 2 * (i + 1)]
+
+    def test_zero_ideal_raises(self):
+        zero = SquarefreeIdeal(1, ())
+        with pytest.raises(ZeroIdeal):
+            total_betti_in_degree(zero, 0)
+        with pytest.raises(ZeroIdeal):
+            graded_betti_in_degree(zero, 0, 0)
