@@ -143,6 +143,11 @@ def preorder_lattice(D):
     return _with_hasse(len(D), fam, D)
 
 
+def _check_ground(n):
+    if n < 1 or n > MAX_GROUND:
+        raise TooLarge(f"ground set size {n} outside 1..{MAX_GROUND}")
+
+
 def validate_sublattice(family, n):
     """Check the family is a sublattice of B_n and build its Hasse data.
 
@@ -152,8 +157,7 @@ def validate_sublattice(family, n):
     none outside F; NotClosed names the least, in the total order, of
     those the walk met.
     """
-    if n < 1 or n > MAX_GROUND:
-        raise TooLarge(f"ground set size {n} outside 1..{MAX_GROUND}")
+    _check_ground(n)
     fam = set(family)
     top = full_mask(n)
     for m in fam:
@@ -242,8 +246,7 @@ def b_set(L):
 def _drawn_closures(n, seed_count, rng_seed):
     """D(i) of the sublattice generated by seed_count random subsets and
     the two bounds; deterministic for a fixed rng_seed."""
-    if n < 1 or n > MAX_GROUND:
-        raise TooLarge(f"ground set size {n} outside 1..{MAX_GROUND}")
+    _check_ground(n)
     rng = random.Random(rng_seed)
     drawn = [rng.getrandbits(n) for _ in range(seed_count)]
     return _smallest_containing(drawn, n)
@@ -298,6 +301,10 @@ def parse_lattice_text(text):
         raise InputFormatError("first line must be 'lattice <n>'")
     try:
         n = int(head[1])
+    except ValueError as exc:
+        raise InputFormatError(f"malformed lattice text: {exc}") from exc
+    _check_ground(n)  # before any mask of n bits is built
+    try:
         fam = {
             0 if ln == "empty" else mask_of(map(int, ln.split()), n)
             for ln in lines[1:]
@@ -326,6 +333,10 @@ def lattice_from_json_obj(obj):
     """Lattice from {"n": n, "elements": [[1-based indices], ...]}."""
     try:
         n = json_int(obj["n"])
+    except (KeyError, TypeError) as exc:
+        raise InputFormatError(f"malformed lattice JSON: {exc!r}") from exc
+    _check_ground(n)  # before any mask of n bits is built
+    try:
         fam = {mask_of(map(json_int, e), n) for e in obj["elements"]}
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed lattice JSON: {exc!r}") from exc

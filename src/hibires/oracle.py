@@ -1,37 +1,28 @@
 """Brute-force Betti numbers via simplicial homology.
 
 Independent of the closed-form resolution.  For a squarefree multidegree b
-two complexes on the vertex set supp(b) carry the Betti numbers of a
-squarefree monomial ideal I:
-
-* Hochster's restriction Delta_b: the subsets of supp(b) that contain no
-  generator of I (for I(G), the independent sets of G inside supp(b)),
-  with beta_{i,b}(I) = dim H~_{|b|-i-2}(Delta_b);
-* the upper Koszul complex K^b: the subsets t of supp(b) with b/t still in
-  I, with beta_{i,b}(I) = dim H~_{i-1}(K^b).
+the upper Koszul complex K^b on the vertex set supp(b), the subsets t of
+supp(b) with b/t still in the ideal, carries the Betti numbers of a
+squarefree monomial ideal I: beta_{i,b}(I) = dim H~_{i-1}(K^b)
+(Miller-Sturmfels, "Combinatorial Commutative Algebra", GTM 227, 2005).
+It is the only complex the oracle builds.  A face of K^b is a subset of
+supp(b) that some generator dividing b avoids, so one depth-first walk
+enumerates the faces from the list of those generators, and the reduced
+homology ranks come from exact linear algebra over Q or F_p.  A complex
+past FACE_CAP faces is refused with ClosureTooLarge.
 
 When every generator has degree 2 (every edge ideal, and the Hibi ideals
-with n = 2), Delta_b is the independence complex Ind(G[W]) of the graph G
-the generators span, on W = supp(b).  Engstrom's fold lemma ("Complexes
-of directed trees and independence complexes", Discrete Math. 309, 2009)
-says Ind(G) and Ind(G - v) are homotopy equivalent when N(u) is contained
-in N(v) for some u other than v.  The oracle folds G[W] until no fold
-applies and reads the residue R: an isolated vertex makes Ind a cone (no
-homology), a perfect matching with k edges makes it S^{k-1}
-(beta_{|W|-k-1,b} = 1), and any other residue is computed like the
-multidegree R below, its homological degree shifted by |W| - |R|.
-
-A subset t lies in K^b exactly when its complement in supp(b) does not lie
-in Delta_b (Alexander duality inside supp(b)), so the two complexes split
-the 2^|b| subsets of supp(b) between them.  Where it builds a complex,
-the oracle builds the smaller one.  A face of K^b misses a generator
-dividing b, so K^b has at most sum_g 2^(|b|-deg g) faces over those
-generators; when that bound is below half of the subsets, K^b is built
-at once.  Otherwise the oracle enumerates Delta_b up to half of the
-subsets and switches to K^b once Delta_b has more.  Both come from one
-depth-first face generator, and the reduced homology ranks come from
-exact linear algebra over Q or F_p.  A complex past FACE_CAP faces is
-refused with ClosureTooLarge.
+with n = 2), Hochster's restriction Delta_b, the subsets of supp(b) that
+contain no generator (beta_{i,b}(I) = dim H~_{|b|-i-2}(Delta_b)), is the
+independence complex Ind(G[W]) of the graph G the generators span, on
+W = supp(b).  Engstrom's fold lemma ("Complexes of directed trees and
+independence complexes", Discrete Math. 309, 2009) says Ind(G) and
+Ind(G - v) are homotopy equivalent when N(u) is contained in N(v) for
+some u other than v.  The oracle folds G[W] until no fold applies and
+reads the residue R: an isolated vertex makes Ind a cone (no homology), a
+perfect matching with k edges makes it S^{k-1} (beta_{|W|-k-1,b} = 1),
+and any other residue is read off K^R, its homological degree shifted by
+|W| - |R|.
 
 A single value beta_{i,b} is 0 outside the window
 d_min + i <= |b| <= d_max * (i+1) of the generator degrees (K^b has no
@@ -77,26 +68,6 @@ def _divisors(I, b):
     return [g for g in I.gens if g & ~b == 0]
 
 
-def _delta(gens):
-    """Delta_b as (nonvoid, extends): face | w stays in Delta_b when no
-    generator through w lies inside it."""
-    rest = {}
-    for g in gens:
-        for w in _bits(g):
-            rest.setdefault(w, []).append(g & ~w)
-    return 0 not in gens, lambda face, w: all(r & ~face for r in rest.get(w, ()))
-
-
-def _koszul(gens):
-    """K^b as (nonvoid, extends): face | w stays in K^b when some generator
-    avoids it."""
-    return bool(gens), lambda face, w: any(not g & (face | w) for g in gens)
-
-
-def _bits(mask):
-    return [1 << v for v in range(mask.bit_length()) if mask >> v & 1]
-
-
 def _fold(b, graph):
     """Fold the quadratic ideal's graph restricted to supp(b): drop a
     vertex v while some u != v has N(u) inside N(v).
@@ -135,19 +106,17 @@ def _fold(b, graph):
     return sum(nbr), all(nv & (nv - 1) == 0 for nv in nbr.values())
 
 
-def _faces(bmask, family, max_size=None):
-    """Faces (as masks) of a downward-closed family of subsets of bmask.
+def _faces(bmask, gens, max_size=None):
+    """Faces (as masks) of K^b, where gens are the generators dividing b
+    and bmask is supp(b): the subsets of bmask that some generator avoids.
 
-    family is (nonvoid, extends), where extends(face, w) tells whether
-    face | w is in the family given that face is.  Depth-first extension
-    in increasing vertex order: a face is extended only by the vertices
-    above its largest one that also extended its parent, so each face is
-    produced once and the work is proportional to the faces found times
-    |bmask|.  max_size stops the extension at faces with that many
-    vertices.
+    Depth-first extension in increasing vertex order: a face is extended
+    only by the vertices above its largest one that also extended its
+    parent, so each face is produced once and the work is proportional to
+    the faces found times |bmask|.  max_size stops the extension at faces
+    with that many vertices.
     """
-    nonvoid, extends = family
-    if not nonvoid:
+    if not gens:
         return
     yield 0
     if max_size is None:
@@ -156,7 +125,7 @@ def _faces(bmask, family, max_size=None):
     stack = [(0, 0, _bits(bmask))] if max_size > 0 else []
     while stack:
         face, size, cand = stack.pop()
-        ext = [w for w in cand if extends(face, w)]
+        ext = [w for w in cand if any(not g & (face | w) for g in gens)]
         for k, w in enumerate(ext):
             child = face | w
             yield child
@@ -164,13 +133,19 @@ def _faces(bmask, family, max_size=None):
                 stack.append((child, size + 1, ext[k + 1 :]))
 
 
-def _complex(bmask, faces):
+def _bits(mask):
+    return [1 << v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def _complex(b, gens, max_size=None):
+    """K^b, or its faces with at most max_size vertices, from the
+    generators gens dividing b; ClosureTooLarge past FACE_CAP faces."""
     by_dim = {}
-    for f in islice(faces, FACE_CAP + 1):
+    for f in islice(_faces(b, gens, max_size), FACE_CAP + 1):
         by_dim.setdefault(f.bit_count() - 1, []).append(f)
     if sum(map(len, by_dim.values())) > FACE_CAP:
         raise ClosureTooLarge(
-            f"a complex on {bmask.bit_count()} vertices passes the cap of "
+            f"a complex on {b.bit_count()} vertices passes the cap of "
             f"{FACE_CAP} faces"
         )
     return SimplicialComplex({d: sorted(fs) for d, fs in by_dim.items()})
@@ -178,30 +153,7 @@ def _complex(bmask, faces):
 
 def upper_koszul_complex(I, b):
     """Subsets t of supp(b) with b/t still in the ideal."""
-    return _complex(b, _faces(b, _koszul(_divisors(I, b))))
-
-
-def _smaller_side(I, b):
-    """(complex, on_delta): Delta_b while it has at most half of the
-    subsets of supp(b), else K^b.  Either side stops at FACE_CAP faces,
-    past which ClosureTooLarge is raised.
-
-    A face of K^b misses some generator g dividing b, so K^b has at most
-    sum_g 2^(|b|-deg g) faces; when that bound is below half of the
-    subsets, K^b is built at once.  Otherwise Delta_b is enumerated up to
-    half of them.  A void Delta_b (only the unit ideal has one) falls to
-    K^b, where the homology degree still reads off directly.
-    """
-    gens = _divisors(I, b)
-    k = b.bit_count()
-    half = (1 << k) >> 1
-    if sum(1 << k - g.bit_count() for g in gens) < half:
-        return _complex(b, _faces(b, _koszul(gens))), False
-    limit = min(half, FACE_CAP)
-    delta = list(islice(_faces(b, _delta(gens)), limit + 1))
-    if 0 < len(delta) <= limit:
-        return _complex(b, delta), True
-    return _complex(b, _faces(b, _koszul(gens))), False
+    return _complex(b, _divisors(I, b))
 
 
 def _boundary_matrix(K, d):
@@ -247,8 +199,9 @@ def betti_oracle(I, field="Q"):
 
     Candidate multidegrees are the lcm closure of the generators.  For a
     quadratic ideal each is folded first (see the module docstring);
-    a residue that is neither a cone nor a matching, and every multidegree
-    of any other ideal, is read off the smaller of Delta_b and K^b.
+    a residue R that is neither a cone nor a matching, and every
+    multidegree of any other ideal, is read off K^R at i = d + 1 plus the
+    fold's shift |b| - |R|.
     """
     if I.is_zero:
         raise ZeroIdeal("the zero ideal has no Betti table")
@@ -264,15 +217,15 @@ def betti_oracle(I, field="Q"):
                 table.add(b.bit_count() - r.bit_count() // 2 - 1, b)
                 continue
             shift = b.bit_count() - r.bit_count()
-        K, on_delta = _smaller_side(I, r)
+        K = upper_koszul_complex(I, r)
         for d, h in reduced_homology_ranks(K, field).items():
-            i = r.bit_count() - d - 2 if on_delta else d + 1
-            table.add(i + shift, b, h)
+            table.add(d + 1 + shift, b, h)
     return table
 
 
 def betti_value_at(I, b, i, field="Q"):
-    """Single Betti number beta_{i,b}(I), touching only three face sizes.
+    """Single Betti number beta_{i,b}(I) = dim H~_{i-1}(K^b), read off K^b
+    truncated at i + 1 vertices.
 
     Much cheaper than the full table when only a few positions matter
     (last-column totals, single graded values).  It is 0 outside the
@@ -280,9 +233,8 @@ def betti_value_at(I, b, i, field="Q"):
     K^b has no face with more than |b| - d_min vertices, and by Taylor's
     resolution a b that carries beta_i is the lcm of i+1 generators.
     Inside the window a quadratic ideal folds b first, as betti_oracle
-    does.  The faces come from Delta_b up to |b|-i vertices or from K^b up
-    to i+1 vertices, whichever limit is smaller, and stop at FACE_CAP
-    faces (ClosureTooLarge past it).
+    does.  The truncated K^b stops at FACE_CAP faces (ClosureTooLarge
+    past it).
     """
     if I.is_zero:
         return 0
@@ -298,17 +250,13 @@ def betti_value_at(I, b, i, field="Q"):
         if matching:
             return int(i == k - r.bit_count() // 2 - 1)
         i -= k - r.bit_count()
-        b, k = r, r.bit_count()
+        b = r
     if i <= 0:
         return int(i == 0 and b in I.gens)
-    gens = _divisors(I, b)
-    if k - i <= i + 1:
-        family, d = _delta(gens), k - i - 2
-    else:
-        family, d = _koszul(gens), i - 1
-    K = _complex(b, _faces(b, family, max_size=d + 2))
+    K = _complex(b, _divisors(I, b), max_size=i + 1)
     return (
-        K.face_count(d) - _boundary_rank(K, d, field) - _boundary_rank(K, d + 1, field)
+        K.face_count(i - 1) - _boundary_rank(K, i - 1, field)
+        - _boundary_rank(K, i, field)
     )
 
 

@@ -187,6 +187,18 @@ class TestAnalyze:
         assert main(["analyze", "--input", str(path)]) == 1
         assert_clean_error(capsys, "TooLarge")
 
+    @pytest.mark.parametrize("name, text", [
+        ("huge.lat", f"lattice {10**18}\nempty\n{10**18}\n"),
+        ("huge.json", json.dumps({"n": 10**18, "elements": [[], [10**18]]})),
+    ], ids=["text", "json"])
+    def test_lattice_past_ground_bound_exit_1(self, name, text, tmp_path,
+                                              capsys):
+        # refused on n before a mask with bit 10^18 is built
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["analyze", "--input", str(path)]) == 1
+        assert_clean_error(capsys, "TooLarge")
+
     def test_long_augmenting_path_exit_1(self, tmp_path):
         # 3000 pairs whose matching needs a 3000-step augmenting path:
         # refused on n before the matching is searched

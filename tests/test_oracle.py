@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hibires import ideals, oracle
 from hibires.betti import BettiTable
 from hibires.errors import ClosureTooLarge, ZeroIdeal
-from hibires.fixtures import fig1, fixture_lattice
+from hibires.fixtures import fixture_lattice
 from hibires.graphs import BipartiteGraph, graph_from_lattice
 from hibires.ideals import (
     SquarefreeIdeal,
@@ -18,12 +18,11 @@ from hibires.ideals import (
     lcm_closure,
     monomial,
 )
-from hibires.lattice import random_sublattice, validate_sublattice
+from hibires.lattice import random_corpus, random_sublattice, validate_sublattice
 from hibires.oracle import (
     SimplicialComplex,
     _divisors,
     _fold,
-    _smaller_side,
     betti_oracle,
     betti_value_at,
     graded_betti_in_degree,
@@ -67,8 +66,103 @@ def reference_table(I, field="Q"):
     return table
 
 
+def bits(mask):
+    return [1 << v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def complex_of(faces):
+    by_dim = {}
+    for f in faces:
+        by_dim.setdefault(f.bit_count() - 1, []).append(f)
+    return SimplicialComplex({d: sorted(fs) for d, fs in by_dim.items()})
+
+
+# --- Hochster's side ------------------------------------------------------
+# Hochster's restriction Delta_b, the subsets of supp(b) containing no
+# generator, carries beta_{i,b} = dim H~_{|b|-i-2}(Delta_b).  Inside supp(b)
+# it is Alexander dual to K^b (t is in K^b exactly when supp(b) minus t is
+# not in Delta_b), so the two split the 2^|b| subsets.  The oracle builds
+# only K^b; this reference reads Delta_b wherever it is the smaller side,
+# through the other degree formula, and folds nothing.
+
+def delta_faces(b, gens):
+    """Faces of Delta_b, depth-first in increasing vertex order: face | w
+    stays in Delta_b when no generator through w lies inside it.  Void for
+    the unit ideal."""
+    if 0 in gens:
+        return
+    rest = {}
+    for g in gens:
+        for w in bits(g):
+            rest.setdefault(w, []).append(g & ~w)
+    yield 0
+    stack = [(0, bits(b))]
+    while stack:
+        face, cand = stack.pop()
+        ext = [w for w in cand if all(r & ~face for r in rest.get(w, ()))]
+        for k, w in enumerate(ext):
+            yield face | w
+            if k + 1 < len(ext):
+                stack.append((face | w, ext[k + 1:]))
+
+
+def hochster_side(I, b):
+    """(complex, on_delta): Delta_b while it has at most half of the subsets
+    of supp(b) (and at most FACE_CAP faces), else K^b.
+
+    A face of K^b misses some generator g dividing b, so K^b is the union
+    of the simplices on supp(b) minus g, with at most sum_g 2^(|b|-deg g)
+    faces; when that bound is below half of the subsets, K^b is taken
+    without enumerating Delta_b.  A void Delta_b (only the unit ideal has
+    one) falls to K^b.
+    """
+    gens = _divisors(I, b)
+    k = b.bit_count()
+    half = (1 << k) >> 1
+    if sum(1 << k - g.bit_count() for g in gens) >= half:
+        limit = min(half, oracle.FACE_CAP)
+        delta = list(islice(delta_faces(b, gens), limit + 1))
+        if 0 < len(delta) <= limit:
+            return complex_of(delta), True
+    return complex_of({t for g in gens for t in subsets(b & ~g)}), False
+
+
+def hochster_ranks(I, b, field="Q"):
+    """{i: beta_{i,b}(I)} from hochster_side on all of supp(b)."""
+    K, on_delta = hochster_side(I, b)
+    return {
+        b.bit_count() - d - 2 if on_delta else d + 1: h
+        for d, h in reduced_homology_ranks(K, field).items()
+    }
+
+
+def hochster_table(I, field="Q"):
+    table = BettiTable(I.n, "ideal")
+    for b in lcm_closure(I, cap=200000):
+        for i, h in hochster_ranks(I, b, field).items():
+            table.add(i, b, h)
+    return table
+
+
 def both_ideals(L):
     return hibi_ideal(L), edge_ideal(graph_from_lattice(L))
+
+
+def named_lattice(name):
+    """A fixture lattice, B_3, or a crown lattice."""
+    if name == "B3":
+        return validate_sublattice(range(8), 3)
+    if name.startswith("crown"):
+        return crown_lattice(int(name[5:]))
+    if name == "twinned-crown3":
+        return crown_lattice(3, twin=True)
+    return fixture_lattice(name)
+
+
+# Hibi ideals compared with hochster_table; TestFold compares the edge
+# ideals of the fixtures and the crowns with it
+HOCHSTER_CASES = [*SMALL_FIXTURES, "FIG1", "B3", "crown3", "crown4",
+                  "twinned-crown3"]
 
 
 def simplex_complex(k):
@@ -171,26 +265,46 @@ class TestBettiOracle:
 
 
 class TestAgainstReference:
-    """betti_oracle reads each multidegree off the smaller of Delta_b and
-    K^b; the reference reads every one off the exhaustive K^b scan."""
+    """betti_oracle reads every multidegree off K^b.  One reference reads
+    each off the exhaustive K^b scan, the other off Hochster's side."""
 
     @pytest.mark.parametrize("name", SMALL_FIXTURES)
     def test_fixtures_take_both_sides(self, name):
         sides = set()
         for I in both_ideals(fixture_lattice(name)):
-            sides |= {_smaller_side(I, b)[1] for b in lcm_closure(I)}
+            sides |= {hochster_side(I, b)[1] for b in lcm_closure(I)}
             for field in ("Q", 2):
-                assert betti_oracle(I, field).entries == \
-                    reference_table(I, field).entries
+                expected = betti_oracle(I, field).entries
+                assert expected == reference_table(I, field).entries
+                assert expected == hochster_table(I, field).entries
         assert sides == {True, False}
+
+    @pytest.mark.parametrize("name", HOCHSTER_CASES)
+    def test_hibi_matches_hochster(self, name):
+        I = hibi_ideal(named_lattice(name))
+        for field in ("Q", 2):
+            assert betti_oracle(I, field).entries == \
+                hochster_table(I, field).entries
 
     @given(st.integers(1, 4), st.integers(0, 4), st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_random_lattices(self, n, seeds, seed):
         for I in both_ideals(random_sublattice(n, seeds, seed)):
             for field in ("Q", 2):
-                assert betti_oracle(I, field).entries == \
-                    reference_table(I, field).entries
+                expected = betti_oracle(I, field).entries
+                assert expected == reference_table(I, field).entries
+                assert expected == hochster_table(I, field).entries
+
+
+def hibi_spot_ideals(name):
+    """Non-quadratic Hibi ideals.  E1's (n = 1, generators x1 and y1) is
+    the only fixture ideal on which the oracle once read Delta_b."""
+    if name == "corpus":
+        return [hibi_ideal(L) for L in random_corpus(40, 7)]
+    if name in ("B3", "B4"):
+        n = int(name[1])
+        return [hibi_ideal(validate_sublattice(range(1 << n), n))]
+    return [hibi_ideal(fixture_lattice(name))]
 
 
 class TestCheapPaths:
@@ -201,6 +315,16 @@ class TestCheapPaths:
         for b in lcm_closure(I):
             for i in range(5):
                 assert betti_value_at(I, b, i) == T.value(i, b)
+
+    @pytest.mark.parametrize("name", ["B3", "B4", "FIG1", "E1", "corpus"])
+    def test_hibi_value_at_matches_table(self, name):
+        # K^b truncated at i + 1 vertices against the whole K^b
+        for I in hibi_spot_ideals(name):
+            for field in ("Q", 2):
+                T = betti_oracle(I, field)
+                for b in lcm_closure(I):
+                    for i in range(-1, b.bit_count() + 1):
+                        assert betti_value_at(I, b, i, field) == T.value(i, b)
 
     def test_total_in_degree(self, K22):
         I = edge_ideal(graph_from_lattice(K22))
@@ -248,24 +372,6 @@ def residues(I):
     return out
 
 
-def unfolded_ranks(I, b, field="Q"):
-    """{i: beta_{i,b}(I)} from the smaller of Delta_b and K^b on all of
-    supp(b), with no fold."""
-    K, on_delta = _smaller_side(I, b)
-    return {
-        b.bit_count() - d - 2 if on_delta else d + 1: h
-        for d, h in reduced_homology_ranks(K, field).items()
-    }
-
-
-def unfolded_table(I, field="Q"):
-    table = BettiTable(I.n, "ideal")
-    for b in lcm_closure(I, cap=200000):
-        for i, h in unfolded_ranks(I, b, field).items():
-            table.add(i, b, h)
-    return table
-
-
 def n2_lattices():
     """The four sublattices of B_2 with both bounds."""
     return [validate_sublattice(f, 2) for f in
@@ -275,7 +381,7 @@ def n2_lattices():
 N2_HIBI = [f"hibi-n2-{k}" for k in range(4)]
 CROWNS = {"crown3": (3, False), "crown4": (4, False),
           "twinned-crown3": (3, True)}
-# quadratic ideals whose fold path is compared with the unfolded one;
+# quadratic ideals whose fold path is compared with hochster_table;
 # the small ones also at every b, not only the closure
 SMALL_FOLD_CASES = ["E1", "K22", "CHAIN", "B2", *N2_HIBI]
 FOLD_CASES = [*SMALL_FOLD_CASES, "FIG1", *CROWNS]
@@ -293,7 +399,7 @@ def quadratic_case(name):
 
 def assert_fold_matches_unfolded(I, expected, monkeypatch, field="Q"):
     """The table, and the single value at every (i, b) of the closure, equal
-    the unfolded oracle's."""
+    expected, the Hochster-side reference's table, which folds nothing."""
     # FIG1's edge closure has 6,973 elements, past CLOSURE_CAP
     monkeypatch.setattr(oracle, "lcm_closure",
                         partial(ideals.lcm_closure, cap=200000))
@@ -308,14 +414,14 @@ class TestFold:
     def test_matches_unfolded(self, name, monkeypatch):
         I = quadratic_case(name)
         assert all(g.bit_count() == 2 for g in I.gens)
-        assert_fold_matches_unfolded(I, unfolded_table(I), monkeypatch)
+        assert_fold_matches_unfolded(I, hochster_table(I), monkeypatch)
 
     @pytest.mark.parametrize("name", SMALL_FOLD_CASES)
     def test_every_subset_over_gf2(self, name):
         # also the b outside the closure, where Delta_b is a cone
         I = quadratic_case(name)
         for sub in subsets(support(I)):
-            expected = unfolded_ranks(I, sub, field=2)
+            expected = hochster_ranks(I, sub, field=2)
             for i in range(sub.bit_count() + 1):
                 assert betti_value_at(I, sub, i, field=2) == expected.get(i, 0)
 
@@ -356,7 +462,7 @@ class TestFold:
     def test_random_lattices(self, n, seeds, seed):
         I = edge_ideal(graph_from_lattice(random_sublattice(n, seeds, seed)))
         with pytest.MonkeyPatch.context() as mp:
-            assert_fold_matches_unfolded(I, unfolded_table(I), mp)
+            assert_fold_matches_unfolded(I, hochster_table(I), mp)
 
     @given(st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7))
                    .filter(lambda e: e[0] < e[1]), min_size=1, max_size=16))
@@ -366,53 +472,11 @@ class TestFold:
         I = SquarefreeIdeal.of(4, [1 << u | 1 << v for u, v in edges])
         with pytest.MonkeyPatch.context() as mp:
             for field in ("Q", 2):
-                expected = unfolded_table(I, field)
+                expected = hochster_table(I, field)
                 assert_fold_matches_unfolded(I, expected, mp, field)
 
 
-# --- the degree window and the K^b bound ---------------------------------
-
-def unpruned_value_at(I, b, i, field="Q"):
-    """betti_value_at with no degree window: fold, then three face sizes."""
-    if I.graph is not None:
-        folded = _fold(b, I.graph)
-        if folded is None:
-            return 0
-        r, matching = folded
-        if matching:
-            return int(i == b.bit_count() - r.bit_count() // 2 - 1)
-        i -= b.bit_count() - r.bit_count()
-        b = r
-    if i <= 0:
-        return int(i == 0 and b in I.gens)
-    gens = _divisors(I, b)
-    k = b.bit_count()
-    if k - i <= i + 1:
-        family, d = oracle._delta(gens), k - i - 2
-    else:
-        family, d = oracle._koszul(gens), i - 1
-    K = oracle._complex(b, oracle._faces(b, family, max_size=d + 2))
-    return (K.face_count(d) - oracle._boundary_rank(K, d, field)
-            - oracle._boundary_rank(K, d + 1, field))
-
-
-def old_smaller_side(I, b):
-    """The side rule with no K^b bound: enumerate Delta_b up to half of the
-    subsets of supp(b), else K^b."""
-    gens = _divisors(I, b)
-    limit = min((1 << b.bit_count()) >> 1, oracle.FACE_CAP)
-    delta = list(islice(oracle._faces(b, oracle._delta(gens)), limit + 1))
-    if 0 < len(delta) <= limit:
-        return oracle._complex(b, delta), True
-    return oracle._complex(b, oracle._faces(b, oracle._koszul(gens))), False
-
-
-def koszul_bound_fires(I, b):
-    """Whether sum over the generators g dividing b of 2^(|b|-deg g), a
-    bound on the faces of K^b, is below half of the subsets of supp(b)."""
-    k = b.bit_count()
-    return sum(1 << k - g.bit_count() for g in _divisors(I, b)) < (1 << k) >> 1
-
+# --- the degree window ----------------------------------------------------
 
 # a mixed-degree ideal on x1..x3, y1..y3: x1y1, x2y2, x3y3 of degree 2,
 # x1x2y3 and x3y1y2 of degree 3
@@ -437,14 +501,15 @@ def window_case(name):
 def assert_window_is_exact(I, field="Q"):
     # every b over the 2n variables: for the unit ideal supp is empty
     for b in subsets((1 << 2 * I.n) - 1):
+        expected = hochster_ranks(I, b, field)
         for i in range(b.bit_count() + 2):
-            assert betti_value_at(I, b, i, field) == \
-                unpruned_value_at(I, b, i, field)
+            assert betti_value_at(I, b, i, field) == expected.get(i, 0)
 
 
 class TestDegreeWindow:
     """betti_value_at returns 0 outside d_min + i <= |b| <= d_max * (i+1)
-    without folding; inside, it is the unpruned value."""
+    without folding; at every (i, b) it is the value of the Hochster-side
+    reference, which has no window and no fold."""
 
     @pytest.mark.parametrize("name", ["unit", "mixed", "hibi-B3", "crown3"])
     def test_matches_unpruned(self, name):
@@ -515,72 +580,18 @@ class TestDegreeWindow:
         assert inside > 0
 
 
-def both_side_cases():
-    """B_3's Hibi ideal, and the Hibi and edge ideals of the fixtures and
-    crowns.  On an edge ideal the K^b bound fires only at the generators
-    (two edges already give 2 * 2^(|b|-2)), so the edge ideals of FIG1
-    (6,973 multidegrees, past CLOSURE_CAP) and of the k = 4 crown (4,910)
-    are left out: they add time, not cases."""
-    out = [hibi_ideal(validate_sublattice(B3, 3)), hibi_ideal(fig1()),
-           hibi_ideal(crown_lattice(4))]
-    for L in [*map(fixture_lattice, SMALL_FIXTURES), crown_lattice(3),
-              crown_lattice(3, twin=True)]:
-        out += both_ideals(L)
-    return out
-
-
-class TestKoszulBound:
-    """_smaller_side builds K^b at once when the K^b bound is below half of
-    the subsets, and takes the same side as the old rule everywhere."""
-
-    def test_same_side_as_old_rule(self):
-        fired = 0
-        for I in both_side_cases():
-            for b in lcm_closure(I):
-                K, on_delta = _smaller_side(I, b)
-                assert (K, on_delta) == old_smaller_side(I, b)
-                fired += koszul_bound_fires(I, b)
-        assert fired > 0
-
-    def test_no_delta_face_when_bound_fires(self, monkeypatch):
-        delta_faces = []
-        delta = oracle._delta
-
-        def counted(gens):
-            nonvoid, extends = delta(gens)
-
-            def counting(face, w):
-                delta_faces.append(face | w)
-                return extends(face, w)
-
-            return nonvoid, counting
-
-        monkeypatch.setattr(oracle, "_delta", counted)
-        H = hibi_ideal(crown_lattice(4))
-        fired = [b for b in lcm_closure(H) if koszul_bound_fires(H, b)]
-        assert fired
-        for b in fired:
-            _smaller_side(H, b)
-        assert delta_faces == []
-        # where the bound does not fire, Delta_b is enumerated as before
-        B = hibi_ideal(validate_sublattice(B3, 3))
-        for b in lcm_closure(B):
-            if not koszul_bound_fires(B, b):
-                _smaller_side(B, b)
-        assert delta_faces
-
-
 class TestFaceCap:
     """Only the complexes the oracle builds count toward the cap.  On the
-    k = 3 crown's edge ideal the fold leaves one, Ind(C_6) at
-    x1x3x5*y2y4y6; the non-quadratic Hibi ideal of B_3 builds one at every
-    multidegree."""
+    k = 3 crown's edge ideal the fold leaves one, K^b at x1x3x5*y2y4y6
+    (46 faces, where Ind(C_6) has 18); the non-quadratic Hibi ideal of B_3
+    builds one at every multidegree."""
 
     def assert_cap_is_exact(self, I, built, monkeypatch):
         # at the largest complex's face count nothing changes; one below
         # it the oracle refuses
         largest = max(
-            sum(map(len, _smaller_side(I, b)[0].faces.values())) for b in built
+            sum(map(len, upper_koszul_complex(I, b).faces.values()))
+            for b in built
         )
         expected = betti_oracle(I).entries
         monkeypatch.setattr(oracle, "FACE_CAP", largest)
@@ -588,11 +599,12 @@ class TestFaceCap:
         monkeypatch.setattr(oracle, "FACE_CAP", largest - 1)
         with pytest.raises(ClosureTooLarge, match="faces"):
             betti_oracle(I)
+        return largest
 
     def test_cap_is_exact(self, monkeypatch):
         I = edge_ideal(graph_from_lattice(crown_lattice(3)))
         assert residues(I) == [CROWN3_CYCLE]
-        self.assert_cap_is_exact(I, residues(I), monkeypatch)
+        assert self.assert_cap_is_exact(I, residues(I), monkeypatch) == 46
 
     def test_hibi_cap_is_exact(self, monkeypatch):
         H = hibi_ideal(validate_sublattice(range(8), 3))
