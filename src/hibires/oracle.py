@@ -8,7 +8,7 @@ squarefree monomial ideal I: beta_{i,b}(I) = dim H~_{i-1}(K^b)
 It is the only complex the oracle builds.  A face of K^b is a subset of
 supp(b) that some generator dividing b avoids, so one depth-first walk
 enumerates the faces from the list of those generators, and the reduced
-homology ranks come from exact linear algebra over Q or F_p.  A complex
+homology ranks come from linalg.homology_ranks over Q or F_p.  A complex
 past FACE_CAP faces is refused with ClosureTooLarge.
 
 When every generator has degree 2 (every edge ideal, and the Hibi ideals
@@ -40,7 +40,7 @@ from itertools import islice
 from .betti import BettiTable
 from .errors import ClosureTooLarge, ZeroIdeal
 from .ideals import CLOSURE_CAP, lcm_closure
-from .linalg import rank_exact
+from .linalg import homology_ranks
 
 FACE_CAP = 1 << 16  # max faces of one complex before the oracle refuses
 
@@ -54,13 +54,6 @@ class SimplicialComplex:
     """
 
     faces: dict
-
-    @property
-    def dim(self):
-        return max(self.faces, default=-2)
-
-    def face_count(self, d):
-        return len(self.faces.get(d, ()))
 
 
 def _divisors(I, b):
@@ -156,42 +149,21 @@ def upper_koszul_complex(I, b):
     return _complex(b, _divisors(I, b))
 
 
-def _boundary_matrix(K, d):
-    """Sparse rows (one per d-face) of the boundary map into dimension d-1."""
-    lower = {f: i for i, f in enumerate(K.faces.get(d - 1, ()))}
-    rows = []
-    for f in K.faces.get(d, ()):
-        row = {}
-        sign = 1
-        rest = f
-        while rest:
-            w = rest & -rest
-            row[lower[f ^ w]] = sign
-            sign = -sign
-            rest ^= w
-        rows.append(row)
-    return rows
-
-
-def _boundary_rank(K, d, field):
-    return rank_exact(_boundary_matrix(K, d), field=field)
+def _face_boundary(d, f):
+    """The simplicial boundary of the face f: f minus each of its vertices,
+    in increasing order, with alternating signs."""
+    sign = 1
+    rest = f
+    while rest:
+        w = rest & -rest
+        yield f ^ w, sign
+        sign = -sign
+        rest ^= w
 
 
 def reduced_homology_ranks(K, field="Q"):
     """Ranks of reduced homology, as a dict degree -> rank (degree >= -1)."""
-    if K.dim < -1:
-        return {}
-    boundary_rank = {d: _boundary_rank(K, d, field) for d in range(0, K.dim + 1)}
-    out = {}
-    for d in range(-1, K.dim + 1):
-        h = (
-            K.face_count(d)
-            - boundary_rank.get(d, 0)
-            - boundary_rank.get(d + 1, 0)
-        )
-        if h:
-            out[d] = h
-    return out
+    return homology_ranks(K.faces, _face_boundary, field=field)
 
 
 def betti_oracle(I, field="Q"):
@@ -225,7 +197,7 @@ def betti_oracle(I, field="Q"):
 
 def betti_value_at(I, b, i, field="Q"):
     """Single Betti number beta_{i,b}(I) = dim H~_{i-1}(K^b), read off K^b
-    truncated at i + 1 vertices.
+    truncated at i + 1 vertices: its degrees i-2, i-1 and i.
 
     Much cheaper than the full table when only a few positions matter
     (last-column totals, single graded values).  It is 0 outside the
@@ -253,11 +225,9 @@ def betti_value_at(I, b, i, field="Q"):
         b = r
     if i <= 0:
         return int(i == 0 and b in I.gens)
-    K = _complex(b, _divisors(I, b), max_size=i + 1)
-    return (
-        K.face_count(i - 1) - _boundary_rank(K, i - 1, field)
-        - _boundary_rank(K, i, field)
-    )
+    faces = _complex(b, _divisors(I, b), max_size=i + 1).faces
+    cells = {d: faces.get(d, []) for d in (i - 2, i - 1, i)}
+    return homology_ranks(cells, _face_boundary, field=field).get(i - 1, 0)
 
 
 def _degree_window(I, i):

@@ -20,7 +20,7 @@ from .bitset import full_mask
 from .errors import ConsistencyError, HomDegreeZero, TooManyNeighbors
 from .ideals import lattice_generator, monomial, render_monomial
 from .lattice import NEIGHBOR_CAP
-from .linalg import rank_exact
+from .linalg import homology_ranks
 
 
 @dataclass(frozen=True)
@@ -214,43 +214,22 @@ def verify_minimality(C):
 def strand_exactness(C, I, b, field="Q"):
     """Exactness of the degree-b strand of the augmented complex.
 
-    Basis elements survive when their multidegree divides b; entries
-    become their integer signs.  The augmentation maps onto the
-    one-dimensional degree-b component of the ideal when some generator
-    divides b.  True iff the resulting complex of vector spaces is exact
-    in every positive position and the augmentation is onto when present.
+    The strand keeps the basis elements whose multidegree divides b, with
+    their differential entries reduced to integer signs; a survivor's
+    targets divide its degree (build_resolution checks that homogeneity),
+    so they survive too.  The augmentation maps onto the one-dimensional
+    degree-b component of the ideal when some generator divides b.  So the
+    strand is exact iff its homology (linalg.homology_ranks) is one
+    dimension at level 0 when b lies in the ideal, and zero otherwise.
     """
-    survivors = [
-        [pos for pos, g in enumerate(lv) if g.multidegree & ~b == 0]
-        for lv in C.levels
-    ]
-    local = [
-        {pos: k for k, pos in enumerate(sv)} for sv in survivors
-    ]
-    dims = [len(sv) for sv in survivors]
-    has_ideal_component = I.contains_monomial(b)
-    if has_ideal_component and dims[0] == 0:
-        return False  # augmentation cannot be surjective
-    # ranks of the restricted sign matrices, one per differential
-    ranks = []
-    for i, per_source in enumerate(C.diffs):
-        rows = []
-        for pos in survivors[i + 1]:
-            row = {}
-            for tpos, sign, _ in per_source[pos]:
-                if tpos in local[i]:
-                    row[local[i][tpos]] = sign
-            rows.append(row)
-        ranks.append(rank_exact(rows, field=field))
-    aug_rank = 1 if has_ideal_component else 0
-    # exactness at level 0 against the augmentation, then at each level up;
-    # at the top the last differential must be injective
-    prev = aug_rank
-    for i in range(len(C.diffs)):
-        if ranks[i] + prev != dims[i]:
-            return False
-        prev = ranks[i]
-    return dims[-1] == prev
+    survivors = {
+        i: [pos for pos, g in enumerate(lv) if g.multidegree & ~b == 0]
+        for i, lv in enumerate(C.levels)
+    }
+    homology = homology_ranks(
+        survivors, lambda i, pos: C.diffs[i - 1][pos], field=field
+    )
+    return homology == ({0: 1} if I.contains_monomial(b) else {})
 
 
 def betti_table_from_basis(C):

@@ -10,6 +10,7 @@ from hibires.errors import ConsistencyError
 from hibires.fixtures import b2, chain, e1, fig1, k22
 from hibires.ideals import monomial
 from hibires.lattice import boolean_interval_scan, preorder_lattice
+from hibires.linalg import rank_exact
 from hibires.resolution import BasisElement
 
 
@@ -99,6 +100,69 @@ def reference_resolution(L):
             per_source.append(entries)
         diffs.append(per_source)
     return levels, diffs
+
+
+# --- homology references ----------------------------------------------------
+# Homology read off hand-built matrices, one rank_exact call per map, with
+# the ranks turned into homology by each complex's own formula: the two
+# paths that linalg.homology_ranks replaced, kept to check it against.
+
+def reference_reduced_homology(K, field="Q"):
+    """Reduced homology ranks of a simplicial complex (faces as masks) from
+    its boundary matrices, one row per face of each dimension."""
+
+    def boundary_rank(d):
+        lower = {f: i for i, f in enumerate(K.faces.get(d - 1, ()))}
+        rows = []
+        for f in K.faces.get(d, ()):
+            row, sign, rest = {}, 1, f
+            while rest:
+                w = rest & -rest
+                row[lower[f ^ w]] = sign
+                sign, rest = -sign, rest ^ w
+            rows.append(row)
+        return rank_exact(rows, field=field)
+
+    top = max(K.faces, default=-2)
+    ranks = {d: boundary_rank(d) for d in range(0, top + 1)}
+    out = {}
+    for d in range(-1, top + 1):
+        h = len(K.faces.get(d, ())) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+        if h:
+            out[d] = h
+    return out
+
+
+def reference_strand_exactness(C, I, b, field="Q"):
+    """Exactness of the degree-b strand of the augmented resolution C, from
+    the rank of each restricted sign matrix and the augmentation's rank,
+    position by position."""
+    survivors = [
+        [pos for pos, g in enumerate(lv) if g.multidegree & ~b == 0]
+        for lv in C.levels
+    ]
+    local = [{pos: k for k, pos in enumerate(sv)} for sv in survivors]
+    dims = [len(sv) for sv in survivors]
+    has_ideal_component = I.contains_monomial(b)
+    if has_ideal_component and dims[0] == 0:
+        return False  # augmentation cannot be surjective
+    ranks = []
+    for i, per_source in enumerate(C.diffs):
+        rows = []
+        for pos in survivors[i + 1]:
+            rows.append({
+                local[i][tpos]: sign
+                for tpos, sign, _ in per_source[pos] if tpos in local[i]
+            })
+        ranks.append(rank_exact(rows, field=field))
+    # exact at level 0 against the augmentation, then at each level up; at
+    # the top the last differential must be injective
+    prev = 1 if has_ideal_component else 0
+    for i in range(len(C.diffs)):
+        if ranks[i] + prev != dims[i]:
+            return False
+        prev = ranks[i]
+    return dims[-1] == prev
 
 
 # --- references for the basis-read checks --------------------------------

@@ -330,6 +330,27 @@ class TestVerify:
         assert "PASS B2 betti_formula_vs_oracle" in out
         assert "PASS FIG1 betti_formula_vs_oracle" not in out
 
+    def test_fig1_file_oracle_downgrade_is_reported(self, tmp_path, capsys):
+        # the downgrade follows the refusal, not the fixture's name
+        assert main(["fixtures", "--out", str(tmp_path)]) == 0
+        path = str(tmp_path / "FIG1.lat")
+        capsys.readouterr()
+        assert main(["verify", "--input", path, "--level", "oracle"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"SKIP {path} oracle checks: run at formulas level\n")
+        assert f"PASS {path} strand_exactness" in out
+        assert f"PASS {path} betti_formula_vs_oracle" not in out
+
+    def test_formulas_level_refusal_at_oracle_level_exit_1(
+        self, boolean8_file, capsys
+    ):
+        # B_8's strand closure refuses at formulas level too: no downgrade
+        rc = main(["verify", "--input", boolean8_file, "--level", "oracle"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "SKIP" not in captured.out
+        assert json.loads(captured.err)["error"] == "ClosureTooLarge"
+
     def test_mutate_exits_2_with_counterexample(self, chain_file, capsys):
         rc = main(
             ["verify", "--input", chain_file, "--debug-mutate-differential"]

@@ -1,13 +1,15 @@
 import random
 import subprocess
+from itertools import combinations
 import sys
 from pathlib import Path
 
 import pytest
 
 import hibires
-from hibires.errors import UnsupportedField
-from hibires.linalg import rank_exact
+from hibires import linalg
+from hibires.errors import ConsistencyError, UnsupportedField
+from hibires.linalg import homology_ranks, rank_exact
 
 PRIMES = [2, 3, 32749, 2**31 - 1]
 
@@ -147,6 +149,82 @@ class TestCrossValidation:
             assert rank_exact(to_sparse(dense)) == q_rank
             assert rank_exact(to_sparse(dense), field=p) == p_rank
             assert p_rank < q_rank
+
+
+def closure(facets):
+    """The simplicial complex generated by facets, empty face included, as
+    cells {dimension: sorted vertex tuples}."""
+    faces = set()
+    for facet in facets:
+        for k in range(len(facet) + 1):
+            faces.update(combinations(sorted(facet), k))
+    cells = {}
+    for f in sorted(faces):
+        cells.setdefault(len(f) - 1, []).append(f)
+    return cells
+
+
+def face_boundary(d, face):
+    """The simplicial boundary of a vertex tuple, with a trailing extra
+    field that homology_ranks must ignore."""
+    for k in range(len(face)):
+        yield face[:k] + face[k + 1:], (-1) ** k, "extra"
+
+
+# the 6-vertex triangulation of the real projective plane
+RP2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5), (1, 2, 4),
+       (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)]
+
+
+class TestHomologyRanks:
+    def test_circle(self):
+        cells = closure([(0, 1), (1, 2), (0, 2)])
+        assert homology_ranks(cells, face_boundary) == {1: 1}
+
+    def test_sphere(self):
+        cells = closure(combinations(range(4), 3))
+        assert homology_ranks(cells, face_boundary) == {2: 1}
+
+    def test_void_and_empty_complexes(self):
+        assert homology_ranks({}, face_boundary) == {}
+        assert homology_ranks({-1: [()]}, face_boundary) == {-1: 1}
+
+    def test_empty_degree(self, monkeypatch):
+        # a zero space between two nonzero ones, and an empty top degree:
+        # no matrix there is ranked
+        calls = []
+        monkeypatch.setattr(
+            linalg, "rank_exact", lambda rows, **kw: calls.append(rows) or 0
+        )
+        cells = {0: ["a", "b"], 1: [], 2: ["c"], 3: []}
+        assert homology_ranks(cells, lambda d, c: ()) == {0: 2, 2: 1}
+        assert calls == []
+
+    def test_truncated_complex(self):
+        # the sphere's degrees 0..2 only: degree 0 gets no boundary, so H_0
+        # is the vertex count minus the edge rank, and H_1, H_2 are exact
+        cells = closure(combinations(range(4), 3))
+        kept = {d: cells[d] for d in (0, 1, 2)}
+        assert homology_ranks(kept, face_boundary) == {0: 1, 2: 1}
+
+    def test_missing_face_raises(self):
+        cells = closure([(0, 1)])
+        cells[0].remove((1,))
+        with pytest.raises(ConsistencyError, match="no cell of degree 0"):
+            homology_ranks(cells, face_boundary)
+
+    def test_two_torsion(self):
+        # H_1(RP^2; Z) = Z/2: invisible over Q and F_3, one dimension in
+        # H_1 and (by universal coefficients) H_2 over F_2
+        cells = closure(RP2)
+        assert [len(cells[d]) for d in range(-1, 3)] == [1, 6, 15, 10]
+        assert homology_ranks(cells, face_boundary) == {}
+        assert homology_ranks(cells, face_boundary, field=3) == {}
+        assert homology_ranks(cells, face_boundary, field=2) == {1: 1, 2: 1}
+
+    def test_unsupported_field_refused_without_a_matrix(self):
+        with pytest.raises(UnsupportedField):
+            homology_ranks({0: ["a"]}, face_boundary, field=4)
 
 
 def test_import_loads_no_numpy():

@@ -31,7 +31,7 @@ from hibires.oracle import (
     upper_koszul_complex,
 )
 
-from conftest import crown_lattice
+from conftest import crown_lattice, reference_reduced_homology
 
 SMALL_FIXTURES = ["E1", "CHAIN", "B2", "K22"]
 
@@ -208,6 +208,38 @@ class TestHomologyEngine:
         K = sphere_complex(k)
         assert reduced_homology_ranks(K, field=2) == {k - 2: 1}
         assert reduced_homology_ranks(K, field=32749) == {k - 2: 1}
+
+
+def homology_case(name):
+    """Ideals whose K^b the boundary-matrix reference reads: the Hibi ideals
+    of the fixtures (with the edge ideals of the small ones), of
+    random_corpus(200, 42) and of the crowns."""
+    if name == "fixtures":
+        return [
+            *(hibi_ideal(fixture_lattice(f)) for f in [*SMALL_FIXTURES, "FIG1"]),
+            *(edge_ideal(graph_from_lattice(fixture_lattice(f)))
+              for f in SMALL_FIXTURES),
+        ]
+    if name == "corpus":
+        return [hibi_ideal(L) for L in random_corpus(200, 42)]
+    return [hibi_ideal(crown_lattice(k, twin)) for k, twin in CROWNS.values()]
+
+
+class TestAgainstBoundaryMatrices:
+    # linalg.homology_ranks against the hand-built boundary matrices it
+    # replaced, on K^b whole and (betti_value_at) truncated at i + 1 vertices
+
+    @pytest.mark.parametrize("name", ["fixtures", "corpus", "crowns"])
+    def test_whole_and_truncated(self, name):
+        for I in homology_case(name):
+            for b in lcm_closure(I):
+                K = upper_koszul_complex(I, b)
+                assert reduced_homology_ranks(K, 2) == \
+                    reference_reduced_homology(K, 2)
+                expected = reference_reduced_homology(K)
+                assert reduced_homology_ranks(K) == expected
+                for i in range(b.bit_count() + 1):
+                    assert betti_value_at(I, b, i) == expected.get(i - 1, 0)
 
 
 class TestUpperKoszul:

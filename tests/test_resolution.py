@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import hibires
 from hibires import resolution
 from hibires.errors import ConsistencyError, HomDegreeZero, TooManyNeighbors
+from hibires.fixtures import FIXTURES, fixture_lattice
 from hibires.ideals import hibi_ideal, lcm_closure, monomial
 from hibires.lattice import random_corpus, random_sublattice, validate_sublattice
 from hibires.resolution import (
@@ -23,7 +24,12 @@ from hibires.resolution import (
 )
 from hibires.checks import _mutate_differential
 
-from conftest import basis_element, reference_resolution
+from conftest import (
+    basis_element,
+    crown_lattice,
+    reference_resolution,
+    reference_strand_exactness,
+)
 
 
 class TestBasis:
@@ -177,6 +183,65 @@ class TestComplex:
         C = build_resolution(L)
         assert verify_complex(C)
         assert verify_minimality(C)
+
+
+STRAND_LATTICES = {
+    "B2": lambda: fixture_lattice("B2"),
+    "FIG1": lambda: fixture_lattice("FIG1"),
+    "B_4": lambda: validate_sublattice(range(16), 4),
+    "B_5": lambda: validate_sublattice(range(32), 5),
+    "crown-3": lambda: crown_lattice(3),
+    "crown-4": lambda: crown_lattice(4),
+}
+
+
+def strand_cases():
+    """(C, H) for the fixtures, random_corpus(200, 42) and the crowns."""
+    lattices = [
+        *map(fixture_lattice, FIXTURES), *random_corpus(200, 42),
+        crown_lattice(3), crown_lattice(4), crown_lattice(3, twin=True),
+    ]
+    return [(build_resolution(L), hibi_ideal(L)) for L in lattices]
+
+
+class TestStrandExactness:
+    # a flipped sign (d^2 != 0) must make some strands fail over Q; over
+    # GF(2) the flip is no change, so every strand stays exact
+    @pytest.mark.parametrize(
+        "name, failing",
+        [("B2", 1), ("FIG1", 5), ("B_4", 7), ("B_5", 15), ("crown-3", 12),
+         ("crown-4", 33)],
+    )
+    def test_mutated_failing_counts(self, name, failing):
+        L = STRAND_LATTICES[name]()
+        C, H = build_resolution(L), hibi_ideal(L)
+        _mutate_differential(C)
+        closure = lcm_closure(H)
+        assert sum(not strand_exactness(C, H, b) for b in closure) == failing
+        assert all(strand_exactness(C, H, b, field=2) for b in closure)
+
+    @pytest.mark.parametrize("mutate", [False, True], ids=["intact", "mutated"])
+    def test_matches_reference(self, mutate):
+        verdicts = {False: 0, True: 0}
+        for C, H in strand_cases():
+            if mutate:
+                _mutate_differential(C)
+            for b in lcm_closure(H):
+                for field in ("Q", 2):
+                    got = strand_exactness(C, H, b, field=field)
+                    assert got == reference_strand_exactness(C, H, b, field=field)
+                    verdicts[got] += 1
+        # some strand fails exactly when the complexes are mutated
+        assert (verdicts[False] > 0) == mutate
+
+    def test_stray_target_raises(self, B2):
+        # a survivor whose entry names a position outside the strand
+        C, H = build_resolution(B2), hibi_ideal(B2)
+        b = C.levels[1][0].multidegree
+        _, sign, coeff = C.diffs[0][0][0]
+        C.diffs[0][0][0] = (len(C.levels[0]) - 1, sign, coeff)
+        with pytest.raises(ConsistencyError, match="no cell of degree 0"):
+            strand_exactness(C, H, b)
 
 
 # Replaces the first coefficient of every differential by the unit (the

@@ -18,3 +18,18 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_only_linalg_references_rank_exact():
+    # every chain complex goes through linalg.homology_ranks, so no other
+    # module builds its own matrices and ranks them
+    found = sorted(
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if "rank_exact" in (
+            getattr(node, "id", None), getattr(node, "attr", None),
+            getattr(node, "name", None),
+        )
+    )
+    assert set(found) == {"linalg.py"}
