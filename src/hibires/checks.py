@@ -4,16 +4,18 @@ Each check verifies one structural claim: the distinct-meets lemma and its
 cardinality corollary, the rank-two neighbor fact, interval monotonicity,
 the basis/interval bijection, graph and duality round-trips, resolution
 correctness, and (at oracle level) agreement of every closed-form value
-with the homology oracle.  The lemma and bijection checks read the basis
-of the built resolution.  Checks return (name, ok, detail); findings that
-are not failures (bound strictness, graded-value mismatches) are reported
-separately.
+with the homology oracle.  ``run_checks`` builds what they read, then
+the checks only compare; the lemma and bijection checks read the basis of
+the built resolution.  Each check adds (name, ok, detail) to a report;
+findings that are not failures (bound strictness, graded mismatches)
+are kept apart.
 """
 
 from dataclasses import dataclass, field
 from itertools import combinations
 
 from .bitset import full_mask, is_subset, render_set
+from .errors import NotCM
 from .graphs import cover_lattice, graph_from_lattice
 from .ideals import alexander_dual, edge_ideal, hibi_ideal, lcm_closure, render_monomial
 from .invariants import (
@@ -154,34 +156,27 @@ def check_interval_bijection(C, report):
     report.add("interval_bijection", ok)
 
 
-def check_graph_round_trip(L, report):
-    G = graph_from_lattice(L)
+def check_graph_round_trip(L, G, report):
     ok = G.is_normalized and cover_lattice(G).elements == L.elements
     report.add("graph_round_trip", ok)
 
 
-def check_duality(L, report):
+def check_duality(H, I, dual_H, dual_I, report):
     """Alexander duality swaps the lattice ideal and the edge ideal."""
-    H = hibi_ideal(L)
-    I = edge_ideal(graph_from_lattice(L))
-    ok = alexander_dual(H) == I and alexander_dual(I) == H
+    ok = dual_H == I and dual_I == H
     report.add("alexander_duality", ok)
 
 
-def check_resolution(C, report, field="Q"):
-    """d^2 = 0, minimality and strand exactness of C; returns its Betti table."""
+def check_resolution(C, H, closure, report, field="Q"):
+    """d^2 = 0, minimality and strand exactness of C at each b in closure,
+    the lcm closure of H; returns the Betti table of C."""
     d2 = verify_complex(C)
     report.add("complex_d_squared_zero", d2.ok, _render_failure(C, d2.failure))
     minimal = verify_minimality(C)
     report.add(
         "complex_minimality", minimal.ok, _render_failure(C, minimal.failure)
     )
-    H = hibi_ideal(C.L)
-    bad = [
-        b
-        for b in lcm_closure(H)
-        if not strand_exactness(C, H, b, field=field)
-    ]
+    bad = [b for b in closure if not strand_exactness(C, H, b, field=field)]
     report.add("strand_exactness", not bad, bad[:3])
     table = betti_table_from_basis(C)
     report.add(
@@ -222,10 +217,8 @@ def check_formula_consistency(L, report):
     report.add("formula_consistency", ok)
 
 
-def check_oracle_hibi(L, basis_table, report, field="Q"):
+def check_oracle_hibi(L, basis_table, oracle_table, report):
     """The decisive cross-check: basis counts equal the homology oracle."""
-    H = hibi_ideal(L)
-    oracle_table = betti_oracle(H, field=field)
     differing = basis_table.differing(oracle_table)
     report.add("betti_formula_vs_oracle", not differing, differing[:3])
     i_extremal = all(
@@ -239,13 +232,10 @@ def check_oracle_hibi(L, basis_table, report, field="Q"):
         "extremal_H_vs_oracle",
         oracle_table.extremal_multigraded() == sorted(expected),
     )
-    return oracle_table
 
 
-def check_oracle_edge_ring(L, report, field="Q"):
-    """Formula invariants of R/I(G) against the full edge-ring table."""
-    I = edge_ideal(graph_from_lattice(L))
-    quotient = betti_oracle(I, field=field).to_quotient()
+def check_oracle_edge_ring(L, I, quotient, report):
+    """Formula invariants of R/I(G) against quotient, its oracle table."""
     pd_RI, _ = pd_and_reg_H(L)
     report.add(
         "depth_reg_pd_vs_oracle",
@@ -275,35 +265,47 @@ def check_oracle_edge_ring(L, report, field="Q"):
     else:
         report.find("bound_equality", (t, bound))
     if is_cohen_macaulay(L):
-        report.add("cm_extremal_placement", cm_extremal_placement_check(I, quotient))
-    return quotient
+        try:
+            placed, why = cm_extremal_placement_check(I, quotient), None
+        except NotCM as exc:  # the oracle's depth is not the dimension
+            placed, why = False, str(exc)
+        report.add("cm_extremal_placement", placed, why)
 
 
 def run_checks(L, level="formulas", field="Q", mutate=False):
-    """Run the property suite on one lattice.
+    """Run the property suite on one lattice: build first, then judge.
 
-    The resolution is built first, for the checks that read its basis.
-    level "formulas" runs the structural and resolution checks; "oracle"
-    additionally compares everything against the homology oracle.  The
-    mutate flag flips the sign of one differential entry first, as a
-    self-test that the d^2 = 0 check can fail.
+    Everything that can be refused or that two checks read is built once,
+    before the first verdict, so a refused instance (ClosureTooLarge) is
+    judged by no check.  level "formulas" runs the structural and
+    resolution checks; "oracle" additionally compares everything against
+    the homology oracle.  The mutate flag flips the sign of one
+    differential entry of C, as a self-test that d^2 = 0 can fail.
     """
-    report = CheckReport()
     C = build_resolution(L)
+    G = graph_from_lattice(L)
+    H = hibi_ideal(L)
+    I = edge_ideal(G)
+    dual_H, dual_I = alexander_dual(H), alexander_dual(I)
+    closure = lcm_closure(H)
+    if level == "oracle":
+        oracle_H = betti_oracle(H, field=field)
+        quotient = betti_oracle(I, field=field).to_quotient()
+    if mutate:
+        _mutate_differential(C)
+    report = CheckReport()
     check_lemma_distinct_meets(C, report)
     check_lemma_corollary(C, report)
     check_rank_two(L, report)
     check_interval_monotonicity(L, report)
     check_interval_bijection(C, report)
-    check_graph_round_trip(L, report)
-    check_duality(L, report)
+    check_graph_round_trip(L, G, report)
+    check_duality(H, I, dual_H, dual_I, report)
     check_formula_consistency(L, report)
-    if mutate:
-        _mutate_differential(C)
-    basis_table = check_resolution(C, report, field=field)
+    basis_table = check_resolution(C, H, closure, report, field=field)
     if level == "oracle":
-        check_oracle_hibi(L, basis_table, report, field=field)
-        check_oracle_edge_ring(L, report, field=field)
+        check_oracle_hibi(L, basis_table, oracle_H, report)
+        check_oracle_edge_ring(L, I, quotient, report)
     return report
 
 

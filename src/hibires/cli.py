@@ -187,7 +187,8 @@ def cmd_verify(args):
             report = run(level=args.level)
         except ClosureTooLarge:
             # an oracle-level refusal (FIG1's edge-ideal lcm closure passes
-            # CLOSURE_CAP) downgrades; one at formulas level still exits 1
+            # CLOSURE_CAP) comes before any verdict, so the downgrade only
+            # repeats the cheap builds; one at formulas level still exits 1
             if args.level != "oracle":
                 raise
             report = run(level="formulas")

@@ -134,11 +134,6 @@ def build_resolution(L):
                         f"entry {render_monomial(coeff, L.n)} of b({g.p}; {g.S}) "
                         "is not homogeneous"
                     )
-                if coeff & ~deg:
-                    raise ConsistencyError(
-                        f"entry {render_monomial(coeff, L.n)} does not divide "
-                        f"the degree of b({g.p}; {g.S})"
-                    )
                 entries.append((tpos, sign, coeff))
             per_source.append(entries)
         diffs.append(per_source)

@@ -14,7 +14,7 @@ import pytest
 from hibires.bitset import mask_of
 from hibires.fixtures import FIXTURES, fixture_lattice
 from hibires.graphs import graph_from_lattice
-from hibires.ideals import edge_ideal, hibi_ideal
+from hibires.ideals import alexander_dual, edge_ideal, hibi_ideal, lcm_closure
 from hibires.invariants import (
     depth_edge_ring,
     extremal_graded_edge_ring,
@@ -127,7 +127,8 @@ def test_criterion_2_resolution_correctness(capsys, corpus, small_fixtures):
     pool += [(d["L"], d["C"]) for d in small_fixtures.values()]
     for L, C in pool:
         report = CheckReport()
-        check_resolution(C, report)
+        H = hibi_ideal(L)
+        check_resolution(C, H, lcm_closure(H), report)
         ok = ok and report.ok
         ok = ok and C.level_ranks() == [
             sum(comb(len(L.neighbors(p)), i) for p in L.elements)
@@ -160,8 +161,10 @@ def test_criterion_4_duality_round_trip(capsys, corpus, small_fixtures):
     pool += [d["L"] for d in small_fixtures.values()]
     for L in pool:
         report = CheckReport()
-        check_duality(L, report)
-        check_graph_round_trip(L, report)
+        G = graph_from_lattice(L)
+        H, I = hibi_ideal(L), edge_ideal(G)
+        check_duality(H, I, alexander_dual(H), alexander_dual(I), report)
+        check_graph_round_trip(L, G, report)
         ok = ok and report.ok
         if not ok:
             break

@@ -1,9 +1,12 @@
 import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hibires import checks
+from hibires.bitset import full_mask
 from hibires.checks import (
     CheckReport,
     check_interval_bijection,
@@ -14,9 +17,18 @@ from hibires.checks import (
     check_rank_two,
     run_checks,
 )
+from hibires.cli import main
+from hibires.errors import ClosureTooLarge
 from hibires.fixtures import FIXTURES, fixture_lattice
-from hibires.ideals import monomial, render_monomial
-from hibires.lattice import random_corpus, random_sublattice, validate_sublattice
+from hibires.graphs import graph_from_lattice
+from hibires.ideals import edge_ideal, hibi_ideal, monomial, render_monomial
+from hibires.lattice import (
+    lattice_to_text,
+    random_corpus,
+    random_sublattice,
+    validate_sublattice,
+)
+from hibires.oracle import betti_oracle
 from hibires.resolution import betti_table_from_basis, build_resolution
 
 from conftest import (
@@ -76,10 +88,73 @@ def test_oracle_mismatch_names_the_entry(CHAIN):
     (i, b), v = min(table.entries.items())
     table.entries[(i, b)] = v + 1
     report = CheckReport()
-    check_oracle_hibi(CHAIN, table, report)
+    check_oracle_hibi(CHAIN, table, betti_oracle(hibi_ideal(CHAIN)), report)
     name, ok, detail = report.results[0]
     assert (name, ok) == ("betti_formula_vs_oracle", False)
     assert detail == [(i, render_monomial(b, CHAIN.n), v + 1, v)]
+
+
+def test_not_cm_oracle_table_fails_placement(
+    CHAIN, monkeypatch, tmp_path, capsys
+):
+    # the edge ideal's table gains an entry one homological degree past its
+    # top, so the quotient's depth drops to 1; CHAIN is Cohen-Macaulay, and
+    # an oracle depth below dim 2 is a failed property, not an error
+    I = edge_ideal(graph_from_lattice(CHAIN))
+    real = checks.betti_oracle
+
+    def oracle(J, field="Q"):
+        table = real(J, field=field)
+        if J == I:
+            table.add(table.pd() + 1, full_mask(2 * CHAIN.n))
+        return table
+
+    monkeypatch.setattr(checks, "betti_oracle", oracle)
+    report = run_checks(CHAIN, level="oracle")
+    assert ("cm_extremal_placement", False, "depth 1 != dim 2") in report.results
+    # verify exits 2 with a counterexample, not 1 as for an invalid input
+    path = tmp_path / "chain.lat"
+    path.write_text(lattice_to_text(CHAIN))
+    assert main(["verify", "--input", str(path), "--level", "oracle"]) == 2
+    captured = capsys.readouterr()
+    assert f"FAIL {path} cm_extremal_placement" in captured.out
+    assert "counterexample" in captured.err
+
+
+@pytest.mark.parametrize("level", ["formulas", "oracle"])
+def test_refused_instance_is_judged_by_no_check(level, monkeypatch):
+    # B_8's strand closure passes CLOSURE_CAP; the refusal comes from the
+    # build stage, before the first verdict
+    def no_verdict(self, name, ok, detail=None):
+        raise AssertionError(f"{name} judged a refused instance")
+
+    monkeypatch.setattr(CheckReport, "add", no_verdict)
+    L = validate_sublattice(range(256), 8)
+    with pytest.raises(ClosureTooLarge, match="^lcm closure exceeds the cap 5000$"):
+        run_checks(L, level=level)
+
+
+def test_verify_runs_each_judge_once_per_fixture(monkeypatch, capsys):
+    calls = Counter()
+
+    def counted(name, judge):
+        def run(*args, **kwargs):
+            calls[name] += 1
+            return judge(*args, **kwargs)
+        return run
+
+    judges = [name for name in dir(checks) if name.startswith("check_")]
+    for name in judges:
+        monkeypatch.setattr(checks, name, counted(name, getattr(checks, name)))
+    assert main(["verify", "--fixtures", "--level", "oracle"]) == 0
+    assert "SKIP FIG1 oracle checks" in capsys.readouterr().out
+    # FIG1's edge closure is refused before any verdict, and its formulas
+    # level rerun runs no oracle judge
+    oracle_judges = {"check_oracle_hibi", "check_oracle_edge_ring"}
+    assert len(judges) == 11
+    assert calls == {
+        name: len(FIXTURES) - (name in oracle_judges) for name in judges
+    }
 
 
 BASIS_CHECKS = (

@@ -33,3 +33,21 @@ def test_only_linalg_references_rank_exact():
         )
     )
     assert set(found) == {"linalg.py"}
+
+
+def test_only_run_checks_builds_in_checks():
+    # checks.run_checks builds every object once, before the first verdict;
+    # the checks themselves only compare
+    builders = {
+        "build_resolution", "graph_from_lattice", "hibi_ideal", "edge_ideal",
+        "alexander_dual", "lcm_closure", "betti_oracle",
+    }
+    path = next(path for path in SOURCES if path.name == "checks.py")
+    found = {
+        getattr(node, "name", "<module>")
+        for node in ast.parse(path.read_text(), str(path)).body
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and getattr(call.func, "id", getattr(call.func, "attr", None)) in builders
+    }
+    assert found == {"run_checks"}
