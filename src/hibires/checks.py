@@ -234,8 +234,9 @@ def check_oracle_hibi(L, basis_table, oracle_table, report):
     )
 
 
-def check_oracle_edge_ring(L, I, quotient, report):
-    """Formula invariants of R/I(G) against quotient, its oracle table."""
+def check_oracle_edge_ring(L, dual_I, quotient, report):
+    """Formula invariants of R/I(G) against quotient, its oracle table;
+    dual_I, the dual of I(G), gives the placement check its codimension."""
     pd_RI, _ = pd_and_reg_H(L)
     report.add(
         "depth_reg_pd_vs_oracle",
@@ -266,7 +267,7 @@ def check_oracle_edge_ring(L, I, quotient, report):
         report.find("bound_equality", (t, bound))
     if is_cohen_macaulay(L):
         try:
-            placed, why = cm_extremal_placement_check(I, quotient), None
+            placed, why = cm_extremal_placement_check(dual_I, quotient), None
         except NotCM as exc:  # the oracle's depth is not the dimension
             placed, why = False, str(exc)
         report.add("cm_extremal_placement", placed, why)
@@ -277,20 +278,22 @@ def run_checks(L, level="formulas", field="Q", mutate=False):
 
     Everything that can be refused or that two checks read is built once,
     before the first verdict, so a refused instance (ClosureTooLarge) is
-    judged by no check.  level "formulas" runs the structural and
-    resolution checks; "oracle" additionally compares everything against
-    the homology oracle.  The mutate flag flips the sign of one
+    judged by no check.  The oracle tables (Hibi before edge) come before
+    the resolution, the duals and the strand closure, so an oracle-level
+    refusal costs none of those builds.  level "formulas" runs the
+    structural and resolution checks; "oracle" additionally compares
+    everything against the homology oracle.  The mutate flag flips the sign of one
     differential entry of C, as a self-test that d^2 = 0 can fail.
     """
-    C = build_resolution(L)
     G = graph_from_lattice(L)
     H = hibi_ideal(L)
     I = edge_ideal(G)
-    dual_H, dual_I = alexander_dual(H), alexander_dual(I)
-    closure = lcm_closure(H)
     if level == "oracle":
         oracle_H = betti_oracle(H, field=field)
         quotient = betti_oracle(I, field=field).to_quotient()
+    C = build_resolution(L)
+    dual_H, dual_I = alexander_dual(H), alexander_dual(I)
+    closure = lcm_closure(H)
     if mutate:
         _mutate_differential(C)
     report = CheckReport()
@@ -305,7 +308,7 @@ def run_checks(L, level="formulas", field="Q", mutate=False):
     basis_table = check_resolution(C, H, closure, report, field=field)
     if level == "oracle":
         check_oracle_hibi(L, basis_table, oracle_H, report)
-        check_oracle_edge_ring(L, I, quotient, report)
+        check_oracle_edge_ring(L, dual_I, quotient, report)
     return report
 
 

@@ -21,7 +21,6 @@ from .errors import (
     ClosureTooLarge,
     HibiresError,
     InputFormatError,
-    LatticeValidation,
     OutputError,
 )
 from .fixtures import FIXTURES, fixture_files, fixture_lattice
@@ -82,7 +81,8 @@ def _parse_count(text):
 
 def load_lattice(path):
     """Read a lattice from a lattice/graph file (text or JSON); a file that
-    cannot be read, decoded or parsed as JSON is an InputFormatError."""
+    cannot be read, decoded or parsed as JSON, or that is none of these
+    formats, is an InputFormatError."""
     try:
         text = Path(path).read_text()
         stripped = text.lstrip()
@@ -99,7 +99,7 @@ def load_lattice(path):
         return parse_lattice_text(text)
     if head == "graph":
         return _lattice_of_graph(parse_graph_text(text))
-    raise LatticeValidation(f"unrecognized input format in {path}")
+    raise InputFormatError(f"unrecognized input format in {path}")
 
 
 def _lattice_of_graph(G):
@@ -187,8 +187,8 @@ def cmd_verify(args):
             report = run(level=args.level)
         except ClosureTooLarge:
             # an oracle-level refusal (FIG1's edge-ideal lcm closure passes
-            # CLOSURE_CAP) comes before any verdict, so the downgrade only
-            # repeats the cheap builds; one at formulas level still exits 1
+            # CLOSURE_CAP) comes before any verdict and before the costly
+            # builds, so none is repeated; one at formulas level exits 1
             if args.level != "oracle":
                 raise
             report = run(level="formulas")

@@ -11,7 +11,7 @@ from math import comb
 from .betti import position_key
 from .bitset import full_mask, indices_of
 from .errors import ConsistencyError, NotCM
-from .ideals import alexander_dual, monomial, render_monomial
+from .ideals import monomial, render_monomial
 from .lattice import b_set, f_value
 
 
@@ -104,19 +104,20 @@ def is_cohen_macaulay(L):
     return _max_f(L) == 0
 
 
-def cm_extremal_placement_check(I, oracle_table):
+def cm_extremal_placement_check(dual_I, oracle_table):
     """Every extremal position of a CM quotient sits at pd(R/I).
 
-    oracle_table must be the full multigraded table of R/I.  Raises NotCM
-    when depth differs from dim (computed as ambient minus the smallest
-    generator degree of the Alexander dual, the codimension).
+    dual_I is the Alexander dual of I, and oracle_table must be the full
+    multigraded table of R/I.  Raises NotCM when depth differs from dim
+    (computed as ambient minus the smallest generator degree of dual_I,
+    the codimension of I).
     """
     if oracle_table.subject != "quotient":
         raise ConsistencyError(
             f"the placement check needs a quotient table, got {oracle_table.subject}"
         )
-    ambient = 2 * I.n
-    codim = min(g.bit_count() for g in alexander_dual(I).gens)
+    ambient = 2 * dual_I.n
+    codim = min(g.bit_count() for g in dual_I.gens)
     depth = oracle_table.depth(ambient)
     if depth != ambient - codim:
         raise NotCM(f"depth {depth} != dim {ambient - codim}")

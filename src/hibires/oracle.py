@@ -5,11 +5,14 @@ the upper Koszul complex K^b on the vertex set supp(b), the subsets t of
 supp(b) with b/t still in the ideal, carries the Betti numbers of a
 squarefree monomial ideal I: beta_{i,b}(I) = dim H~_{i-1}(K^b)
 (Miller-Sturmfels, "Combinatorial Commutative Algebra", GTM 227, 2005).
-It is the only complex the oracle builds.  A face of K^b is a subset of
-supp(b) that some generator dividing b avoids, so one depth-first walk
-enumerates the faces from the list of those generators, and the reduced
-homology ranks come from linalg.homology_ranks over Q or F_p.  A complex
-past FACE_CAP faces is refused with ClosureTooLarge.
+upper_koszul_complex is the only builder of a complex, whole or truncated
+at a number of vertices.  A face of K^b is a subset of supp(b) that some
+generator dividing b avoids, so one depth-first walk enumerates the faces
+from the list of those generators, and the reduced homology ranks come
+from linalg.homology_ranks over Q or F_p.  A complex past FACE_CAP faces
+is refused with ClosureTooLarge.  Every value, the whole tables of
+betti_oracle and the single values of betti_value_at alike, goes through
+one routine, _betti_at.
 
 When every generator has degree 2 (every edge ideal, and the Hibi ideals
 with n = 2), Hochster's restriction Delta_b, the subsets of supp(b) that
@@ -18,7 +21,7 @@ independence complex Ind(G[W]) of the graph G the generators span, on
 W = supp(b).  Engstrom's fold lemma ("Complexes of directed trees and
 independence complexes", Discrete Math. 309, 2009) says Ind(G) and
 Ind(G - v) are homotopy equivalent when N(u) is contained in N(v) for
-some u other than v.  The oracle folds G[W] until no fold applies and
+some u other than v.  _betti_at folds G[W] until no fold applies and
 reads the residue R: an isolated vertex makes Ind a cone (no homology), a
 perfect matching with k edges makes it S^{k-1} (beta_{|W|-k-1,b} = 1),
 and any other residue is read off K^R, its homological degree shifted by
@@ -29,9 +32,11 @@ d_min + i <= |b| <= d_max * (i+1) of the generator degrees (K^b has no
 face past |b| - d_min vertices, and by Taylor's resolution a multidegree
 that carries beta_i is the lcm of i+1 generators), so betti_value_at
 returns 0 there without folding or building a complex, and the totals
-skip those b before they call it.  The degree range and the quadratic
-graph are computed once per ideal (SquarefreeIdeal.degree_range and
-SquarefreeIdeal.graph).
+skip those b before they call it.  Inside the window K^R is truncated at
+j + 1 vertices, j = i - (|b| - |R|), which gives beta_{0,b} = 1 exactly
+at a generator and 0 for every negative degree.  The degree range and
+the quadratic graph are computed once per ideal
+(SquarefreeIdeal.degree_range and SquarefreeIdeal.graph).
 """
 
 from dataclasses import dataclass
@@ -130,11 +135,11 @@ def _bits(mask):
     return [1 << v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
-def _complex(b, gens, max_size=None):
-    """K^b, or its faces with at most max_size vertices, from the
-    generators gens dividing b; ClosureTooLarge past FACE_CAP faces."""
+def upper_koszul_complex(I, b, max_size=None):
+    """Subsets t of supp(b) with b/t still in the ideal, or those with at
+    most max_size vertices; ClosureTooLarge past FACE_CAP faces."""
     by_dim = {}
-    for f in islice(_faces(b, gens, max_size), FACE_CAP + 1):
+    for f in islice(_faces(b, _divisors(I, b), max_size), FACE_CAP + 1):
         by_dim.setdefault(f.bit_count() - 1, []).append(f)
     if sum(map(len, by_dim.values())) > FACE_CAP:
         raise ClosureTooLarge(
@@ -142,11 +147,6 @@ def _complex(b, gens, max_size=None):
             f"{FACE_CAP} faces"
         )
     return SimplicialComplex({d: sorted(fs) for d, fs in by_dim.items()})
-
-
-def upper_koszul_complex(I, b):
-    """Subsets t of supp(b) with b/t still in the ideal."""
-    return _complex(b, _divisors(I, b))
 
 
 def _face_boundary(d, f):
@@ -166,68 +166,59 @@ def reduced_homology_ranks(K, field="Q"):
     return homology_ranks(K.faces, _face_boundary, field=field)
 
 
-def betti_oracle(I, field="Q"):
-    """Multigraded Betti table of the ideal from simplicial homology.
-
-    Candidate multidegrees are the lcm closure of the generators.  For a
-    quadratic ideal each is folded first (see the module docstring);
-    a residue R that is neither a cone nor a matching, and every
-    multidegree of any other ideal, is read off K^R at i = d + 1 plus the
-    fold's shift |b| - |R|.
+def _betti_at(I, b, field="Q", only=None):
+    """{i: beta_{i,b}(I)} for the nonzero values, a quadratic ideal's b
+    folded first (see the module docstring).  With only=i just the value
+    at i is exact: it is read off K^b truncated at i + 1 vertices, its
+    degrees i-2, i-1 and i, and the other keys are truncation artifacts.
     """
+    shift = 0
+    if I.graph is not None:
+        folded = _fold(b, I.graph)
+        if folded is None:
+            return {}
+        r, matching = folded
+        if matching:
+            return {b.bit_count() - r.bit_count() // 2 - 1: 1}
+        shift = b.bit_count() - r.bit_count()
+        b = r
+    if only is None:
+        K = upper_koszul_complex(I, b)
+    else:
+        i = only - shift
+        faces = upper_koszul_complex(I, b, max_size=i + 1).faces
+        K = SimplicialComplex({d: faces.get(d, []) for d in (i - 2, i - 1, i)})
+    ranks = reduced_homology_ranks(K, field)
+    return {d + 1 + shift: h for d, h in ranks.items()}
+
+
+def betti_oracle(I, field="Q"):
+    """Multigraded Betti table of the ideal from simplicial homology, over
+    the candidate multidegrees of the lcm closure of the generators."""
     if I.is_zero:
         raise ZeroIdeal("the zero ideal has no Betti table")
     table = BettiTable(I.n, "ideal")
     for b in lcm_closure(I):
-        r, shift = b, 0
-        if I.graph is not None:
-            folded = _fold(b, I.graph)
-            if folded is None:
-                continue
-            r, matching = folded
-            if matching:
-                table.add(b.bit_count() - r.bit_count() // 2 - 1, b)
-                continue
-            shift = b.bit_count() - r.bit_count()
-        K = upper_koszul_complex(I, r)
-        for d, h in reduced_homology_ranks(K, field).items():
-            table.add(d + 1 + shift, b, h)
+        for i, h in _betti_at(I, b, field).items():
+            table.add(i, b, h)
     return table
 
 
 def betti_value_at(I, b, i, field="Q"):
-    """Single Betti number beta_{i,b}(I) = dim H~_{i-1}(K^b), read off K^b
-    truncated at i + 1 vertices: its degrees i-2, i-1 and i.
+    """Single Betti number beta_{i,b}(I) = dim H~_{i-1}(K^b).
 
     Much cheaper than the full table when only a few positions matter
     (last-column totals, single graded values).  It is 0 outside the
-    window d_min + i <= |b| <= d_max * (i+1) of the generator degrees:
-    K^b has no face with more than |b| - d_min vertices, and by Taylor's
-    resolution a b that carries beta_i is the lcm of i+1 generators.
-    Inside the window a quadratic ideal folds b first, as betti_oracle
-    does.  The truncated K^b stops at FACE_CAP faces (ClosureTooLarge
-    past it).
+    degree window (see the module docstring); inside it, it is read off
+    K^b truncated at i + 1 vertices, which stops at FACE_CAP faces
+    (ClosureTooLarge past it).
     """
     if I.is_zero:
         return 0
-    k = b.bit_count()
     lo, hi = _degree_window(I, i)
-    if not lo <= k <= hi:
+    if not lo <= b.bit_count() <= hi:
         return 0
-    if I.graph is not None:
-        folded = _fold(b, I.graph)
-        if folded is None:
-            return 0
-        r, matching = folded
-        if matching:
-            return int(i == k - r.bit_count() // 2 - 1)
-        i -= k - r.bit_count()
-        b = r
-    if i <= 0:
-        return int(i == 0 and b in I.gens)
-    faces = _complex(b, _divisors(I, b), max_size=i + 1).faces
-    cells = {d: faces.get(d, []) for d in (i - 2, i - 1, i)}
-    return homology_ranks(cells, _face_boundary, field=field).get(i - 1, 0)
+    return _betti_at(I, b, field, only=i).get(i, 0)
 
 
 def _degree_window(I, i):

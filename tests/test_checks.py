@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hibires import checks
+from hibires import checks, invariants
 from hibires.bitset import full_mask
 from hibires.checks import (
     CheckReport,
@@ -154,6 +154,33 @@ def test_verify_runs_each_judge_once_per_fixture(monkeypatch, capsys):
     assert len(judges) == 11
     assert calls == {
         name: len(FIXTURES) - (name in oracle_judges) for name in judges
+    }
+
+
+def test_verify_builds_each_object_once_per_fixture(monkeypatch, capsys):
+    # both oracle tables are built before the resolution and the duals, so
+    # FIG1's refused edge oracle costs neither, and its formulas-level rerun
+    # builds each once; the placement check reads run_checks' dual
+    calls = Counter()
+
+    def count(module, name):
+        real = getattr(module, name, None)
+
+        def run(*args, **kwargs):
+            calls[f"{module.__name__}.{name}"] += 1
+            return real(*args, **kwargs)
+        # raising=False: invariants need not import alexander_dual at all
+        monkeypatch.setattr(module, name, run, raising=False)
+
+    for name in ("build_resolution", "alexander_dual", "betti_oracle"):
+        count(checks, name)
+    count(invariants, "alexander_dual")
+    assert main(["verify", "--fixtures", "--level", "oracle"]) == 0
+    assert "SKIP FIG1 oracle checks" in capsys.readouterr().out
+    assert dict(calls) == {
+        "hibires.checks.build_resolution": len(FIXTURES),
+        "hibires.checks.alexander_dual": 2 * len(FIXTURES),
+        "hibires.checks.betti_oracle": 2 * len(FIXTURES),
     }
 
 

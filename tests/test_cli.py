@@ -167,6 +167,15 @@ class TestAnalyze:
         assert main(["analyze", "--input", str(path)]) == 1
         assert_clean_error(capsys, "InputFormatError")
 
+    @pytest.mark.parametrize("text", ["foo 3\n1 1\n", "[1, 2]", ""],
+                             ids=["unknown-header", "json-array", "blank"])
+    def test_unrecognized_format_exit_1(self, text, tmp_path, capsys):
+        # neither lattice/graph text nor a JSON object
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        assert main(["analyze", "--input", str(path)]) == 1
+        assert_clean_error(capsys, "InputFormatError")
+
     @pytest.mark.parametrize("name, text", [
         ("size.lat", "lattice x\nempty\n"),
         ("range.lat", "lattice 2\nempty\n1 5\n1 2\n"),

@@ -8,7 +8,7 @@ import hibires
 from hibires.errors import NotCM
 from hibires.fixtures import FIXTURES, fixture_lattice
 from hibires.graphs import graph_from_lattice
-from hibires.ideals import edge_ideal, monomial
+from hibires.ideals import alexander_dual, edge_ideal, monomial
 from hibires.invariants import (
     cm_extremal_placement_check,
     depth_edge_ring,
@@ -117,13 +117,13 @@ class TestBoundAndCM:
     def test_cm_placement_chain(self, CHAIN):
         I = edge_ideal(graph_from_lattice(CHAIN))
         table = betti_oracle(I).to_quotient()
-        assert cm_extremal_placement_check(I, table)
+        assert cm_extremal_placement_check(alexander_dual(I), table)
 
     def test_cm_placement_rejects_non_cm(self, K22):
         I = edge_ideal(graph_from_lattice(K22))
         table = betti_oracle(I).to_quotient()
         with pytest.raises(NotCM):
-            cm_extremal_placement_check(I, table)
+            cm_extremal_placement_check(alexander_dual(I), table)
 
 
 # Hands each subject check the wrong kind of table; run both in-process and
@@ -133,7 +133,7 @@ from hibires.betti import BettiTable
 from hibires.errors import ConsistencyError
 from hibires.graphs import graph_from_lattice
 from hibires.fixtures import chain
-from hibires.ideals import edge_ideal
+from hibires.ideals import alexander_dual, edge_ideal
 from hibires.invariants import cm_extremal_placement_check
 from hibires.lattice import random_corpus
 from hibires.oracle import betti_oracle
@@ -142,7 +142,7 @@ from hibires.resolution import build_resolution
 I = edge_ideal(graph_from_lattice(chain()))
 for call in (
     lambda: BettiTable(2, "quotient").to_quotient(),
-    lambda: cm_extremal_placement_check(I, betti_oracle(I)),
+    lambda: cm_extremal_placement_check(alexander_dual(I), betti_oracle(I)),
 ):
     try:
         call()

@@ -345,7 +345,7 @@ class TestCheapPaths:
         I = edge_ideal(graph_from_lattice(fixture_lattice(name)))
         T = betti_oracle(I)
         for b in lcm_closure(I):
-            for i in range(5):
+            for i in range(-1, 5):
                 assert betti_value_at(I, b, i) == T.value(i, b)
 
     @pytest.mark.parametrize("name", ["B3", "B4", "FIG1", "E1", "corpus"])
@@ -357,6 +357,28 @@ class TestCheapPaths:
                 for b in lcm_closure(I):
                     for i in range(-1, b.bit_count() + 1):
                         assert betti_value_at(I, b, i, field) == T.value(i, b)
+
+    @pytest.mark.parametrize("name", ["crown3", "hibi-B3"])
+    def test_value_at_builds_through_upper_koszul(self, name, monkeypatch):
+        # inside the window the one builder of K^b gives the truncated
+        # complex, max_size = i + 1; the crown's C_6 is its own residue
+        I = window_case(name)
+        T = betti_oracle(I)
+        built = []
+
+        def counted(I, b, max_size=None):
+            built.append((b, max_size))
+            return upper_koszul_complex(I, b, max_size)
+
+        monkeypatch.setattr(oracle, "upper_koszul_complex", counted)
+        d_min, d_max = I.degree_range
+        cases = [CROWN3_CYCLE] if name == "crown3" else lcm_closure(I)
+        for b in cases:
+            for i in range(-1, b.bit_count() + 1):
+                built.clear()
+                assert betti_value_at(I, b, i) == T.value(i, b)
+                inside = d_min + i <= b.bit_count() <= d_max * (i + 1)
+                assert built == ([(b, i + 1)] if inside else [])
 
     def test_total_in_degree(self, K22):
         I = edge_ideal(graph_from_lattice(K22))
@@ -454,7 +476,7 @@ class TestFold:
         I = quadratic_case(name)
         for sub in subsets(support(I)):
             expected = hochster_ranks(I, sub, field=2)
-            for i in range(sub.bit_count() + 1):
+            for i in range(-1, sub.bit_count() + 1):
                 assert betti_value_at(I, sub, i, field=2) == expected.get(i, 0)
 
     @pytest.mark.parametrize("k, i, value", [(3, 3, 2), (4, 4, 1)])

@@ -51,3 +51,19 @@ def test_only_run_checks_builds_in_checks():
         and getattr(call.func, "id", getattr(call.func, "attr", None)) in builders
     }
     assert found == {"run_checks"}
+
+
+def test_oracle_has_one_path_per_step():
+    # one builder of K^b, one fold dispatch and one homology call, shared
+    # by the whole tables and the single values
+    path = next(path for path in SOURCES if path.name == "oracle.py")
+    callers = {}
+    for node in ast.parse(path.read_text(), str(path)).body:
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name):
+                callers.setdefault(call.func.id, set()).add(
+                    getattr(node, "name", "<module>")
+                )
+    assert callers["_faces"] == {"upper_koszul_complex"}
+    assert len(callers["_fold"]) == 1
+    assert callers["homology_ranks"] == {"reduced_homology_ranks"}
