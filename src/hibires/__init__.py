@@ -45,11 +45,11 @@ from .oracle import (
     upper_koszul_complex,
 )
 from .resolution import (
-    BasisElement,
     ResolutionComplex,
     betti_table_from_basis,
     build_resolution,
     differential,
+    label,
     resolution_basis,
     strand_exactness,
     verify_complex,

@@ -12,9 +12,10 @@ are kept apart.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 
-from .bitset import full_mask, is_subset, render_set
+from .bitset import full_mask, is_subset
 from .errors import NotCM
 from .graphs import cover_lattice, graph_from_lattice
 from .ideals import alexander_dual, edge_ideal, hibi_ideal, lcm_closure, render_monomial
@@ -32,9 +33,10 @@ from .invariants import (
 from .lattice import boolean_interval_scan, f_value
 from .oracle import betti_oracle
 from .resolution import (
-    BasisElement,
     betti_table_from_basis,
     build_resolution,
+    label,
+    render_element,
     strand_exactness,
     verify_complex,
     verify_minimality,
@@ -70,33 +72,30 @@ def check_lemma_distinct_meets(C, report):
     (p, meet S), so the lemma holds exactly when no two basis elements of
     C share a multidegree.
     """
-    seen = {}
+    seen = set()
     for level in C.levels:
-        for g in level:
-            other = seen.setdefault(g.multidegree, g)
-            if other is not g:
-                report.add("lemma1_distinct_meets", False, (g.p, g.S, other.S))
+        for m in level:
+            if m in seen:
+                report.add("lemma1_distinct_meets", False, label(C.L, m))
                 return
+            seen.add(m)
     report.add("lemma1_distinct_meets", True)
 
 
 def check_lemma_corollary(C, report):
     """Nested subsets S in S' of N(p): |S'| - |S| <= |meet S| - |meet S'|.
 
-    The degree of b(p; S) is |p| + n - |meet S|, so each one-step pair
-    S - {q} in S must raise the degree by at least one; a nested pair is
-    the end of a chain of |S'| - |S| such steps, whose rises add up.
+    b(p; S) sits at level |S| with degree |p| + n - |meet S|, and b(p; ())
+    at degree n, so on the pair () in S the corollary says that a level-i
+    element has degree at least n + i.  It is checked there, on every
+    basis element: that pair is the one the level and the degree of m
+    name without a second element.
     """
-    degree = {
-        (g.p, g.S): g.multidegree.bit_count() for level in C.levels for g in level
-    }
-    for level in C.levels[1:]:
-        for g in level:
-            for q in g.S:
-                rest = tuple(r for r in g.S if r != q)
-                if degree[(g.p, rest)] >= degree[(g.p, g.S)]:
-                    report.add("lemma1_corollary", False, (g.p, rest, g.S))
-                    return
+    for i, level in enumerate(C.levels):
+        for m in level:
+            if m.bit_count() < C.L.n + i:
+                report.add("lemma1_corollary", False, (*label(C.L, m), i))
+                return
     report.add("lemma1_corollary", True)
 
 
@@ -140,14 +139,14 @@ def check_interval_bijection(C, report):
     """Basis labels biject onto the Boolean intervals of L.
 
     b(p; S) goes to [meet S, p] of rank |S|, with meet S read off the
-    y-part of its multidegree; the image must have one member per basis
-    element and equal the structural scan of L.
+    y-part of its multidegree and |S| its level; the image must have one
+    member per basis element and equal the structural scan of L.
     """
     n = C.L.n
     image = {
-        (full_mask(n) & ~g.multidegree, g.multidegree >> n, g.hom_degree)
-        for level in C.levels
-        for g in level
+        (full_mask(n) & ~m, m >> n, i)
+        for i, level in enumerate(C.levels)
+        for m in level
     }
     ok = (
         len(image) == sum(C.level_ranks())
@@ -156,8 +155,9 @@ def check_interval_bijection(C, report):
     report.add("interval_bijection", ok)
 
 
-def check_graph_round_trip(L, G, report):
-    ok = G.is_normalized and cover_lattice(G).elements == L.elements
+def check_graph_round_trip(L, G, L_G, report):
+    """G is normalized and its cover lattice L_G is L again."""
+    ok = G.is_normalized and L_G.elements == L.elements
     report.add("graph_round_trip", ok)
 
 
@@ -189,21 +189,21 @@ def check_resolution(C, H, closure, report, field="Q"):
 def _render_failure(C, failure):
     """A complex check's failure in the paper's terms: basis elements as
     b(p; S) at their multidegree, monomials in x and y, no cancelled sums."""
-
-    def render(v):
-        if isinstance(v, BasisElement):
-            S = ", ".join(map(render_set, v.S))
-            return f"b({render_set(v.p)}; {{{S}}}) at {render(v.multidegree)}"
-        if isinstance(v, tuple):
-            return tuple(map(render, v))
-        if isinstance(v, dict):
-            return {render(k): c for k, c in v.items() if c}
-        return render_monomial(v, C.L.n)
-
     if failure is None:
         return None
-    level, g, found = failure
-    return (level, render(g), render(found))
+    level, m, found = failure
+    element = partial(render_element, C.L)
+    mono = partial(render_monomial, n=C.L.n)
+    if isinstance(found, int):  # the target of a unit entry
+        found = element(found)
+    elif isinstance(found, tuple):  # two coefficients sharing a variable
+        found = tuple(map(mono, found))
+    else:  # uncancelled sums, keyed by monomial or (target element, monomial)
+        found = {
+            (element(k[0]), mono(k[1])) if isinstance(k, tuple) else mono(k): v
+            for k, v in found.items() if v
+        }
+    return (level, element(m), found)
 
 
 def check_formula_consistency(L, report):
@@ -286,6 +286,7 @@ def run_checks(L, level="formulas", field="Q", mutate=False):
     differential entry of C, as a self-test that d^2 = 0 can fail.
     """
     G = graph_from_lattice(L)
+    L_G = cover_lattice(G)
     H = hibi_ideal(L)
     I = edge_ideal(G)
     if level == "oracle":
@@ -302,7 +303,7 @@ def run_checks(L, level="formulas", field="Q", mutate=False):
     check_rank_two(L, report)
     check_interval_monotonicity(L, report)
     check_interval_bijection(C, report)
-    check_graph_round_trip(L, G, report)
+    check_graph_round_trip(L, G, L_G, report)
     check_duality(H, I, dual_H, dual_I, report)
     check_formula_consistency(L, report)
     basis_table = check_resolution(C, H, closure, report, field=field)

@@ -2,47 +2,36 @@
 
 The free module at homological degree i has basis elements b(p; S) with p
 a lattice element and S an i-element subset of the lower neighbors N(p).
-Its multidegree m = X_p * Y_{[n] \\ meet S} names it: distinct (p, S) have
-distinct meets.  Each q in S is p minus one maximal class c, and
-d b(p; S) = sum_c +-(y^c * e_{m / y^c} - x^c * e_{m / x^c}), with
-e_{m / y^c} = b(p; S \\ {q}), e_{m / x^c} = b(q; q meet (S \\ {q})) and
-alternating signs governed by the position of q inside S.
+Each q in N(p) is p minus one class c = p \\ q, and the classes are
+disjoint and nonempty, so b(p; S) is named by its multidegree
+m = X_p * Y_{[n] \\ meet S}, which is u_p times y over the classes of S.
+The basis is kept as these ints; label(L, m) gives (p, S) back.  The
+differential is d b(p; S) = sum_c +-(y^c * e_{m / y^c} - x^c * e_{m / x^c})
+over the classes c of S, with e_{m / y^c} = b(p; S \\ {q}),
+e_{m / x^c} = b(q; q meet (S \\ {q})) and alternating signs governed by
+the position of q inside S.
 """
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations
 from math import comb
-from operator import and_
 
 from .betti import BettiTable
-from .bitset import full_mask
+from .bitset import render_set
 from .errors import ConsistencyError, HomDegreeZero, TooManyNeighbors
-from .ideals import lattice_generator, monomial, render_monomial
+from .ideals import lattice_generator, render_monomial
 from .lattice import NEIGHBOR_CAP
 from .linalg import homology_ranks
 
 
-@dataclass(frozen=True)
-class BasisElement:
-    """Basis element b(p; S); S is kept sorted by the lattice total order."""
-
-    p: int
-    S: tuple
-    multidegree: int
-
-    @property
-    def hom_degree(self):
-        return len(self.S)
-
-
 def resolution_basis(L):
-    """Levels of basis elements; level i holds all b(p; S) with |S| = i.
+    """Levels of multidegrees; level i holds every b(p; S) with |S| = i.
 
     Within a level, elements are ordered by p in the lattice order, then
-    by S lexicographically in the order of N(p); the empty meet is p.  The
-    basis has sum_p 2^|N(p)| elements and is refused past 2^NEIGHBOR_CAP,
-    which also bounds every single |N(p)|.
+    by S lexicographically in the order of N(p).  b(p; S) is u_p times y
+    over the classes p \\ q of S, which are disjoint.  The basis has
+    sum_p 2^|N(p)| elements and is refused past 2^NEIGHBOR_CAP, which also
+    bounds every single |N(p)|.
     """
     size = sum(1 << len(L.neighbors(p)) for p in L.elements)
     if size > 1 << NEIGHBOR_CAP:
@@ -50,38 +39,49 @@ def resolution_basis(L):
             f"the basis has {size} elements, more than 2^{NEIGHBOR_CAP}"
         )
     top_level = max(len(L.neighbors(p)) for p in L.elements)
-    full = full_mask(L.n)
-    levels = []
-    for i in range(top_level + 1):
-        level = []
-        for p in L.elements:
-            for S in combinations(L.neighbors(p), i):
-                meet = reduce(and_, S, p)
-                level.append(BasisElement(p, S, monomial(p, full & ~meet, L.n)))
-        levels.append(level)
+    levels = [[] for _ in range(top_level + 1)]
+    for p in L.elements:
+        classes = [p & ~q for q in L.neighbors(p)]
+        u = lattice_generator(L, p)
+        for i in range(len(classes) + 1):
+            levels[i].extend(sum(S, u) for S in combinations(classes, i))
     return levels
 
 
-def differential(L, g):
-    """Terms of the differential applied to one basis element.
+def label(L, m):
+    """(p, S) of the basis element at multidegree m: S holds the q in N(p)
+    whose class p \\ q lies in the y-part of m."""
+    p = m >> L.n
+    return p, tuple(q for q in L.neighbors(p) if p & ~q & m)
+
+
+def render_element(L, m):
+    """The basis element at m as b(p; S) at its multidegree."""
+    p, S = label(L, m)
+    S = ", ".join(map(render_set, S))
+    return f"b({render_set(p)}; {{{S}}}) at {render_monomial(m, L.n)}"
+
+
+def differential(L, m):
+    """Terms of the differential applied to the basis element at m.
 
     Returns a list of (target multidegree, sign, coefficient monomial): for
     q in S and c = p minus q, y^c on b(p; S \\ {q}) at m / y^c and x^c on
-    b(q; q meet (S \\ {q})) at m / x^c.  The two term families never share
-    a target: one keeps p, the other moves to some q in S.
+    b(q; q meet (S \\ {q})) at m / x^c.  The targets are distinct: the
+    classes c are disjoint and nonempty.
     """
-    if g.hom_degree == 0:
-        raise HomDegreeZero("degree-0 elements map through the augmentation")
-    m = g.multidegree
+    p = m >> L.n
     terms = []
-    for sigma, q in enumerate(g.S):
-        c = g.p & ~q
-        y, x = monomial(0, c, L.n), monomial(c, 0, L.n)
-        sign = -1 if sigma % 2 else 1
-        terms.append((m & ~y, sign, y))
-        terms.append((m & ~x, -sign, x))
-    if len({target for target, _, _ in terms}) != len(terms):
-        raise ConsistencyError(f"differential targets collided at b({g.p}; {g.S})")
+    sign = 1
+    for q in L.neighbors(p):
+        c = p & ~q
+        if c & m:
+            x = c << L.n
+            terms.append((m & ~c, sign, c))
+            terms.append((m & ~x, -sign, x))
+            sign = -sign
+    if not terms:
+        raise HomDegreeZero("degree-0 elements map through the augmentation")
     return terms
 
 
@@ -103,24 +103,19 @@ class ResolutionComplex:
 
 def build_resolution(L):
     levels = resolution_basis(L)
-    index = {
-        g.multidegree: (i, pos)
-        for i, lv in enumerate(levels)
-        for pos, g in enumerate(lv)
-    }
+    index = {m: (i, pos) for i, lv in enumerate(levels) for pos, m in enumerate(lv)}
     if len(index) != sum(map(len, levels)):
         raise ConsistencyError("two basis elements share a multidegree")
     diffs = []
     for i in range(1, len(levels)):
         per_source = []
-        for g in levels[i]:
-            deg = g.multidegree
+        for m in levels[i]:
             entries = []
-            for target, sign, coeff in differential(L, g):
+            for target, sign, coeff in differential(L, m):
                 found = index.get(target)
                 if found is None:
                     raise ConsistencyError(
-                        f"differential of b({g.p}; {g.S}) targets degree "
+                        f"differential of {render_element(L, m)} targets degree "
                         f"{render_monomial(target, L.n)}, not a basis element"
                     )
                 ti, tpos = found
@@ -128,11 +123,11 @@ def build_resolution(L):
                     raise ConsistencyError(
                         f"differential of a level-{i} element lands in level {ti}"
                     )
-                # multigraded homogeneity: lcm(target degree, entry) = deg
-                if target | coeff != deg:
+                # multigraded homogeneity: lcm(target degree, entry) = m
+                if target | coeff != m:
                     raise ConsistencyError(
-                        f"entry {render_monomial(coeff, L.n)} of b({g.p}; {g.S}) "
-                        "is not homogeneous"
+                        f"entry {render_monomial(coeff, L.n)} of "
+                        f"{render_element(L, m)} is not homogeneous"
                     )
                 entries.append((tpos, sign, coeff))
             per_source.append(entries)
@@ -160,37 +155,38 @@ def verify_complex(C):
     """Check that consecutive differentials compose to zero.
 
     Compositions are expanded symbolically over integer coefficients, keyed
-    by the masks of each squarefree product; the augmentation b(p; ()) ->
-    u_p composed with the first differential must also vanish.  Returns a
-    falsy result carrying the first violating source element and its
-    uncancelled sums, keyed by target element and monomial, or the product
-    of coefficients that is not squarefree.
+    by the masks of each squarefree product; the augmentation, which sends
+    each level-0 element b(p; ()) to its multidegree u_p, composed with the
+    first differential must also vanish.  Returns a falsy result carrying
+    the first violating source element and its uncancelled sums, keyed by
+    target element and monomial, or the product of coefficients that is
+    not squarefree.
     """
     # augmentation after the first differential
     if C.diffs:
-        for src_pos, g in enumerate(C.levels[1]):
+        for src_pos, m in enumerate(C.levels[1]):
             acc = {}
             for tpos, sign, coeff in C.diffs[0][src_pos]:
-                u = lattice_generator(C.L, C.levels[0][tpos].p)
+                u = C.levels[0][tpos]
                 if coeff & u:
-                    return CheckResult(False, ("augmentation", g, (coeff, u)))
+                    return CheckResult(False, ("augmentation", m, (coeff, u)))
                 key = coeff | u
                 acc[key] = acc.get(key, 0) + sign
             if any(acc.values()):
-                return CheckResult(False, ("augmentation", g, acc))
+                return CheckResult(False, ("augmentation", m, acc))
     for i in range(1, len(C.diffs)):
-        for src_pos, g in enumerate(C.levels[i + 1]):
+        for src_pos, m in enumerate(C.levels[i + 1]):
             acc = {}
             for mid_pos, sign1, coeff1 in C.diffs[i][src_pos]:
                 for tpos, sign2, coeff2 in C.diffs[i - 1][mid_pos]:
                     if coeff1 & coeff2:
-                        return CheckResult(False, (i + 1, g, (coeff1, coeff2)))
+                        return CheckResult(False, (i + 1, m, (coeff1, coeff2)))
                     key = (tpos, coeff1 | coeff2)
                     acc[key] = acc.get(key, 0) + sign1 * sign2
             if any(acc.values()):
                 targets = C.levels[i - 1]
-                acc = {(targets[t], m): v for (t, m), v in acc.items()}
-                return CheckResult(False, (i + 1, g, acc))
+                acc = {(targets[t], k): v for (t, k), v in acc.items()}
+                return CheckResult(False, (i + 1, m, acc))
     return CheckResult(True)
 
 
@@ -218,7 +214,7 @@ def strand_exactness(C, I, b, field="Q"):
     dimension at level 0 when b lies in the ideal, and zero otherwise.
     """
     survivors = {
-        i: [pos for pos, g in enumerate(lv) if g.multidegree & ~b == 0]
+        i: [pos for pos, m in enumerate(lv) if m & ~b == 0]
         for i, lv in enumerate(C.levels)
     }
     homology = homology_ranks(
@@ -232,7 +228,7 @@ def betti_table_from_basis(C):
     per (level, multidegree)."""
     table = BettiTable(C.L.n, "ideal")
     for i, level in enumerate(C.levels):
-        for g in level:
-            table.add(i, g.multidegree, 1)
+        for m in level:
+            table.add(i, m, 1)
     return table
 

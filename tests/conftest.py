@@ -11,7 +11,6 @@ from hibires.fixtures import b2, chain, e1, fig1, k22
 from hibires.ideals import monomial
 from hibires.lattice import boolean_interval_scan, preorder_lattice
 from hibires.linalg import rank_exact
-from hibires.resolution import BasisElement
 
 
 @pytest.fixture
@@ -50,8 +49,9 @@ def meet(S, p):
 
 
 def basis_element(L, p, S):
-    """b(p; S) with its multidegree X_p * Y over the complement of meet S."""
-    return BasisElement(p, S, monomial(p, full_mask(L.n) & ~meet(S, p), L.n))
+    """b(p; S), which is its multidegree X_p * Y over the complement of
+    meet S."""
+    return monomial(p, full_mask(L.n) & ~meet(S, p), L.n)
 
 
 # --- reference resolution --------------------------------------------------
@@ -59,9 +59,9 @@ def basis_element(L, p, S):
 # differential is named by its (p', S') label, found through meets and a
 # (p, S) index.  build_resolution, keyed by multidegree, must agree with it.
 
-def reference_differential(L, g):
-    """(target label (p', S'), sign, coefficient) for each term of d g."""
-    p, S = g.p, g.S
+def reference_differential(L, p, S):
+    """(target label (p', S'), sign, coefficient) for each term of
+    d b(p; S)."""
     terms = []
     for sigma, q in enumerate(S):
         rest = tuple(r for r in S if r != q)
@@ -77,28 +77,30 @@ def reference_differential(L, g):
 
 
 def reference_resolution(L):
-    """Levels and differentials, in the layout of ResolutionComplex."""
+    """Levels of multidegrees and differentials, in the layout of
+    ResolutionComplex."""
     nb = {p: L.neighbors(p) for p in L.elements}
-    levels = [
-        [basis_element(L, p, S) for p in L.elements for S in combinations(nb[p], i)]
+    labels = [
+        [(p, S) for p in L.elements for S in combinations(nb[p], i)]
         for i in range(max(map(len, nb.values())) + 1)
     ]
     index = {
-        (g.p, g.S): (i, pos)
-        for i, lv in enumerate(levels)
-        for pos, g in enumerate(lv)
+        label: (i, pos)
+        for i, lv in enumerate(labels)
+        for pos, label in enumerate(lv)
     }
     diffs = []
-    for i in range(1, len(levels)):
+    for i in range(1, len(labels)):
         per_source = []
-        for g in levels[i]:
+        for p, S in labels[i]:
             entries = []
-            for label, sign, coeff in reference_differential(L, g):
+            for label, sign, coeff in reference_differential(L, p, S):
                 ti, tpos = index[label]
                 assert ti == i - 1
                 entries.append((tpos, sign, coeff))
             per_source.append(entries)
         diffs.append(per_source)
+    levels = [[basis_element(L, p, S) for p, S in lv] for lv in labels]
     return levels, diffs
 
 
@@ -138,7 +140,7 @@ def reference_strand_exactness(C, I, b, field="Q"):
     the rank of each restricted sign matrix and the augmentation's rank,
     position by position."""
     survivors = [
-        [pos for pos, g in enumerate(lv) if g.multidegree & ~b == 0]
+        [pos for pos, m in enumerate(lv) if m & ~b == 0]
         for lv in C.levels
     ]
     local = [{pos: k for k, pos in enumerate(sv)} for sv in survivors]

@@ -9,6 +9,7 @@ from hibires import checks, invariants
 from hibires.bitset import full_mask
 from hibires.checks import (
     CheckReport,
+    _render_failure,
     check_interval_bijection,
     check_interval_monotonicity,
     check_lemma_corollary,
@@ -29,7 +30,13 @@ from hibires.lattice import (
     validate_sublattice,
 )
 from hibires.oracle import betti_oracle
-from hibires.resolution import betti_table_from_basis, build_resolution
+from hibires.resolution import (
+    betti_table_from_basis,
+    build_resolution,
+    label,
+    verify_complex,
+    verify_minimality,
+)
 
 from conftest import (
     bijection_reference,
@@ -209,11 +216,10 @@ def agree_with_references(L):
     C = build_resolution(L)
     assert [ok for _, ok, _ in basis_verdicts(C)] == reference_verdicts(L)
     # the basis carries the same intervals as the pairs (p, S)
-    assert {
-        (meet(g.S, g.p), g.p, g.hom_degree)
-        for level in C.levels
-        for g in level
-    } == {iv for _, iv in boolean_intervals(L)}
+    labels = [label(L, m) for level in C.levels for m in level]
+    assert {(meet(S, p), p, len(S)) for p, S in labels} == {
+        iv for _, iv in boolean_intervals(L)
+    }
 
 
 class TestBasisReadChecks:
@@ -233,10 +239,10 @@ class TestBasisReadChecks:
         agree_with_references(random_sublattice(n, seeds, seed))
 
 
-def tampered(L, level, pos, **changes):
-    """The resolution of L with one basis element's fields replaced."""
+def tampered(L, level, pos, m):
+    """The resolution of L with one basis element replaced by m."""
     C = build_resolution(L)
-    C.levels[level][pos] = dataclasses.replace(C.levels[level][pos], **changes)
+    C.levels[level][pos] = m
     return C
 
 
@@ -250,22 +256,21 @@ class TestTamperedBasis:
     def test_shared_multidegree_fails_distinct_meets(self, B2):
         # level 1 of B2 ends with b({1,2}; {{1}}) and b({1,2}; {{2}})
         C = build_resolution(B2)
-        twin = C.levels[1][2].multidegree
-        C.levels[1][3] = dataclasses.replace(C.levels[1][3], multidegree=twin)
+        C.levels[1][3] = C.levels[1][2]
         assert verdict(check_lemma_distinct_meets, C) == (
-            "lemma1_distinct_meets", False, (0b11, (0b10,), (0b01,))
+            "lemma1_distinct_meets", False, (0b11, (0b01,))
         )
 
     def test_flat_step_fails_corollary(self, B2):
-        # b({1,2}; {{1},{2}}) at x1*x2*y2: degree 3, as b({1,2}; {{2}})
-        C = tampered(B2, 2, 0, multidegree=monomial(0b11, 0b10, 2))
+        # b({1,2}; {{1},{2}}) at x1*x2*y2: degree 3 < n + 2 at level 2
+        C = tampered(B2, 2, 0, monomial(0b11, 0b10, 2))
         assert verdict(check_lemma_corollary, C) == (
-            "lemma1_corollary", False, (0b11, (0b10,), (0b01, 0b10))
+            "lemma1_corollary", False, (0b11, (0b01,), 2)
         )
 
     def test_non_boolean_interval_fails_bijection(self, CHAIN):
         # b({1,2}; {{1}}) moved to [empty, {1,2}], which has three elements
-        C = tampered(CHAIN, 1, 1, multidegree=monomial(0b11, 0b11, 2))
+        C = tampered(CHAIN, 1, 1, monomial(0b11, 0b11, 2))
         assert verdict(check_interval_bijection, C)[:2] == (
             "interval_bijection", False
         )
@@ -279,6 +284,15 @@ class TestTamperedBasis:
 
 
 class TestTamperedLattice:
+    def test_other_cover_lattice_fails_graph_round_trip(
+        self, B2, CHAIN, monkeypatch
+    ):
+        # run_checks builds the cover lattice of G once, and the round trip
+        # compares that lattice with L
+        monkeypatch.setattr(checks, "cover_lattice", lambda G: CHAIN)
+        failed = [name for name, ok, _ in run_checks(B2).results if not ok]
+        assert failed == ["graph_round_trip"]
+
     def test_wide_interval_fails_rank_two(self):
         # {empty, {1}, {2}, {1,2}, {1,2,3}} with N({1,2,3}) forged to
         # ({1}, {2}): their meet is empty, and [empty, {1,2,3}] has five
@@ -297,3 +311,35 @@ class TestTamperedLattice:
         assert verdict(check_interval_monotonicity, L) == (
             "interval_monotonicity", False, (0b11, 0b01)
         )
+
+
+@pytest.mark.parametrize(
+    "tamper, judge, found",
+    [
+        (
+            lambda sign, coeff: (-sign, coeff), verify_complex,
+            {
+                ("b({1,2}; {}) at x1*x2", "y1*y2"): -2,
+                ("b({2}; {}) at x2*y1", "x1*y2"): 2,
+            },
+        ),
+        (
+            lambda sign, coeff: (sign, monomial(0b11, 0b11, 2)), verify_complex,
+            ("x1*x2*y1*y2", "y1"),
+        ),
+        (
+            lambda sign, coeff: (sign, 0), verify_minimality,
+            "b({1,2}; {{2}}) at x1*x2*y1",
+        ),
+    ],
+    ids=["uncancelled-sums", "shared-variable", "unit-entry"],
+)
+def test_render_failure_names_basis_elements(B2, tamper, judge, found):
+    # one tampered entry of d b({1,2}; {{1},{2}}); the failure reads as
+    # basis elements b(p; S) at their multidegree and monomials
+    C = build_resolution(B2)
+    tpos, sign, coeff = C.diffs[1][0][0]
+    C.diffs[1][0][0] = (tpos, *tamper(sign, coeff))
+    assert _render_failure(C, judge(C).failure) == (
+        2, "b({1,2}; {{1}, {2}}) at x1*x2*y1*y2", found
+    )

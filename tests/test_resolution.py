@@ -17,6 +17,7 @@ from hibires.resolution import (
     betti_table_from_basis,
     build_resolution,
     differential,
+    label,
     resolution_basis,
     strand_exactness,
     verify_complex,
@@ -39,9 +40,7 @@ class TestBasis:
 
     def test_chain_multidegrees(self, CHAIN):
         degrees = {
-            (g.p, g.S): g.multidegree
-            for level in resolution_basis(CHAIN)
-            for g in level
+            label(CHAIN, m): m for level in resolution_basis(CHAIN) for m in level
         }
         assert degrees[0b01, ()] == monomial(0b01, 0b10, 2)
         # b({1}; {empty}) has meet the empty set, so Y over everything
@@ -52,8 +51,8 @@ class TestBasis:
         levels = resolution_basis(B2)
         assert [len(lv) for lv in levels] == [4, 4, 1]
         (top,) = levels[2]
-        assert top.p == 0b11 and top.S == (0b01, 0b10)
-        assert top.multidegree == monomial(0b11, 0b11, 2)
+        assert label(B2, top) == (0b11, (0b01, 0b10))
+        assert top == monomial(0b11, 0b11, 2)
 
     def test_neighbor_cap(self, B2, monkeypatch):
         monkeypatch.setattr(resolution, "NEIGHBOR_CAP", 1)
@@ -75,7 +74,7 @@ class TestBasis:
         def stop(*args):
             raise Enumerated
 
-        monkeypatch.setattr(resolution, "BasisElement", stop)
+        monkeypatch.setattr(resolution, "lattice_generator", stop)
         L = validate_sublattice(range(1 << n), n)
         with pytest.raises(TooManyNeighbors if refused else Enumerated):
             resolution_basis(L)
@@ -110,15 +109,15 @@ class TestDifferential:
 
     def test_homogeneity(self, FIG1):
         for level in resolution_basis(FIG1)[1:]:
-            for g in level:
-                for target, _, coeff in differential(FIG1, g):
-                    assert coeff & ~g.multidegree == 0
-                    assert target | coeff == g.multidegree
+            for m in level:
+                for target, _, coeff in differential(FIG1, m):
+                    assert coeff & ~m == 0
+                    assert target | coeff == m
 
     def test_term_count(self, FIG1):
-        for level in resolution_basis(FIG1)[1:]:
-            for g in level:
-                assert len(differential(FIG1, g)) == 2 * g.hom_degree
+        for i, level in enumerate(resolution_basis(FIG1)[1:], start=1):
+            for m in level:
+                assert len(differential(FIG1, m)) == 2 * i
 
 
 class TestComplex:
@@ -237,7 +236,7 @@ class TestStrandExactness:
     def test_stray_target_raises(self, B2):
         # a survivor whose entry names a position outside the strand
         C, H = build_resolution(B2), hibi_ideal(B2)
-        b = C.levels[1][0].multidegree
+        b = C.levels[1][0]
         _, sign, coeff = C.diffs[0][0][0]
         C.diffs[0][0][0] = (len(C.levels[0]) - 1, sign, coeff)
         with pytest.raises(ConsistencyError, match="no cell of degree 0"):
@@ -253,8 +252,8 @@ from hibires.fixtures import b2
 
 right = r.differential
 
-def wrong(L, g):
-    terms = right(L, g)
+def wrong(L, m):
+    terms = right(L, m)
     target, sign, _ = terms[0]
     return [(target, sign, 0)] + terms[1:]
 
@@ -271,7 +270,6 @@ finally:
 # Gives the last basis element the multidegree of the first; run both
 # in-process and in a python -O subprocess.
 SHARED_MULTIDEGREE = """
-import dataclasses
 import hibires.resolution as r
 from hibires.errors import ConsistencyError
 from hibires.fixtures import b2
@@ -280,9 +278,7 @@ right = r.resolution_basis
 
 def shared(L):
     levels = right(L)
-    levels[-1][-1] = dataclasses.replace(
-        levels[-1][-1], multidegree=levels[0][0].multidegree
-    )
+    levels[-1][-1] = levels[0][0]
     return levels
 
 r.resolution_basis = shared
@@ -306,13 +302,18 @@ def run_optimized(code):
 
 
 class TestConsistencyChecks:
+    # the messages name the basis element as b(p; S) at its multidegree
+    NOT_HOMOGENEOUS = (
+        "entry 1 of b({1}; {empty}) at x1*y1*y2 is not homogeneous\n"
+    )
+
     def test_wrong_coefficient_raises(self, capsys):
         exec(WRONG_COEFFICIENT, {})
-        assert "not homogeneous" in capsys.readouterr().out
+        assert capsys.readouterr().out == self.NOT_HOMOGENEOUS
 
     def test_wrong_coefficient_raises_under_optimize(self):
         # the checks are plain raises, so python -O keeps them
-        assert "not homogeneous" in run_optimized(WRONG_COEFFICIENT)
+        assert run_optimized(WRONG_COEFFICIENT) == self.NOT_HOMOGENEOUS
 
     def test_shared_multidegree_raises(self, capsys):
         exec(SHARED_MULTIDEGREE, {})
@@ -322,25 +323,29 @@ class TestConsistencyChecks:
         out = run_optimized(SHARED_MULTIDEGREE)
         assert "share a multidegree" in out
 
-    def test_unknown_target_raises(self, B2, monkeypatch):
+    def test_unknown_target_raises(self, FIG1, monkeypatch):
         right = resolution.differential
 
-        def stray(L, g):
+        def stray(L, m):
             # no basis element has the unit multidegree
-            _, sign, coeff = right(L, g)[0]
+            _, sign, coeff = right(L, m)[0]
             return [(monomial(0, 0, L.n), sign, coeff)]
 
         monkeypatch.setattr(resolution, "differential", stray)
-        with pytest.raises(ConsistencyError, match="not a basis element"):
-            build_resolution(B2)
+        with pytest.raises(ConsistencyError) as exc:
+            build_resolution(FIG1)
+        assert str(exc.value) == (
+            "differential of b({3}; {empty}) at x3*y1*y2*y3*y4*y5*y6*y7 "
+            "targets degree 1, not a basis element"
+        )
 
     def test_wrong_level_target_raises(self, B2, monkeypatch):
         right = resolution.differential
 
-        def upward(L, g):
-            # g itself is a basis element, one level above the right one
-            _, sign, coeff = right(L, g)[0]
-            return [(g.multidegree, sign, coeff)]
+        def upward(L, m):
+            # m itself is a basis element, one level above the right one
+            _, sign, coeff = right(L, m)[0]
+            return [(m, sign, coeff)]
 
         monkeypatch.setattr(resolution, "differential", upward)
         with pytest.raises(ConsistencyError, match="lands in level 1"):
@@ -358,13 +363,6 @@ class TestConsistencyChecks:
         monkeypatch.setattr(resolution, "resolution_basis", short)
         with pytest.raises(ConsistencyError, match=r"level ranks \[4, 4, 0\]"):
             build_resolution(B2)
-
-    def test_target_collision_raises(self, B2):
-        # a malformed S repeating a neighbor sends two terms to b(p; ())
-        S = (0b01, 0b01)
-        g = basis_element(B2, 0b11, S)
-        with pytest.raises(ConsistencyError, match="collided"):
-            differential(B2, g)
 
 
 def assert_matches_reference(L):
@@ -405,6 +403,5 @@ class TestBettiFromBasis:
 
     def test_distinct_multidegrees_within_level(self, FIG1):
         # one basis element per (level, multidegree): the distinct-meets lemma
-        for i, level in enumerate(resolution_basis(FIG1)):
-            degs = [g.multidegree for g in level]
-            assert len(degs) == len(set(degs))
+        for level in resolution_basis(FIG1):
+            assert len(level) == len(set(level))

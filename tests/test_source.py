@@ -40,7 +40,7 @@ def test_only_run_checks_builds_in_checks():
     # the checks themselves only compare
     builders = {
         "build_resolution", "graph_from_lattice", "hibi_ideal", "edge_ideal",
-        "alexander_dual", "lcm_closure", "betti_oracle",
+        "alexander_dual", "lcm_closure", "betti_oracle", "cover_lattice",
     }
     path = next(path for path in SOURCES if path.name == "checks.py")
     found = {
@@ -67,3 +67,26 @@ def test_oracle_has_one_path_per_step():
     assert callers["_faces"] == {"upper_koszul_complex"}
     assert len(callers["_fold"]) == 1
     assert callers["homology_ranks"] == {"reduced_homology_ranks"}
+
+
+def test_basis_elements_are_multidegrees():
+    # a basis element is the int m = u_p * y^(p - meet S); no record type
+    # carries (p, S) beside it, and resolution.label alone decodes them
+    names = {"BasisElement", "multidegree", "hom_degree"}
+    found = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if names & {
+            getattr(node, "id", None), getattr(node, "attr", None),
+            getattr(node, "name", None),
+        }
+    )
+    assert found == []
+    decoders = {
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name == "label"
+    }
+    assert decoders == {"resolution.py"}
