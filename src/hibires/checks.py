@@ -188,21 +188,23 @@ def check_resolution(C, H, closure, report, field="Q"):
 
 def _render_failure(C, failure):
     """A complex check's failure in the paper's terms: basis elements as
-    b(p; S) at their multidegree, monomials in x and y, no cancelled sums."""
+    b(p; S) at their multidegree, monomials in x and y, no cancelled sums.
+
+    A unit entry's target is its source m; the uncancelled sums of
+    verify_complex are keyed by target m'', shown with its coefficient
+    m / m'', or for the augmentation by the monomial m.
+    """
     if failure is None:
         return None
     level, m, found = failure
     element = partial(render_element, C.L)
     mono = partial(render_monomial, n=C.L.n)
-    if isinstance(found, int):  # the target of a unit entry
+    if isinstance(found, int):
         found = element(found)
-    elif isinstance(found, tuple):  # two coefficients sharing a variable
-        found = tuple(map(mono, found))
-    else:  # uncancelled sums, keyed by monomial or (target element, monomial)
-        found = {
-            (element(k[0]), mono(k[1])) if isinstance(k, tuple) else mono(k): v
-            for k, v in found.items() if v
-        }
+    elif level == "augmentation":
+        found = {mono(k): v for k, v in found.items() if v}
+    else:
+        found = {(element(k), mono(m & ~k)): v for k, v in found.items() if v}
     return (level, element(m), found)
 
 
@@ -314,11 +316,9 @@ def run_checks(L, level="formulas", field="Q", mutate=False):
 
 
 def _mutate_differential(C):
-    """Negate one differential term (debug aid for the verify command)."""
-    for per_source in C.diffs:
-        for entries in per_source:
-            if entries:
-                tpos, sign, coeff = entries[0]
-                entries[0] = (tpos, -sign, coeff)
-                return
+    """Negate the first level-1 term (debug aid for the verify command)."""
+    for terms in C.d.values():
+        target, sign = terms[0]
+        terms[0] = (target, -sign)
+        return
     raise ValueError("resolution has no differential entries to mutate")

@@ -87,15 +87,17 @@ def differential(L, m):
 
 @dataclass
 class ResolutionComplex:
-    """Basis levels plus sparse differentials with signed monomial entries.
+    """Basis levels plus the differential keyed by multidegree.
 
-    diffs[i] maps each level-(i+1) source position to its list of
-    (target position in level i, sign, coefficient monomial).
+    d maps each basis element m of level i >= 1 to its terms
+    (target, sign), each target an element of level i - 1 that properly
+    divides m; the term's coefficient is the monomial m / target, which
+    is m & ~target.
     """
 
     L: object
     levels: list
-    diffs: list
+    d: dict
 
     def level_ranks(self):
         return [len(lv) for lv in self.levels]
@@ -103,35 +105,32 @@ class ResolutionComplex:
 
 def build_resolution(L):
     levels = resolution_basis(L)
-    index = {m: (i, pos) for i, lv in enumerate(levels) for pos, m in enumerate(lv)}
-    if len(index) != sum(map(len, levels)):
+    level_of = {m: i for i, lv in enumerate(levels) for m in lv}
+    if len(level_of) != sum(map(len, levels)):
         raise ConsistencyError("two basis elements share a multidegree")
-    diffs = []
+    d = {}
     for i in range(1, len(levels)):
-        per_source = []
         for m in levels[i]:
-            entries = []
+            terms = d[m] = []
             for target, sign, coeff in differential(L, m):
-                found = index.get(target)
-                if found is None:
+                ti = level_of.get(target)
+                if ti is None:
                     raise ConsistencyError(
                         f"differential of {render_element(L, m)} targets degree "
                         f"{render_monomial(target, L.n)}, not a basis element"
                     )
-                ti, tpos = found
                 if ti != i - 1:
                     raise ConsistencyError(
                         f"differential of a level-{i} element lands in level {ti}"
                     )
-                # multigraded homogeneity: lcm(target degree, entry) = m
-                if target | coeff != m:
+                # multigraded homogeneity: target * coeff = m, squarefree, so
+                # the coefficient is m / target
+                if target | coeff != m or target & coeff:
                     raise ConsistencyError(
                         f"entry {render_monomial(coeff, L.n)} of "
                         f"{render_element(L, m)} is not homogeneous"
                     )
-                entries.append((tpos, sign, coeff))
-            per_source.append(entries)
-        diffs.append(per_source)
+                terms.append((target, sign))
     expected = [
         sum(comb(len(L.neighbors(p)), i) for p in L.elements)
         for i in range(len(levels))
@@ -139,7 +138,7 @@ def build_resolution(L):
     ranks = [len(lv) for lv in levels]
     if ranks != expected:
         raise ConsistencyError(f"level ranks {ranks}, expected {expected}")
-    return ResolutionComplex(L, levels, diffs)
+    return ResolutionComplex(L, levels, d)
 
 
 @dataclass
@@ -154,51 +153,35 @@ class CheckResult:
 def verify_complex(C):
     """Check that consecutive differentials compose to zero.
 
-    Compositions are expanded symbolically over integer coefficients, keyed
-    by the masks of each squarefree product; the augmentation, which sends
-    each level-0 element b(p; ()) to its multidegree u_p, composed with the
-    first differential must also vanish.  Returns a falsy result carrying
-    the first violating source element and its uncancelled sums, keyed by
-    target element and monomial, or the product of coefficients that is
-    not squarefree.
+    Every stored target properly divides its source (build_resolution
+    checks that homogeneity), so a two-step term m -> m' -> m'' has the
+    coefficient (m / m') * (m' / m'') = m / m'', and d(d(m)) is zero
+    exactly when the sign products summed per target m'' vanish.  The
+    augmentation sends each level-0 element to its multidegree, so after
+    the first differential every term lands on the monomial m itself: the
+    same sum, kept at m.  Returns a falsy result carrying the first
+    violating source's level ("augmentation" at level 1), the source and
+    its uncancelled sums, keyed by m'' (by m for the augmentation).
     """
-    # augmentation after the first differential
-    if C.diffs:
-        for src_pos, m in enumerate(C.levels[1]):
+    for i in range(1, len(C.levels)):
+        for m in C.levels[i]:
             acc = {}
-            for tpos, sign, coeff in C.diffs[0][src_pos]:
-                u = C.levels[0][tpos]
-                if coeff & u:
-                    return CheckResult(False, ("augmentation", m, (coeff, u)))
-                key = coeff | u
-                acc[key] = acc.get(key, 0) + sign
+            for t, s in C.d[m]:
+                for t2, s2 in C.d[t] if i > 1 else ((m, 1),):
+                    acc[t2] = acc.get(t2, 0) + s * s2
             if any(acc.values()):
-                return CheckResult(False, ("augmentation", m, acc))
-    for i in range(1, len(C.diffs)):
-        for src_pos, m in enumerate(C.levels[i + 1]):
-            acc = {}
-            for mid_pos, sign1, coeff1 in C.diffs[i][src_pos]:
-                for tpos, sign2, coeff2 in C.diffs[i - 1][mid_pos]:
-                    if coeff1 & coeff2:
-                        return CheckResult(False, (i + 1, m, (coeff1, coeff2)))
-                    key = (tpos, coeff1 | coeff2)
-                    acc[key] = acc.get(key, 0) + sign1 * sign2
-            if any(acc.values()):
-                targets = C.levels[i - 1]
-                acc = {(targets[t], k): v for (t, k), v in acc.items()}
-                return CheckResult(False, (i + 1, m, acc))
+                return CheckResult(False, (i if i > 1 else "augmentation", m, acc))
     return CheckResult(True)
 
 
 def verify_minimality(C):
-    """Check no differential entry is a nonzero constant."""
-    for i, per_source in enumerate(C.diffs):
-        for src_pos, entries in enumerate(per_source):
-            for tpos, sign, coeff in entries:
-                if coeff == 0:
-                    return CheckResult(
-                        False, (i + 1, C.levels[i + 1][src_pos], C.levels[i][tpos])
-                    )
+    """Check no differential entry is a nonzero constant: the coefficient
+    m / target is 1 exactly when a term targets its own source m."""
+    for i in range(1, len(C.levels)):
+        for m in C.levels[i]:
+            for t, _ in C.d[m]:
+                if t == m:
+                    return CheckResult(False, (i, m, m))
     return CheckResult(True)
 
 
@@ -206,7 +189,7 @@ def strand_exactness(C, I, b, field="Q"):
     """Exactness of the degree-b strand of the augmented complex.
 
     The strand keeps the basis elements whose multidegree divides b, with
-    their differential entries reduced to integer signs; a survivor's
+    their differential terms reduced to integer signs; a survivor's
     targets divide its degree (build_resolution checks that homogeneity),
     so they survive too.  The augmentation maps onto the one-dimensional
     degree-b component of the ideal when some generator divides b.  So the
@@ -214,12 +197,9 @@ def strand_exactness(C, I, b, field="Q"):
     dimension at level 0 when b lies in the ideal, and zero otherwise.
     """
     survivors = {
-        i: [pos for pos, m in enumerate(lv) if m & ~b == 0]
-        for i, lv in enumerate(C.levels)
+        i: [m for m in lv if m & ~b == 0] for i, lv in enumerate(C.levels)
     }
-    homology = homology_ranks(
-        survivors, lambda i, pos: C.diffs[i - 1][pos], field=field
-    )
+    homology = homology_ranks(survivors, lambda i, m: C.d[m], field=field)
     return homology == ({0: 1} if I.contains_monomial(b) else {})
 
 

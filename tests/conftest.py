@@ -56,8 +56,9 @@ def basis_element(L, p, S):
 
 # --- reference resolution --------------------------------------------------
 # The resolution with basis elements labelled by (p, S): every term of the
-# differential is named by its (p', S') label, found through meets and a
-# (p, S) index.  build_resolution, keyed by multidegree, must agree with it.
+# differential is named by its (p', S') label, found through meets, with
+# its own coefficient.  build_resolution, keyed by multidegree, must agree
+# with it.
 
 def reference_differential(L, p, S):
     """(target label (p', S'), sign, coefficient) for each term of
@@ -77,31 +78,27 @@ def reference_differential(L, p, S):
 
 
 def reference_resolution(L):
-    """Levels of multidegrees and differentials, in the layout of
-    ResolutionComplex."""
+    """Levels of multidegrees and the differential keyed by multidegree, in
+    the layout of ResolutionComplex; each term's own coefficient must be
+    m / target."""
     nb = {p: L.neighbors(p) for p in L.elements}
     labels = [
         [(p, S) for p in L.elements for S in combinations(nb[p], i)]
         for i in range(max(map(len, nb.values())) + 1)
     ]
-    index = {
-        label: (i, pos)
-        for i, lv in enumerate(labels)
-        for pos, label in enumerate(lv)
-    }
-    diffs = []
+    d = {}
     for i in range(1, len(labels)):
-        per_source = []
+        below = set(labels[i - 1])
         for p, S in labels[i]:
-            entries = []
+            m = basis_element(L, p, S)
+            terms = d[m] = []
             for label, sign, coeff in reference_differential(L, p, S):
-                ti, tpos = index[label]
-                assert ti == i - 1
-                entries.append((tpos, sign, coeff))
-            per_source.append(entries)
-        diffs.append(per_source)
+                assert label in below
+                target = basis_element(L, *label)
+                assert coeff == m & ~target
+                terms.append((target, sign))
     levels = [[basis_element(L, p, S) for p, S in lv] for lv in labels]
-    return levels, diffs
+    return levels, d
 
 
 # --- homology references ----------------------------------------------------
@@ -138,29 +135,25 @@ def reference_reduced_homology(K, field="Q"):
 def reference_strand_exactness(C, I, b, field="Q"):
     """Exactness of the degree-b strand of the augmented resolution C, from
     the rank of each restricted sign matrix and the augmentation's rank,
-    position by position."""
-    survivors = [
-        [pos for pos, m in enumerate(lv) if m & ~b == 0]
-        for lv in C.levels
-    ]
-    local = [{pos: k for k, pos in enumerate(sv)} for sv in survivors]
+    element by element."""
+    survivors = [[m for m in lv if m & ~b == 0] for lv in C.levels]
+    local = [{m: k for k, m in enumerate(sv)} for sv in survivors]
     dims = [len(sv) for sv in survivors]
     has_ideal_component = I.contains_monomial(b)
     if has_ideal_component and dims[0] == 0:
         return False  # augmentation cannot be surjective
     ranks = []
-    for i, per_source in enumerate(C.diffs):
+    for i in range(len(C.levels) - 1):
         rows = []
-        for pos in survivors[i + 1]:
+        for m in survivors[i + 1]:
             rows.append({
-                local[i][tpos]: sign
-                for tpos, sign, _ in per_source[pos] if tpos in local[i]
+                local[i][t]: sign for t, sign in C.d[m] if t in local[i]
             })
         ranks.append(rank_exact(rows, field=field))
     # exact at level 0 against the augmentation, then at each level up; at
     # the top the last differential must be injective
     prev = 1 if has_ideal_component else 0
-    for i in range(len(C.diffs)):
+    for i in range(len(C.levels) - 1):
         if ranks[i] + prev != dims[i]:
             return False
         prev = ranks[i]

@@ -317,29 +317,25 @@ class TestTamperedLattice:
     "tamper, judge, found",
     [
         (
-            lambda sign, coeff: (-sign, coeff), verify_complex,
+            lambda m, target, sign: (target, -sign), verify_complex,
             {
                 ("b({1,2}; {}) at x1*x2", "y1*y2"): -2,
                 ("b({2}; {}) at x2*y1", "x1*y2"): 2,
             },
         ),
         (
-            lambda sign, coeff: (sign, monomial(0b11, 0b11, 2)), verify_complex,
-            ("x1*x2*y1*y2", "y1"),
-        ),
-        (
-            lambda sign, coeff: (sign, 0), verify_minimality,
-            "b({1,2}; {{2}}) at x1*x2*y1",
+            lambda m, target, sign: (m, sign), verify_minimality,
+            "b({1,2}; {{1}, {2}}) at x1*x2*y1*y2",
         ),
     ],
-    ids=["uncancelled-sums", "shared-variable", "unit-entry"],
+    ids=["uncancelled-sums", "unit-entry"],
 )
 def test_render_failure_names_basis_elements(B2, tamper, judge, found):
-    # one tampered entry of d b({1,2}; {{1},{2}}); the failure reads as
+    # one tampered term of d b({1,2}; {{1},{2}}); the failure reads as
     # basis elements b(p; S) at their multidegree and monomials
     C = build_resolution(B2)
-    tpos, sign, coeff = C.diffs[1][0][0]
-    C.diffs[1][0][0] = (tpos, *tamper(sign, coeff))
+    (m,) = C.levels[2]
+    C.d[m][0] = tamper(m, *C.d[m][0])
     assert _render_failure(C, judge(C).failure) == (
         2, "b({1,2}; {{1}, {2}}) at x1*x2*y1*y2", found
     )

@@ -134,31 +134,41 @@ class TestComplex:
         assert not verify_complex(C)
 
     def test_minimality_detects_unit_entry(self, B2):
-        # splice a constant entry in by hand; the checker must flag it
+        # a term targeting its own source has the coefficient m / m = 1; the
+        # checker must flag it
         C = build_resolution(B2)
-        tpos, sign, _ = C.diffs[0][0][0]
-        C.diffs[0][0][0] = (tpos, sign, 0)
-        assert not verify_minimality(C)
-
-    def test_overlapping_product_fails(self, B2):
-        # an entry sharing a variable with the next differential's entries
-        # has no squarefree product: a failing result, not an exception
-        C = build_resolution(B2)
-        tpos, sign, _ = C.diffs[1][0][0]
-        C.diffs[1][0][0] = (tpos, sign, monomial(0b11, 0b11, 2))
-        result = verify_complex(C)
+        m = C.levels[1][0]
+        _, sign = C.d[m][0]
+        C.d[m][0] = (m, sign)
+        result = verify_minimality(C)
         assert not result
-        assert result.failure[0] == 2
-        assert result.failure[2][0] == monomial(0b11, 0b11, 2)
+        assert result.failure == (1, m, m)
 
-    def test_overlapping_augmentation_fails(self, B2):
-        C = build_resolution(B2)
-        tpos, sign, _ = C.diffs[0][0][0]
-        C.diffs[0][0][0] = (tpos, sign, monomial(0b11, 0b11, 2))
-        result = verify_complex(C)
-        assert not result
-        assert result.failure[0] == "augmentation"
-        assert result.failure[2][0] == monomial(0b11, 0b11, 2)
+    @pytest.mark.parametrize(
+        "L",
+        [
+            fixture_lattice("B2"), fixture_lattice("CHAIN"),
+            fixture_lattice("FIG1"), validate_sublattice(range(8), 3),
+        ],
+        ids=["B2", "CHAIN", "FIG1", "B_3"],
+    )
+    def test_flipped_sign_fails_at_its_source(self, L):
+        # a flipped term (t, s) of d(m) changes m's own composite by
+        # -2 * s * s' at every target t'' of t, and touches no other source
+        # of its level or below, so d^2 = 0 first fails at m
+        C = build_resolution(L)
+        for i in range(1, len(C.levels)):
+            for m in C.levels[i]:
+                terms = C.d[m]
+                for k, (target, sign) in enumerate(terms):
+                    terms[k] = (target, -sign)
+                    result = verify_complex(C)
+                    assert not result
+                    assert result.failure[:2] == (
+                        i if i > 1 else "augmentation", m
+                    )
+                    terms[k] = (target, sign)
+                    assert verify_complex(C)
 
     @pytest.mark.parametrize("name", ["E1", "K22", "CHAIN", "B2"])
     def test_strand_exactness_everywhere(self, name, request):
@@ -234,11 +244,11 @@ class TestStrandExactness:
         assert (verdicts[False] > 0) == mutate
 
     def test_stray_target_raises(self, B2):
-        # a survivor whose entry names a position outside the strand
+        # a survivor whose term names a multidegree outside the strand
         C, H = build_resolution(B2), hibi_ideal(B2)
         b = C.levels[1][0]
-        _, sign, coeff = C.diffs[0][0][0]
-        C.diffs[0][0][0] = (len(C.levels[0]) - 1, sign, coeff)
+        _, sign = C.d[b][0]
+        C.d[b][0] = (C.levels[0][-1], sign)
         with pytest.raises(ConsistencyError, match="no cell of degree 0"):
             strand_exactness(C, H, b)
 
@@ -265,6 +275,14 @@ except ConsistencyError as exc:
 finally:
     r.differential = right
 """
+
+
+# Gives the first term of every differential the coefficient m itself, so
+# target | coeff is still m but the product repeats the target's variables;
+# run both in-process and in a python -O subprocess.
+COEFFICIENT_SHARES_TARGET = WRONG_COEFFICIENT.replace(
+    "[(target, sign, 0)]", "[(target, sign, m)]"
+)
 
 
 # Gives the last basis element the multidegree of the first; run both
@@ -306,6 +324,9 @@ class TestConsistencyChecks:
     NOT_HOMOGENEOUS = (
         "entry 1 of b({1}; {empty}) at x1*y1*y2 is not homogeneous\n"
     )
+    SHARES_TARGET = (
+        "entry x1*y1*y2 of b({1}; {empty}) at x1*y1*y2 is not homogeneous\n"
+    )
 
     def test_wrong_coefficient_raises(self, capsys):
         exec(WRONG_COEFFICIENT, {})
@@ -314,6 +335,13 @@ class TestConsistencyChecks:
     def test_wrong_coefficient_raises_under_optimize(self):
         # the checks are plain raises, so python -O keeps them
         assert run_optimized(WRONG_COEFFICIENT) == self.NOT_HOMOGENEOUS
+
+    def test_coefficient_sharing_target_raises(self, capsys):
+        exec(COEFFICIENT_SHARES_TARGET, {})
+        assert capsys.readouterr().out == self.SHARES_TARGET
+
+    def test_coefficient_sharing_target_raises_under_optimize(self):
+        assert run_optimized(COEFFICIENT_SHARES_TARGET) == self.SHARES_TARGET
 
     def test_shared_multidegree_raises(self, capsys):
         exec(SHARED_MULTIDEGREE, {})
@@ -367,7 +395,7 @@ class TestConsistencyChecks:
 
 def assert_matches_reference(L):
     C = build_resolution(L)
-    assert (C.levels, C.diffs) == reference_resolution(L)
+    assert (C.levels, C.d) == reference_resolution(L)
 
 
 class TestAgainstReference:

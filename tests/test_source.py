@@ -71,8 +71,9 @@ def test_oracle_has_one_path_per_step():
 
 def test_basis_elements_are_multidegrees():
     # a basis element is the int m = u_p * y^(p - meet S); no record type
-    # carries (p, S) beside it, and resolution.label alone decodes them
-    names = {"BasisElement", "multidegree", "hom_degree"}
+    # carries (p, S) beside it, resolution.label alone decodes them, and
+    # the differential is keyed by m, not by positions in a level
+    names = {"BasisElement", "multidegree", "hom_degree", "diffs"}
     found = sorted(
         f"{path.name}:{node.lineno}"
         for path in SOURCES
