@@ -36,6 +36,7 @@ from .resolution import (
     betti_table_from_basis,
     build_resolution,
     label,
+    mutate_differential,
     render_element,
     strand_exactness,
     verify_complex,
@@ -298,7 +299,7 @@ def run_checks(L, level="formulas", field="Q", mutate=False):
     dual_H, dual_I = alexander_dual(H), alexander_dual(I)
     closure = lcm_closure(H)
     if mutate:
-        _mutate_differential(C)
+        mutate_differential(C)
     report = CheckReport()
     check_lemma_distinct_meets(C, report)
     check_lemma_corollary(C, report)
@@ -313,12 +314,3 @@ def run_checks(L, level="formulas", field="Q", mutate=False):
         check_oracle_hibi(L, basis_table, oracle_H, report)
         check_oracle_edge_ring(L, dual_I, quotient, report)
     return report
-
-
-def _mutate_differential(C):
-    """Negate the first level-1 term (debug aid for the verify command)."""
-    for terms in C.d.values():
-        target, sign = terms[0]
-        terms[0] = (target, -sign)
-        return
-    raise ValueError("resolution has no differential entries to mutate")

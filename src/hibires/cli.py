@@ -149,9 +149,10 @@ def _emit_text(obj):
 
 def cmd_analyze(args):
     L = load_lattice(args.input)
-    basis_table = betti_table_from_basis(build_resolution(L))
+    # the oracle first: its refusal (ClosureTooLarge) costs no resolution
     if args.level == "oracle":
         oracle_table = betti_oracle(hibi_ideal(L), field=args.field)
+    basis_table = betti_table_from_basis(build_resolution(L))
     out = invariant_report(L)
     out["input"] = str(args.input)
     out["betti_diagram_H"] = basis_table.diagram()

@@ -10,6 +10,7 @@ the x-part, then by the y-part.  Only :func:`monomial` and
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 from .bitset import down_sets, full_mask, indices_of, order_key, positions_of
 from .errors import ClosureTooLarge, ConsistencyError, ZeroIdeal
@@ -30,10 +31,19 @@ def render_monomial(m, n):
 
 
 def _minimalize(monomials):
-    """Keep the divisibility-minimal monomials, canonically sorted."""
+    """Keep the divisibility-minimal monomials, canonically sorted.
+
+    A monomial divides a different one only from a lower degree, and the
+    order is degree first, so each is tested against the kept ones of
+    lower degree: none when every degree is equal, as for the u_p of a
+    Hibi ideal.
+    """
     out = []
+    lower = 0  # out[:lower] holds the kept monomials of lower degree
     for m in sorted(set(monomials), key=order_key):
-        if not any(g & ~m == 0 for g in out):
+        if out and out[-1].bit_count() < m.bit_count():
+            lower = len(out)
+        if not any(g & ~m == 0 for g in islice(out, lower)):
             out.append(m)
     return tuple(out)
 

@@ -89,10 +89,11 @@ def differential(L, m):
 class ResolutionComplex:
     """Basis levels plus the differential keyed by multidegree.
 
-    d maps each basis element m of level i >= 1 to its terms
-    (target, sign), each target an element of level i - 1 that properly
-    divides m; the term's coefficient is the monomial m / target, which
-    is m & ~target.
+    d maps each basis element m of level i >= 1 to the pair of tuples
+    (targets, signs) of its terms, in the order of differential(L, m).
+    Each target is the int object held in level i - 1, not a copy, and
+    properly divides m; the term's coefficient is the monomial m / target,
+    which is m & ~target.
     """
 
     L: object
@@ -109,17 +110,25 @@ def build_resolution(L):
     if len(level_of) != sum(map(len, levels)):
         raise ConsistencyError("two basis elements share a multidegree")
     d = {}
+    # the signs alternate along S, so all of a level's sign tuples are
+    # equal and one object serves them
+    shared = {}
     for i in range(1, len(levels)):
+        # each stored target is level i - 1's own int: the pairs hold no
+        # copies, and the verifiers' lookups hit identical keys
+        below = {m: m for m in levels[i - 1]}
         for m in levels[i]:
-            terms = d[m] = []
+            targets, signs = [], []
             for target, sign, coeff in differential(L, m):
-                ti = level_of.get(target)
-                if ti is None:
-                    raise ConsistencyError(
-                        f"differential of {render_element(L, m)} targets degree "
-                        f"{render_monomial(target, L.n)}, not a basis element"
-                    )
-                if ti != i - 1:
+                stored = below.get(target)
+                if stored is None:
+                    ti = level_of.get(target)
+                    if ti is None:
+                        raise ConsistencyError(
+                            f"differential of {render_element(L, m)} targets "
+                            f"degree {render_monomial(target, L.n)}, not a "
+                            "basis element"
+                        )
                     raise ConsistencyError(
                         f"differential of a level-{i} element lands in level {ti}"
                     )
@@ -130,7 +139,10 @@ def build_resolution(L):
                         f"entry {render_monomial(coeff, L.n)} of "
                         f"{render_element(L, m)} is not homogeneous"
                     )
-                terms.append((target, sign))
+                targets.append(stored)
+                signs.append(sign)
+            signs = tuple(signs)
+            d[m] = (tuple(targets), shared.setdefault(signs, signs))
     expected = [
         sum(comb(len(L.neighbors(p)), i) for p in L.elements)
         for i in range(len(levels))
@@ -166,8 +178,8 @@ def verify_complex(C):
     for i in range(1, len(C.levels)):
         for m in C.levels[i]:
             acc = {}
-            for t, s in C.d[m]:
-                for t2, s2 in C.d[t] if i > 1 else ((m, 1),):
+            for t, s in zip(*C.d[m]):
+                for t2, s2 in zip(*C.d[t]) if i > 1 else ((m, 1),):
                     acc[t2] = acc.get(t2, 0) + s * s2
             if any(acc.values()):
                 return CheckResult(False, (i if i > 1 else "augmentation", m, acc))
@@ -179,10 +191,18 @@ def verify_minimality(C):
     m / target is 1 exactly when a term targets its own source m."""
     for i in range(1, len(C.levels)):
         for m in C.levels[i]:
-            for t, _ in C.d[m]:
-                if t == m:
-                    return CheckResult(False, (i, m, m))
+            targets, _ = C.d[m]
+            if m in targets:
+                return CheckResult(False, (i, m, m))
     return CheckResult(True)
+
+
+def mutate_differential(C):
+    """Negate the first level-1 term (debug aid for the verify command)."""
+    for m, (targets, signs) in C.d.items():
+        C.d[m] = (targets, (-signs[0], *signs[1:]))
+        return
+    raise ValueError("resolution has no differential entries to mutate")
 
 
 def strand_exactness(C, I, b, field="Q"):
@@ -199,7 +219,7 @@ def strand_exactness(C, I, b, field="Q"):
     survivors = {
         i: [m for m in lv if m & ~b == 0] for i, lv in enumerate(C.levels)
     }
-    homology = homology_ranks(survivors, lambda i, m: C.d[m], field=field)
+    homology = homology_ranks(survivors, lambda i, m: zip(*C.d[m]), field=field)
     return homology == ({0: 1} if I.contains_monomial(b) else {})
 
 

@@ -91,14 +91,25 @@ def reference_resolution(L):
         below = set(labels[i - 1])
         for p, S in labels[i]:
             m = basis_element(L, p, S)
-            terms = d[m] = []
+            terms = []
             for label, sign, coeff in reference_differential(L, p, S):
                 assert label in below
                 target = basis_element(L, *label)
                 assert coeff == m & ~target
                 terms.append((target, sign))
+            d[m] = tuple(zip(*terms))  # (targets, signs)
     levels = [[basis_element(L, p, S) for p, S in lv] for lv in labels]
     return levels, d
+
+
+def set_term(C, m, k, target, sign):
+    """Replace the k-th term of the differential of m in C by (target,
+    sign), keeping the (targets, signs) layout of ResolutionComplex.d."""
+    targets, signs = C.d[m]
+    C.d[m] = (
+        (*targets[:k], target, *targets[k + 1:]),
+        (*signs[:k], sign, *signs[k + 1:]),
+    )
 
 
 # --- homology references ----------------------------------------------------
@@ -147,7 +158,8 @@ def reference_strand_exactness(C, I, b, field="Q"):
         rows = []
         for m in survivors[i + 1]:
             rows.append({
-                local[i][t]: sign for t, sign in C.d[m] if t in local[i]
+                local[i][t]: sign
+                for t, sign in zip(*C.d[m]) if t in local[i]
             })
         ranks.append(rank_exact(rows, field=field))
     # exact at level 0 against the augmentation, then at each level up; at

@@ -45,6 +45,7 @@ from conftest import (
     crown_lattice,
     distinct_meets_reference,
     meet,
+    set_term,
 )
 
 
@@ -335,7 +336,8 @@ def test_render_failure_names_basis_elements(B2, tamper, judge, found):
     # basis elements b(p; S) at their multidegree and monomials
     C = build_resolution(B2)
     (m,) = C.levels[2]
-    C.d[m][0] = tamper(m, *C.d[m][0])
+    targets, signs = C.d[m]
+    set_term(C, m, 0, *tamper(m, targets[0], signs[0]))
     assert _render_failure(C, judge(C).failure) == (
         2, "b({1,2}; {{1}, {2}}) at x1*x2*y1*y2", found
     )

@@ -275,6 +275,18 @@ class TestAnalyze:
         assert rc == 1
         assert_clean_error(capsys, "ClosureTooLarge")
 
+    def test_oracle_refuses_before_the_resolution_is_built(
+        self, boolean8_file, capsys, monkeypatch
+    ):
+        # the oracle's refusal comes first, so no resolution is built
+        def unreachable(L):
+            raise RuntimeError("build_resolution was called")
+
+        monkeypatch.setattr(cli, "build_resolution", unreachable)
+        rc = main(["analyze", "--input", boolean8_file, "--level", "oracle"])
+        assert rc == 1
+        assert_clean_error(capsys, "ClosureTooLarge")
+
     def test_oracle_face_cap_exit_1(self, wide_chain_file, capsys):
         rc = main(["analyze", "--input", wide_chain_file, "--level", "oracle"])
         assert rc == 1

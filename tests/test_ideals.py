@@ -103,6 +103,24 @@ class TestMonomialIdeal:
         I = SquarefreeIdeal.of(2, [x1, x1x2, y1])
         assert I.gens == (y1, x1)
 
+    def test_minimalization_matches_pairwise_divisibility(self):
+        # kept: the distinct monomials no other one divides, in order_key
+        # order; mixed degrees, repeats and the unit monomial 1 included
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            monos = {
+                monomial(rng.getrandbits(n), rng.getrandbits(n), n)
+                for _ in range(rng.randint(1, 12))
+            }
+            minimal = [
+                m for m in monos
+                if not any(g != m and g & ~m == 0 for g in monos)
+            ]
+            assert SquarefreeIdeal.of(n, monos).gens == tuple(
+                sorted(minimal, key=order_key)
+            )
+
     def test_contains_monomial(self):
         I = SquarefreeIdeal.of(2, [monomial(0b1, 0b1, 2)])
         assert I.contains_monomial(monomial(0b11, 0b11, 2))

@@ -18,18 +18,19 @@ from hibires.resolution import (
     build_resolution,
     differential,
     label,
+    mutate_differential,
     resolution_basis,
     strand_exactness,
     verify_complex,
     verify_minimality,
 )
-from hibires.checks import _mutate_differential
 
 from conftest import (
     basis_element,
     crown_lattice,
     reference_resolution,
     reference_strand_exactness,
+    set_term,
 )
 
 
@@ -120,6 +121,46 @@ class TestDifferential:
                 assert len(differential(FIG1, m)) == 2 * i
 
 
+# Prints the bytes build_resolution(B_8) retains per basis element, as
+# tracemalloc counts them.
+FOOTPRINT = """
+import tracemalloc
+from hibires.lattice import validate_sublattice
+from hibires.resolution import build_resolution
+
+L = validate_sublattice(range(1 << 8), 8)
+tracemalloc.start()
+C = build_resolution(L)
+retained, _ = tracemalloc.get_traced_memory()
+print(retained / sum(C.level_ranks()))
+"""
+
+
+class TestStorage:
+    # retained bytes per basis element after build_resolution(B_8): 220.8
+    # (1,448,640 over 6,561), plus 25 %; the (target, sign) lists it
+    # replaced kept 660.7, and unshared sign tuples 302
+    FOOTPRINT_BOUND = 276
+
+    def test_pairs_of_tuples_sharing_the_basis_ints(self):
+        # d[m] is one pair of tuples (targets, signs), and each target is
+        # the int object its level holds: the multidegrees of B_8 pass 256,
+        # so no small-int cache makes them identical
+        C = build_resolution(validate_sublattice(range(1 << 8), 8))
+        for i in range(1, len(C.levels)):
+            below = {id(t) for t in C.levels[i - 1]}
+            for m in C.levels[i]:
+                pair = C.d[m]
+                assert type(pair) is tuple and len(pair) == 2
+                assert all(type(part) is tuple for part in pair)
+                assert all(id(t) in below for t in pair[0])
+
+    def test_footprint_per_basis_element(self):
+        # in a fresh interpreter: tuples that earlier tests freed wait in
+        # CPython's free lists, where tracemalloc does not see their reuse
+        assert float(run_optimized(FOOTPRINT)) < self.FOOTPRINT_BOUND
+
+
 class TestComplex:
     @pytest.mark.parametrize("name", ["E1", "K22", "CHAIN", "B2", "FIG1"])
     def test_d_squared_and_minimality(self, name, request):
@@ -130,7 +171,7 @@ class TestComplex:
 
     def test_mutated_complex_fails(self, B2):
         C = build_resolution(B2)
-        _mutate_differential(C)
+        mutate_differential(C)
         assert not verify_complex(C)
 
     def test_minimality_detects_unit_entry(self, B2):
@@ -138,8 +179,7 @@ class TestComplex:
         # checker must flag it
         C = build_resolution(B2)
         m = C.levels[1][0]
-        _, sign = C.d[m][0]
-        C.d[m][0] = (m, sign)
+        set_term(C, m, 0, m, C.d[m][1][0])
         result = verify_minimality(C)
         assert not result
         assert result.failure == (1, m, m)
@@ -159,15 +199,15 @@ class TestComplex:
         C = build_resolution(L)
         for i in range(1, len(C.levels)):
             for m in C.levels[i]:
-                terms = C.d[m]
-                for k, (target, sign) in enumerate(terms):
-                    terms[k] = (target, -sign)
+                intact = C.d[m]
+                for k, (target, sign) in enumerate(zip(*intact)):
+                    set_term(C, m, k, target, -sign)
                     result = verify_complex(C)
                     assert not result
                     assert result.failure[:2] == (
                         i if i > 1 else "augmentation", m
                     )
-                    terms[k] = (target, sign)
+                    C.d[m] = intact
                     assert verify_complex(C)
 
     @pytest.mark.parametrize("name", ["E1", "K22", "CHAIN", "B2"])
@@ -224,7 +264,7 @@ class TestStrandExactness:
     def test_mutated_failing_counts(self, name, failing):
         L = STRAND_LATTICES[name]()
         C, H = build_resolution(L), hibi_ideal(L)
-        _mutate_differential(C)
+        mutate_differential(C)
         closure = lcm_closure(H)
         assert sum(not strand_exactness(C, H, b) for b in closure) == failing
         assert all(strand_exactness(C, H, b, field=2) for b in closure)
@@ -234,7 +274,7 @@ class TestStrandExactness:
         verdicts = {False: 0, True: 0}
         for C, H in strand_cases():
             if mutate:
-                _mutate_differential(C)
+                mutate_differential(C)
             for b in lcm_closure(H):
                 for field in ("Q", 2):
                     got = strand_exactness(C, H, b, field=field)
@@ -247,8 +287,7 @@ class TestStrandExactness:
         # a survivor whose term names a multidegree outside the strand
         C, H = build_resolution(B2), hibi_ideal(B2)
         b = C.levels[1][0]
-        _, sign = C.d[b][0]
-        C.d[b][0] = (C.levels[0][-1], sign)
+        set_term(C, b, 0, C.levels[0][-1], C.d[b][1][0])
         with pytest.raises(ConsistencyError, match="no cell of degree 0"):
             strand_exactness(C, H, b)
 

@@ -91,3 +91,15 @@ def test_basis_elements_are_multidegrees():
         if isinstance(node, ast.FunctionDef) and node.name == "label"
     }
     assert decoders == {"resolution.py"}
+
+
+def test_only_resolution_reads_the_differential():
+    # the (targets, signs) layout of ResolutionComplex.d stays behind
+    # resolution.py, which also holds the debug sign flip
+    found = {
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "d"
+    }
+    assert found == {"resolution.py"}
