@@ -271,6 +271,23 @@ def crown_lattice(k, twin=False):
     return preorder_lattice(D)
 
 
+def labelled_preorders(n):
+    """Every preorder on [n], as the list D with D[j-1] = D(j), the mask of
+    the elements below or at j: each D(j) holds j, and i in D(j) implies
+    D(i) <= D(j).  There are 1, 4, 29, 355 of them for n = 1..4."""
+    choices = [
+        [1 << j | rest for rest in range(1 << n) if not rest >> j & 1]
+        for j in range(n)
+    ]
+    out = [[]]
+    for options in choices:
+        out = [D + [c] for D in out for c in options]
+    return [
+        D for D in out
+        if all(D[i] & ~D[j] == 0 for j in range(n) for i in positions_of(D[j]))
+    ]
+
+
 # --- minimal vertex covers ---------------------------------------------------
 # The definition of L_G: cover_lattice builds it from the edge preorder
 # (Herzog-Hibi), and the tests check that against this enumeration.

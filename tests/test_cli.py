@@ -9,7 +9,7 @@ import pytest
 
 import hibires
 import hibires.lattice as lattice_mod
-from hibires import cli
+from hibires import cli, oracle
 from hibires.betti import BettiTable
 from hibires.cli import load_lattice, main
 from hibires.fixtures import FIXTURES, fig1
@@ -39,8 +39,9 @@ def assert_clean_error(capsys, kind):
 
 @pytest.fixture
 def wide_chain_file(tmp_path):
-    # empty < [10] < [21]: the oracle's complexes at the top multidegree
-    # pass its face cap, where uncapped they run for minutes
+    # empty < [10] < [21]: K^b at the top multidegree has more faces than
+    # the oracle's face cap, but a generator misses its minimal incidence
+    # classes, so it is read as a full simplex and nothing is built
     path = tmp_path / "wide.lat"
     path.write_text(
         "lattice 21\nempty\n" + " ".join(map(str, range(1, 11))) + "\n"
@@ -287,10 +288,20 @@ class TestAnalyze:
         assert rc == 1
         assert_clean_error(capsys, "ClosureTooLarge")
 
-    def test_oracle_face_cap_exit_1(self, wide_chain_file, capsys):
-        rc = main(["analyze", "--input", wide_chain_file, "--level", "oracle"])
+    def test_oracle_face_cap_exit_1(self, tmp_path, capsys, monkeypatch):
+        # the largest complex B_3's oracle builds is the 27-face octahedron
+        path = tmp_path / "b3.lat"
+        path.write_text(lattice_to_text(validate_sublattice(range(8), 3)))
+        monkeypatch.setattr(oracle, "FACE_CAP", 26)
+        rc = main(["analyze", "--input", str(path), "--level", "oracle"])
         assert rc == 1
         assert_clean_error(capsys, "ClosureTooLarge")
+
+    def test_wide_chain_oracle_match(self, wide_chain_file, capsys):
+        rc = main(["analyze", "--input", wide_chain_file, "--level", "oracle",
+                   "--no-timestamp"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["oracle_verdict"] == "MATCH"
 
 
 class TestFieldOption:

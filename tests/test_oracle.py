@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from functools import partial, reduce
 from itertools import islice
 from operator import or_
@@ -18,11 +20,17 @@ from hibires.ideals import (
     lcm_closure,
     monomial,
 )
-from hibires.lattice import random_corpus, random_sublattice, validate_sublattice
+from hibires.lattice import (
+    preorder_lattice,
+    random_corpus,
+    random_sublattice,
+    validate_sublattice,
+)
 from hibires.oracle import (
     SimplicialComplex,
     _divisors,
     _fold,
+    _induced_complex,
     betti_oracle,
     betti_value_at,
     graded_betti_in_degree,
@@ -31,7 +39,11 @@ from hibires.oracle import (
     upper_koszul_complex,
 )
 
-from conftest import crown_lattice, reference_reduced_homology
+from conftest import (
+    crown_lattice,
+    labelled_preorders,
+    reference_reduced_homology,
+)
 
 SMALL_FIXTURES = ["E1", "CHAIN", "B2", "K22"]
 
@@ -339,6 +351,20 @@ def hibi_spot_ideals(name):
     return [hibi_ideal(fixture_lattice(name))]
 
 
+def record_builds(mp):
+    """Patch the oracle's one builder through mp; the returned list gets
+    (vertices, max_size, complex) for each call."""
+    built = []
+
+    def counted(vertices, gens, max_size=None):
+        K = _induced_complex(vertices, gens, max_size)
+        built.append((vertices, max_size, K))
+        return K
+
+    mp.setattr(oracle, "_induced_complex", counted)
+    return built
+
+
 class TestCheapPaths:
     @pytest.mark.parametrize("name", SMALL_FIXTURES)
     def test_value_at_matches_table(self, name):
@@ -360,25 +386,25 @@ class TestCheapPaths:
 
     @pytest.mark.parametrize("name", ["crown3", "hibi-B3"])
     def test_value_at_builds_through_upper_koszul(self, name, monkeypatch):
-        # inside the window the one builder of K^b gives the truncated
-        # complex, max_size = i + 1; the crown's C_6 is its own residue
+        # inside the window the one builder gives K^b[V] truncated at
+        # max_size = i + 1, and only where incidence_outcome says "build";
+        # the crown's C_6 is its own residue and keeps its six vertices
         I = window_case(name)
         T = betti_oracle(I)
-        built = []
-
-        def counted(I, b, max_size=None):
-            built.append((b, max_size))
-            return upper_koszul_complex(I, b, max_size)
-
-        monkeypatch.setattr(oracle, "upper_koszul_complex", counted)
+        built = record_builds(monkeypatch)
         d_min, d_max = I.degree_range
         cases = [CROWN3_CYCLE] if name == "crown3" else lcm_closure(I)
+        kinds = set()
         for b in cases:
+            kind, V = incidence_outcome(I, b)
+            kinds.add(kind)
             for i in range(-1, b.bit_count() + 1):
                 built.clear()
                 assert betti_value_at(I, b, i) == T.value(i, b)
                 inside = d_min + i <= b.bit_count() <= d_max * (i + 1)
-                assert built == ([(b, i + 1)] if inside else [])
+                assert [(v, m) for v, m, _ in built] == \
+                    ([(V, i + 1)] if inside and kind == "build" else [])
+        assert "build" in kinds
 
     def test_total_in_degree(self, K22):
         I = edge_ideal(graph_from_lattice(K22))
@@ -637,17 +663,16 @@ class TestDegreeWindow:
 class TestFaceCap:
     """Only the complexes the oracle builds count toward the cap.  On the
     k = 3 crown's edge ideal the fold leaves one, K^b at x1x3x5*y2y4y6
-    (46 faces, where Ind(C_6) has 18); the non-quadratic Hibi ideal of B_3
-    builds one at every multidegree."""
+    (46 faces, where Ind(C_6) has 18); on the Hibi ideal of B_3 the
+    largest is the octahedron K^b[V] at the top multidegree (27 faces)."""
 
-    def assert_cap_is_exact(self, I, built, monkeypatch):
-        # at the largest complex's face count nothing changes; one below
-        # it the oracle refuses
-        largest = max(
-            sum(map(len, upper_koszul_complex(I, b).faces.values()))
-            for b in built
-        )
-        expected = betti_oracle(I).entries
+    def assert_cap_is_exact(self, I, monkeypatch):
+        # at the largest built complex's face count nothing changes; one
+        # below it the oracle refuses
+        with monkeypatch.context() as mp:
+            built = record_builds(mp)
+            expected = betti_oracle(I).entries
+        largest = max(sum(map(len, K.faces.values())) for _, _, K in built)
         monkeypatch.setattr(oracle, "FACE_CAP", largest)
         assert betti_oracle(I).entries == expected
         monkeypatch.setattr(oracle, "FACE_CAP", largest - 1)
@@ -658,11 +683,11 @@ class TestFaceCap:
     def test_cap_is_exact(self, monkeypatch):
         I = edge_ideal(graph_from_lattice(crown_lattice(3)))
         assert residues(I) == [CROWN3_CYCLE]
-        assert self.assert_cap_is_exact(I, residues(I), monkeypatch) == 46
+        assert self.assert_cap_is_exact(I, monkeypatch) == 46
 
     def test_hibi_cap_is_exact(self, monkeypatch):
         H = hibi_ideal(validate_sublattice(range(8), 3))
-        self.assert_cap_is_exact(H, lcm_closure(H), monkeypatch)
+        assert self.assert_cap_is_exact(H, monkeypatch) == 27
 
     def test_value_at_is_capped(self, monkeypatch):
         I = edge_ideal(graph_from_lattice(crown_lattice(3)))
@@ -738,3 +763,174 @@ class TestWindowFilter:
             total_betti_in_degree(zero, 0)
         with pytest.raises(ZeroIdeal):
             graded_betti_in_degree(zero, 0, 0)
+
+
+# --- the minimal incidence classes ------------------------------------------
+# After the quadratic fold, _betti_at keeps one vertex per distinct minimal
+# incidence set (the generators dividing b that contain the vertex) and
+# reads K^b[V]: a full simplex when a generator misses V, the boundary of
+# the simplex on V when the incidence sets are disjoint, else a built
+# complex.  The references here read K^b on all of supp(b), folding nothing.
+
+def incidence_outcome(I, b):
+    """(kind, V) at b, from the incidence sets as sets of generators: V
+    keeps the least vertex of each minimal set, and kind is "void" (no
+    generator divides b), "point" (V is empty), "simplex", "sphere" or
+    "build"."""
+    gens = [g for g in I.gens if g & ~b == 0]
+    inc = {w: frozenset(g for g in gens if g & w) for w in bits(b)}
+    least = {}
+    for w, s in sorted(inc.items()):
+        if not any(t < s for t in inc.values()):
+            least.setdefault(s, w)
+    V = sum(least.values())
+    if not gens:
+        return "void", V
+    if not least:
+        return "point", V
+    if any(g & V == 0 for g in gens):
+        return "simplex", V
+    if sum(map(len, least)) == len(gens):
+        return "sphere", V
+    return "build", V
+
+
+def plain_ranks(I, b, field="Q"):
+    """{i: beta_{i,b}} off K^b on all of supp(b)."""
+    K = upper_koszul_complex(I, b)
+    return {d + 1: h for d, h in reduced_homology_ranks(K, field).items()}
+
+
+def plain_table(I, field="Q"):
+    """The plain path's table, and its ranks at each closure member."""
+    plain = {b: plain_ranks(I, b, field) for b in lcm_closure(I)}
+    table = BettiTable(I.n, "ideal")
+    for b, ranks in plain.items():
+        for i, h in ranks.items():
+            table.add(i, b, h)
+    return table, plain
+
+
+def assert_matches_plain(I, field, multidegrees=None):
+    """The table, and every spot value at the closure members (or at the
+    given multidegrees), equal the plain K^b path's."""
+    table, plain = plain_table(I, field)
+    assert betti_oracle(I, field).entries == table.entries
+    for b in plain if multidegrees is None else multidegrees:
+        expected = plain[b] if b in plain else plain_ranks(I, b, field)
+        for i in range(-1, b.bit_count() + 2):
+            assert betti_value_at(I, b, i, field) == expected.get(i, 0)
+
+
+def boolean_hibi(n):
+    return hibi_ideal(validate_sublattice(range(1 << n), n))
+
+
+def class_case(name):
+    if name in ("B3", "B4", "B5"):
+        return [boolean_hibi(int(name[1]))]
+    return homology_case(name)
+
+
+def random_mixed_ideal(rng, n):
+    """One to six generators of degree 1..4 on 2n variables, minimalized."""
+    gens = set()
+    for _ in range(rng.randint(1, 6)):
+        degree = rng.randint(1, 4)
+        gens.add(reduce(or_, (1 << v for v in rng.sample(range(2 * n), degree))))
+    return SquarefreeIdeal.of(n, gens)
+
+
+class TestMinimalClasses:
+    @pytest.mark.parametrize(
+        "name", ["fixtures", "corpus", "crowns", "B3", "B4", "B5"]
+    )
+    def test_matches_plain_koszul(self, name):
+        for I in class_case(name):
+            for field in ("Q", 2):
+                assert_matches_plain(I, field)
+
+    def test_every_labelled_preorder(self):
+        # every distributive sublattice of B_n with both bounds, n <= 4,
+        # as a labelled preorder: 1 + 4 + 29 + 355 lattices
+        count = 0
+        for n in range(1, 5):
+            for D in labelled_preorders(n):
+                I = hibi_ideal(preorder_lattice(D))
+                assert betti_oracle(I).entries == plain_table(I)[0].entries
+                count += 1
+        assert count == 389
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_mixed_ideals(self, seed):
+        # every b over the variables, inside the closure and outside it
+        rng = random.Random(seed)
+        cases = [random_mixed_ideal(rng, rng.choice((2, 3))) for _ in range(25)]
+        if seed == 0:
+            cases.append(window_case("unit"))
+        for k, I in enumerate(cases):
+            everything = list(subsets((1 << 2 * I.n) - 1))
+            assert_matches_plain(I, ("Q", 2)[k % 2], everything)
+
+    def test_octahedron_at_the_top_of_B3(self, monkeypatch):
+        # at x1x2x3*y1y2y3 every u_p divides b; x_j lies in the u_p with
+        # j in p and y_j in the others, so no incidence set holds another,
+        # all six vertices stay and K^b[V] is the octahedron x_j | y_j
+        I = boolean_hibi(3)
+        top = monomial(0b111, 0b111, 3)
+        assert incidence_outcome(I, top) == ("build", top)
+        built = record_builds(monkeypatch)
+        assert oracle._betti_at(I, top) == {3: 1}
+        assert [{d: len(fs) for d, fs in K.faces.items()}
+                for _, _, K in built] == [{-1: 1, 0: 6, 1: 12, 2: 8}]
+
+    def test_chain_rank_one_interval_is_s0(self, monkeypatch):
+        # on a chain p < q = p + j, only u_p and u_q divide x_q*y_([3]-p);
+        # x_j lies in u_q alone and y_j in u_p alone, every other variable
+        # in both: V = {x_j, y_j} is S^0 and nothing is built
+        chain = [0b000, 0b001, 0b011, 0b111]
+        I = hibi_ideal(validate_sublattice(chain, 3))
+
+        def unreachable(vertices, gens, max_size=None):
+            raise RuntimeError("a complex was built")
+
+        monkeypatch.setattr(oracle, "_induced_complex", unreachable)
+        for p, q in zip(chain, chain[1:]):
+            b = monomial(q, 0b111 & ~p, 3)
+            j = q & ~p
+            assert incidence_outcome(I, b) == ("sphere", monomial(j, j, 3))
+            assert oracle._betti_at(I, b) == {1: 1}
+            assert betti_value_at(I, b, 1) == 1
+
+    @pytest.mark.parametrize("I, b, expected", [
+        # b = 0 in the unit ideal: V is empty and K^b = {empty face}
+        (SquarefreeIdeal.of(2, [0]), 0, {0: 1}),
+        # no generator divides x1*y2: K^b is void
+        (MIXED, monomial(0b001, 0b010, 3), {}),
+        # x2 lies in no generator dividing x1*x2*y1: K^b is a cone
+        (MIXED, monomial(0b011, 0b001, 3), {}),
+    ])
+    def test_empty_cases(self, I, b, expected, monkeypatch):
+        plain = plain_ranks(I, b)
+        monkeypatch.setattr(oracle, "_induced_complex", None)
+        assert oracle._betti_at(I, b) == expected == plain
+
+    @pytest.mark.parametrize("name, split", [
+        ("B3", {"sphere": 20, "build": 7}),
+        ("B4", {"sphere": 48, "build": 33}),
+        ("B5", {"sphere": 112, "build": 131}),
+        ("FIG1", {"sphere": 23, "simplex": 15, "build": 8}),
+        ("crown3", {"sphere": 48, "simplex": 46, "build": 35}),
+        ("crown4", {"sphere": 151, "simplex": 209, "build": 290}),
+    ])
+    def test_hibi_builds_only_in_the_last_case(self, name, split, monkeypatch):
+        # the lcm closure of each Hibi ideal by outcome, and the builder
+        # called once per "build" member with its V, in closure order
+        I = boolean_hibi(int(name[1])) if name[0] == "B" else \
+            hibi_ideal(named_lattice(name))
+        outcomes = [incidence_outcome(I, b) for b in lcm_closure(I)]
+        assert Counter(kind for kind, _ in outcomes) == split
+        built = record_builds(monkeypatch)
+        betti_oracle(I)
+        assert [v for v, _, _ in built] == \
+            [V for kind, V in outcomes if kind == "build"]

@@ -54,8 +54,9 @@ def test_only_run_checks_builds_in_checks():
 
 
 def test_oracle_has_one_path_per_step():
-    # one builder of K^b, one fold dispatch and one homology call, shared
-    # by the whole tables and the single values
+    # one builder of a complex, one fold dispatch, one minimal-class step
+    # and one homology call, shared by the whole tables and the single
+    # values
     path = next(path for path in SOURCES if path.name == "oracle.py")
     callers = {}
     for node in ast.parse(path.read_text(), str(path)).body:
@@ -64,8 +65,9 @@ def test_oracle_has_one_path_per_step():
                 callers.setdefault(call.func.id, set()).add(
                     getattr(node, "name", "<module>")
                 )
-    assert callers["_faces"] == {"upper_koszul_complex"}
+    assert callers["_faces"] == {"_induced_complex"}
     assert len(callers["_fold"]) == 1
+    assert callers["_minimal_classes"] == {"_betti_at"}
     assert callers["homology_ranks"] == {"reduced_homology_ranks"}
 
 
@@ -103,3 +105,23 @@ def test_only_resolution_reads_the_differential():
         if isinstance(node, ast.Attribute) and node.attr == "d"
     }
     assert found == {"resolution.py"}
+
+
+def test_oracle_is_independent_of_the_closed_forms():
+    # the oracle reads only the ideal: it imports nothing from the modules
+    # that build L, G, the resolution, the invariants or the checks
+    closed_forms = {"lattice", "graphs", "resolution", "invariants", "checks"}
+    path = next(path for path in SOURCES if path.name == "oracle.py")
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+            if node.module in (None, "hibires"):
+                modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            continue
+        found |= {part for m in modules for part in m.split(".")}
+    assert found & closed_forms == set()
+    assert {"ideals", "linalg"} <= found
