@@ -286,8 +286,13 @@ def run_checks(L, level="formulas", field="Q", mutate=False):
     refusal costs none of those builds.  level "formulas" runs the
     structural and resolution checks; "oracle" additionally compares
     everything against the homology oracle.  The mutate flag flips the sign of one
-    differential entry of C, as a self-test that d^2 = 0 can fail.
+    differential entry of C, as a self-test that d^2 = 0 can fail.  Any
+    other level is a ValueError.
     """
+    if level not in ("formulas", "oracle"):
+        raise ValueError(
+            f"unknown level {level!r}: expected 'formulas' or 'oracle'"
+        )
     G = graph_from_lattice(L)
     L_G = cover_lattice(G)
     H = hibi_ideal(L)

@@ -1,14 +1,16 @@
 """Exact homology ranks of chain complexes over Q and over prime fields.
 
 Every chain complex in this package (the upper Koszul complexes K^b of the
-oracle, whole or truncated, and the degree-b strands of the resolution)
-goes through homology_ranks, which builds each boundary matrix once and
-ranks it with rank_exact.  The matrices have small integer entries.  One
-sparse elimination serves every field: it takes the shortest row as pivot
-row and a unit entry as pivot where there is one.  Over Q it stays
+oracle and the degree-b strands of the resolution) goes through
+homology_ranks, which builds each boundary matrix once and ranks it with
+rank_exact.  The matrices have small integer entries.  One sparse
+elimination serves every field: it takes the shortest row as pivot row
+and a unit entry as pivot where there is one.  Over Q it stays
 fraction-free and divides rows by their gcd, which keeps entries small on
 the near-unimodular boundary maps; over F_p every nonzero entry is a unit,
 so rows are updated with the pivot's inverse and kept reduced mod p.
+check_field is the one test of a field argument: "Q" or an int prime
+below MAX_CHARACTERISTIC.
 """
 
 from functools import cache
@@ -34,13 +36,17 @@ def _pivot_key(entry):
     return v != 1, v
 
 
-def _characteristic(field):
-    """0 for "Q", else the prime p; UnsupportedField for anything else."""
-    if field != "Q" and not is_supported_prime(int(field)):
-        raise UnsupportedField(
-            f"field characteristic {field} is not a prime below 2^31"
-        )
-    return 0 if field == "Q" else int(field)
+def check_field(field):
+    """0 for the field "Q", p for an int p that is a prime below
+    MAX_CHARACTERISTIC; UnsupportedField for anything else: a float, a
+    string other than "Q", a composite (a bool is 0 or 1, never prime)."""
+    if field == "Q":
+        return 0
+    if isinstance(field, int) and is_supported_prime(field):
+        return field
+    raise UnsupportedField(
+        f"field {field!r} is neither 'Q' nor a prime below 2^31"
+    )
 
 
 def homology_ranks(cells, boundary, *, field="Q"):
@@ -51,9 +57,9 @@ def homology_ranks(cells, boundary, *, field="Q"):
     yields (face, coefficient, ...) with each face a cell of degree d - 1,
     else ConsistencyError.  r_d is the rank of the boundary out of degree
     d, taken by rank_exact when that matrix is nonzero; it is 0 when d - 1
-    is not a key, so a truncated complex passes the degrees it keeps.
+    is not a key: the lowest degree has no boundary.
     """
-    _characteristic(field)
+    check_field(field)
     ranks = {}
     for d, top in cells.items():
         lower = cells.get(d - 1)
@@ -83,7 +89,7 @@ def rank_exact(rows, *, field="Q"):
     rows is a list of {col: int} dicts; field is "Q" or a prime below
     MAX_CHARACTERISTIC.
     """
-    p = _characteristic(field)
+    p = check_field(field)
     if p:
         rows = [{c: v % p for c, v in r.items()} for r in rows]
     work = [r2 for r in rows if (r2 := {c: v for c, v in r.items() if v})]

@@ -9,12 +9,11 @@ A face of K^b is a subset of supp(b) that some generator dividing b
 avoids, so one depth-first walk enumerates the faces inside a vertex set
 from the list of those generators, and the reduced homology ranks come
 from linalg.homology_ranks over Q or F_p.  _induced_complex is the only
-builder of a complex, whole or truncated at a number of vertices; a
-complex past FACE_CAP faces is refused with ClosureTooLarge.
-upper_koszul_complex builds K^b on all of supp(b).  Every value, the
-whole tables of betti_oracle and the single values of betti_value_at
-alike, goes through one routine, _betti_at, which folds b twice before
-it builds anything.
+builder of a complex, and it always builds every face; a complex past
+FACE_CAP faces is refused with ClosureTooLarge.  upper_koszul_complex
+builds K^b on all of supp(b).  Every value, the whole tables of
+betti_oracle and the single values of betti_value_at alike, goes through
+one routine, _betti_at, which folds b twice before it builds anything.
 
 When every generator has degree 2 (every edge ideal, and the Hibi ideals
 with n = 2), Hochster's restriction Delta_b, the subsets of supp(b) that
@@ -58,11 +57,11 @@ d_min + i <= |b| <= d_max * (i+1) of the generator degrees (K^b has no
 face past |b| - d_min vertices, and by Taylor's resolution a multidegree
 that carries beta_i is the lcm of i+1 generators), so betti_value_at
 returns 0 there without folding or building a complex, and the totals
-skip those b before they call it.  Inside the window K^b[V] is truncated
-at j + 1 vertices, j = i - (|b| - |R|), which gives beta_{0,b} = 1
-exactly at a generator and 0 for every negative degree.  The degree
-range and the quadratic graph are computed once per ideal
-(SquarefreeIdeal.degree_range and SquarefreeIdeal.graph).
+skip those b before they call it.  Inside the window it reads the same
+folded complex as the tables.  The degree range and the quadratic graph
+are computed once per ideal (SquarefreeIdeal.degree_range and
+SquarefreeIdeal.graph).  Every entry point refuses a field other than
+"Q" or a supported prime (linalg.check_field) before it walks a closure.
 """
 
 from dataclasses import dataclass
@@ -71,7 +70,7 @@ from itertools import islice
 from .betti import BettiTable
 from .errors import ClosureTooLarge, ZeroIdeal
 from .ideals import CLOSURE_CAP, lcm_closure
-from .linalg import homology_ranks
+from .linalg import check_field, homology_ranks
 
 FACE_CAP = 1 << 16  # max faces of one complex before the oracle refuses
 
@@ -130,7 +129,7 @@ def _fold(b, graph):
     return sum(nbr), all(nv & (nv - 1) == 0 for nv in nbr.values())
 
 
-def _faces(bmask, gens, max_size=None):
+def _faces(bmask, gens):
     """Faces (as masks) of K^b inside bmask, where gens are the generators
     dividing b and bmask is supp(b) or part of it: the subsets of bmask
     that some generator avoids.
@@ -138,42 +137,38 @@ def _faces(bmask, gens, max_size=None):
     Depth-first extension in increasing vertex order: a face is extended
     only by the vertices above its largest one that also extended its
     parent, so each face is produced once and the work is proportional to
-    the faces found times |bmask|.  max_size stops the extension at faces
-    with that many vertices.
+    the faces found times |bmask|.
     """
     if not gens:
         return
     yield 0
-    if max_size is None:
-        max_size = bmask.bit_count()
-    # (face, its size, vertices above its top that may extend it)
-    stack = [(0, 0, _bits(bmask))] if max_size > 0 else []
+    # (face, vertices above its top that may extend it)
+    stack = [(0, _bits(bmask))]
     while stack:
-        face, size, cand = stack.pop()
+        face, cand = stack.pop()
         ext = [w for w in cand if any(not g & (face | w) for g in gens)]
         for k, w in enumerate(ext):
             child = face | w
             yield child
-            if size + 1 < max_size and k + 1 < len(ext):
-                stack.append((child, size + 1, ext[k + 1 :]))
+            if k + 1 < len(ext):
+                stack.append((child, ext[k + 1 :]))
 
 
 def _bits(mask):
     return [1 << v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
-def upper_koszul_complex(I, b, max_size=None):
-    """Subsets t of supp(b) with b/t still in the ideal, or those with at
-    most max_size vertices; ClosureTooLarge past FACE_CAP faces."""
-    return _induced_complex(b, _divisors(I, b), max_size)
+def upper_koszul_complex(I, b):
+    """Subsets t of supp(b) with b/t still in the ideal; ClosureTooLarge
+    past FACE_CAP faces."""
+    return _induced_complex(b, _divisors(I, b))
 
 
-def _induced_complex(vertices, gens, max_size=None):
+def _induced_complex(vertices, gens):
     """K^b[vertices], the faces of K^b inside the mask vertices, gens being
-    the generators dividing b, or those faces with at most max_size
-    vertices; ClosureTooLarge past FACE_CAP faces."""
+    the generators dividing b; ClosureTooLarge past FACE_CAP faces."""
     by_dim = {}
-    for f in islice(_faces(vertices, gens, max_size), FACE_CAP + 1):
+    for f in islice(_faces(vertices, gens), FACE_CAP + 1):
         by_dim.setdefault(f.bit_count() - 1, []).append(f)
     if sum(map(len, by_dim.values())) > FACE_CAP:
         raise ClosureTooLarge(
@@ -218,13 +213,10 @@ def reduced_homology_ranks(K, field="Q"):
     return homology_ranks(K.faces, _face_boundary, field=field)
 
 
-def _betti_at(I, b, field="Q", only=None):
+def _betti_at(I, b, field="Q"):
     """{i: beta_{i,b}(I)} for the nonzero values, a quadratic ideal's b
     folded first, then K^b folded onto its minimal incidence classes (see
-    the module docstring).  With only=i just the value at i is exact: it
-    is read off K^b[V] truncated at i + 1 vertices, its degrees i-2, i-1
-    and i, and the other keys are truncation artifacts.
-    """
+    the module docstring)."""
     shift = 0
     if I.graph is not None:
         folded = _fold(b, I.graph)
@@ -247,19 +239,14 @@ def _betti_at(I, b, field="Q", only=None):
     if sum(map(int.bit_count, classes)) == len(gens):
         # disjoint incidence sets: K^b[V] is the boundary of a simplex
         return {len(classes) - 1 + shift: 1}
-    if only is None:
-        K = _induced_complex(V, gens)
-    else:
-        i = only - shift
-        faces = _induced_complex(V, gens, max_size=i + 1).faces
-        K = SimplicialComplex({d: faces.get(d, []) for d in (i - 2, i - 1, i)})
-    ranks = reduced_homology_ranks(K, field)
+    ranks = reduced_homology_ranks(_induced_complex(V, gens), field)
     return {d + 1 + shift: h for d, h in ranks.items()}
 
 
 def betti_oracle(I, field="Q"):
     """Multigraded Betti table of the ideal from simplicial homology, over
     the candidate multidegrees of the lcm closure of the generators."""
+    check_field(field)
     if I.is_zero:
         raise ZeroIdeal("the zero ideal has no Betti table")
     table = BettiTable(I.n, "ideal")
@@ -274,16 +261,16 @@ def betti_value_at(I, b, i, field="Q"):
 
     Much cheaper than the full table when only a few positions matter
     (last-column totals, single graded values).  It is 0 outside the
-    degree window (see the module docstring); inside it, after both folds,
-    it is read off K^b[V] truncated at i + 1 vertices, which stops at
-    FACE_CAP faces (ClosureTooLarge past it).
+    degree window (see the module docstring); inside it, it is read off
+    the same folded complex as the tables, FACE_CAP included.
     """
+    check_field(field)
     if I.is_zero:
         return 0
     lo, hi = _degree_window(I, i)
     if not lo <= b.bit_count() <= hi:
         return 0
-    return _betti_at(I, b, field, only=i).get(i, 0)
+    return _betti_at(I, b, field).get(i, 0)
 
 
 def _degree_window(I, i):
@@ -300,6 +287,7 @@ def total_betti_in_degree(I, i, field="Q"):
     come from there), but betti_value_at is called only on its members
     inside the degree window, where a value can be nonzero.
     """
+    check_field(field)
     closure = lcm_closure(I)
     lo, hi = _degree_window(I, i)
     return sum(
@@ -314,6 +302,7 @@ def graded_betti_in_degree(
     """Graded Betti number beta_{i, total_degree}(I), summed multigrade-wise
     over the closure members of that degree; none outside the degree
     window is visited."""
+    check_field(field)
     closure = lcm_closure(I, cap=closure_cap)
     lo, hi = _degree_window(I, i)
     if not lo <= total_degree <= hi:

@@ -73,6 +73,15 @@ def test_mutated_differential_is_caught(B2):
     assert report.first_failure()[0] == "complex_d_squared_zero"
 
 
+@pytest.mark.parametrize("level", ["oracel", "Oracle", "", None])
+def test_unknown_level_refused(B2, level, monkeypatch):
+    # a misspelt level used to run the formula checks alone and report ok;
+    # it is refused before anything is built
+    monkeypatch.setattr(checks, "graph_from_lattice", None)
+    with pytest.raises(ValueError, match="'formulas' or 'oracle'"):
+        run_checks(B2, level=level)
+
+
 def test_finite_field_level(CHAIN):
     report = run_checks(CHAIN, level="oracle", field=2)
     assert report.ok, report.first_failure()

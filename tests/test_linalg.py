@@ -105,9 +105,12 @@ class TestKnownMatrices:
         with pytest.raises(TypeError):
             rank_exact(to_sparse([[2, 0], [0, 1]]), 2)
 
-    @pytest.mark.parametrize("p", [4, 9, 1, 0, 4294967311])
+    @pytest.mark.parametrize(
+        "p", [4, 9, 1, 0, 4294967311, "q", 2.5, "2", 2.0, True, None]
+    )
     def test_unsupported_field_refused(self, p):
-        # 4294967311 is prime, but above the supported characteristics
+        # 4294967311 is prime, but above the supported characteristics;
+        # only "Q" and ints are fields, so "2" and 2.0 are refused too
         with pytest.raises(UnsupportedField):
             rank_exact(to_sparse([[2, 0], [0, 1]]), field=p)
         with pytest.raises(UnsupportedField):

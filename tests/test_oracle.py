@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from hibires import ideals, oracle
 from hibires.betti import BettiTable
-from hibires.errors import ClosureTooLarge, ZeroIdeal
+from hibires.errors import ClosureTooLarge, UnsupportedField, ZeroIdeal
 from hibires.fixtures import fixture_lattice
 from hibires.graphs import BipartiteGraph, graph_from_lattice
 from hibires.ideals import (
@@ -239,10 +239,10 @@ def homology_case(name):
 
 class TestAgainstBoundaryMatrices:
     # linalg.homology_ranks against the hand-built boundary matrices it
-    # replaced, on K^b whole and (betti_value_at) truncated at i + 1 vertices
+    # replaced, on the whole K^b, and every spot value against that reference
 
     @pytest.mark.parametrize("name", ["fixtures", "corpus", "crowns"])
-    def test_whole_and_truncated(self, name):
+    def test_spot_values_match_whole_complex(self, name):
         for I in homology_case(name):
             for b in lcm_closure(I):
                 K = upper_koszul_complex(I, b)
@@ -308,6 +308,56 @@ class TestBettiOracle:
         assert betti_oracle(H).entries == betti_oracle(H, field=2).entries
 
 
+# "Q" and int primes are the only fields; 4 is composite, "q" is no field
+# name, 2.5 is no int and "2" is a string
+BAD_FIELDS = [4, "q", 2.5, "2"]
+
+
+class TestFieldRefused:
+    """Every entry point refuses an unsupported field before it walks a
+    closure, also where a fold or the window settles every value and no
+    complex reaches linalg."""
+
+    @pytest.fixture
+    def I(self, B2, monkeypatch):
+        I = edge_ideal(graph_from_lattice(B2))
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("the closure was walked")
+
+        monkeypatch.setattr(oracle, "lcm_closure", no_walk)
+        monkeypatch.setattr(oracle, "_induced_complex", None)
+        return I
+
+    @pytest.mark.parametrize("field", BAD_FIELDS)
+    def test_betti_oracle(self, I, field):
+        for J in (I, SquarefreeIdeal(I.n, ())):
+            with pytest.raises(UnsupportedField):
+                betti_oracle(J, field=field)
+
+    @pytest.mark.parametrize("field", BAD_FIELDS)
+    def test_betti_value_at(self, I, field):
+        # inside the window (the generators at i = 0, the top at i = 1)
+        # and outside it (i = 3), and on the zero ideal
+        top = support(I)
+        for J, b, i in [*((I, g, 0) for g in I.gens), (I, top, 1),
+                        (I, top, 3), (SquarefreeIdeal(I.n, ()), top, 0)]:
+            with pytest.raises(UnsupportedField):
+                betti_value_at(J, b, i, field=field)
+
+    @pytest.mark.parametrize("field", BAD_FIELDS)
+    def test_total_betti_in_degree(self, I, field):
+        for i in (0, 1, 5):
+            with pytest.raises(UnsupportedField):
+                total_betti_in_degree(I, i, field=field)
+
+    @pytest.mark.parametrize("field", BAD_FIELDS)
+    def test_graded_betti_in_degree(self, I, field):
+        for i, d in ((0, 2), (1, 3), (1, 9)):
+            with pytest.raises(UnsupportedField):
+                graded_betti_in_degree(I, i, d, field=field)
+
+
 class TestAgainstReference:
     """betti_oracle reads every multidegree off K^b.  One reference reads
     each off the exhaustive K^b scan, the other off Hochster's side."""
@@ -353,12 +403,12 @@ def hibi_spot_ideals(name):
 
 def record_builds(mp):
     """Patch the oracle's one builder through mp; the returned list gets
-    (vertices, max_size, complex) for each call."""
+    (vertices, complex) for each call."""
     built = []
 
-    def counted(vertices, gens, max_size=None):
-        K = _induced_complex(vertices, gens, max_size)
-        built.append((vertices, max_size, K))
+    def counted(vertices, gens):
+        K = _induced_complex(vertices, gens)
+        built.append((vertices, K))
         return K
 
     mp.setattr(oracle, "_induced_complex", counted)
@@ -376,7 +426,7 @@ class TestCheapPaths:
 
     @pytest.mark.parametrize("name", ["B3", "B4", "FIG1", "E1", "corpus"])
     def test_hibi_value_at_matches_table(self, name):
-        # K^b truncated at i + 1 vertices against the whole K^b
+        # every spot value, inside the degree window and outside it
         for I in hibi_spot_ideals(name):
             for field in ("Q", 2):
                 T = betti_oracle(I, field)
@@ -386,9 +436,10 @@ class TestCheapPaths:
 
     @pytest.mark.parametrize("name", ["crown3", "hibi-B3"])
     def test_value_at_builds_through_upper_koszul(self, name, monkeypatch):
-        # inside the window the one builder gives K^b[V] truncated at
-        # max_size = i + 1, and only where incidence_outcome says "build";
-        # the crown's C_6 is its own residue and keeps its six vertices
+        # inside the window the one builder gives the whole K^b[V], the
+        # faces of K^b inside V, and only where incidence_outcome says
+        # "build"; the crown's C_6 is its own residue and keeps its six
+        # vertices
         I = window_case(name)
         T = betti_oracle(I)
         built = record_builds(monkeypatch)
@@ -402,8 +453,14 @@ class TestCheapPaths:
                 built.clear()
                 assert betti_value_at(I, b, i) == T.value(i, b)
                 inside = d_min + i <= b.bit_count() <= d_max * (i + 1)
-                assert [(v, m) for v, m, _ in built] == \
-                    ([(V, i + 1)] if inside and kind == "build" else [])
+                if inside and kind == "build":
+                    whole = koszul_reference(I, b).faces
+                    assert [(v, K.faces) for v, K in built] == [(V, {
+                        d: kept for d, fs in whole.items()
+                        if (kept := [f for f in fs if not f & ~V])
+                    })]
+                else:
+                    assert built == []
         assert "build" in kinds
 
     def test_total_in_degree(self, K22):
@@ -672,7 +729,7 @@ class TestFaceCap:
         with monkeypatch.context() as mp:
             built = record_builds(mp)
             expected = betti_oracle(I).entries
-        largest = max(sum(map(len, K.faces.values())) for _, _, K in built)
+        largest = max(sum(map(len, K.faces.values())) for _, K in built)
         monkeypatch.setattr(oracle, "FACE_CAP", largest)
         assert betti_oracle(I).entries == expected
         monkeypatch.setattr(oracle, "FACE_CAP", largest - 1)
@@ -688,6 +745,21 @@ class TestFaceCap:
     def test_hibi_cap_is_exact(self, monkeypatch):
         H = hibi_ideal(validate_sublattice(range(8), 3))
         assert self.assert_cap_is_exact(H, monkeypatch) == 27
+
+    def test_value_at_reads_the_whole_complex_under_the_cap(self, monkeypatch):
+        # B_3's top K^b[V] is the 27-face octahedron; at i = 1 its two-vertex
+        # skeleton has 19 faces, but a spot value reads the whole complex,
+        # so with the cap at 26 every degree inside the window is refused,
+        # as the table is
+        H = boolean_hibi(3)
+        top = monomial(0b111, 0b111, 3)
+        monkeypatch.setattr(oracle, "FACE_CAP", 27)
+        assert [betti_value_at(H, top, i) for i in (1, 2, 3)] == [0, 0, 1]
+        monkeypatch.setattr(oracle, "FACE_CAP", 26)
+        for i in (1, 2, 3):
+            with pytest.raises(ClosureTooLarge, match="faces"):
+                betti_value_at(H, top, i)
+        assert betti_value_at(H, top, 4) == 0  # outside the window
 
     def test_value_at_is_capped(self, monkeypatch):
         I = edge_ideal(graph_from_lattice(crown_lattice(3)))
@@ -756,6 +828,25 @@ class TestWindowFilter:
             total_betti_in_degree(I, i)
             assert seen == [b for b in lcm_closure(I)
                             if 2 + i <= b.bit_count() <= 2 * (i + 1)]
+
+    def test_graded_calls_only_inside_the_window(self, monkeypatch):
+        # outside d_min + i <= d <= d_max * (i+1) no member is visited;
+        # inside it, exactly the members of degree d
+        I = edge_ideal(graph_from_lattice(crown_lattice(3)))
+        seen = []
+
+        def counted(I, b, i, field="Q"):
+            seen.append(b)
+            return betti_value_at(I, b, i, field)
+
+        monkeypatch.setattr(oracle, "betti_value_at", counted)
+        for i in range(2 * I.n):
+            for d in range(2 * I.n + 2):
+                seen.clear()
+                graded_betti_in_degree(I, i, d)
+                inside = 2 + i <= d <= 2 * (i + 1)
+                assert seen == [b for b in lcm_closure(I)
+                                if inside and b.bit_count() == d]
 
     def test_zero_ideal_raises(self):
         zero = SquarefreeIdeal(1, ())
@@ -882,7 +973,7 @@ class TestMinimalClasses:
         built = record_builds(monkeypatch)
         assert oracle._betti_at(I, top) == {3: 1}
         assert [{d: len(fs) for d, fs in K.faces.items()}
-                for _, _, K in built] == [{-1: 1, 0: 6, 1: 12, 2: 8}]
+                for _, K in built] == [{-1: 1, 0: 6, 1: 12, 2: 8}]
 
     def test_chain_rank_one_interval_is_s0(self, monkeypatch):
         # on a chain p < q = p + j, only u_p and u_q divide x_q*y_([3]-p);
@@ -891,7 +982,7 @@ class TestMinimalClasses:
         chain = [0b000, 0b001, 0b011, 0b111]
         I = hibi_ideal(validate_sublattice(chain, 3))
 
-        def unreachable(vertices, gens, max_size=None):
+        def unreachable(vertices, gens):
             raise RuntimeError("a complex was built")
 
         monkeypatch.setattr(oracle, "_induced_complex", unreachable)
@@ -932,5 +1023,5 @@ class TestMinimalClasses:
         assert Counter(kind for kind, _ in outcomes) == split
         built = record_builds(monkeypatch)
         betti_oracle(I)
-        assert [v for v, _, _ in built] == \
+        assert [v for v, _ in built] == \
             [V for kind, V in outcomes if kind == "build"]

@@ -56,15 +56,20 @@ def test_only_run_checks_builds_in_checks():
 def test_oracle_has_one_path_per_step():
     # one builder of a complex, one fold dispatch, one minimal-class step
     # and one homology call, shared by the whole tables and the single
-    # values
+    # values; the builder has one mode, so every call of it and of the
+    # face walk passes just the vertex set and the generators
     path = next(path for path in SOURCES if path.name == "oracle.py")
     callers = {}
+    build_args = []
     for node in ast.parse(path.read_text(), str(path)).body:
         for call in ast.walk(node):
             if isinstance(call, ast.Call) and isinstance(call.func, ast.Name):
                 callers.setdefault(call.func.id, set()).add(
                     getattr(node, "name", "<module>")
                 )
+                if call.func.id in ("_faces", "_induced_complex"):
+                    build_args.append((len(call.args), len(call.keywords)))
+    assert build_args and set(build_args) == {(2, 0)}
     assert callers["_faces"] == {"_induced_complex"}
     assert len(callers["_fold"]) == 1
     assert callers["_minimal_classes"] == {"_betti_at"}
