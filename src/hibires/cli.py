@@ -174,6 +174,10 @@ def cmd_verify(args):
     if not args.fixtures and not args.input:
         print("verify needs --input files or --fixtures", file=sys.stderr)
         return 1
+    if args.fixtures and args.input is not None:
+        print("verify takes --input files or --fixtures, not both",
+              file=sys.stderr)
+        return 1
     if args.fixtures:
         instances = [(name, fixture_lattice(name)) for name in FIXTURES]
     else:
@@ -322,7 +326,7 @@ def build_parser():
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify", help="run the property suite")
-    p.add_argument("--input", nargs="*", default=[])
+    p.add_argument("--input", nargs="*")
     p.add_argument("--fixtures", action="store_true")
     p.add_argument(
         "--debug-mutate-differential",

@@ -5,15 +5,16 @@ the upper Koszul complex K^b on the vertex set supp(b), the subsets t of
 supp(b) with b/t still in the ideal, carries the Betti numbers of a
 squarefree monomial ideal I: beta_{i,b}(I) = dim H~_{i-1}(K^b)
 (Miller-Sturmfels, "Combinatorial Commutative Algebra", GTM 227, 2005).
-A face of K^b is a subset of supp(b) that some generator dividing b
-avoids, so one depth-first walk enumerates the faces inside a vertex set
-from the list of those generators, and the reduced homology ranks come
-from linalg.homology_ranks over Q or F_p.  _induced_complex is the only
-builder of a complex, and it always builds every face; a complex past
-FACE_CAP faces is refused with ClosureTooLarge.  upper_koszul_complex
-builds K^b on all of supp(b).  Every value, the whole tables of
-betti_oracle and the single values of betti_value_at alike, goes through
-one routine, _betti_at, which folds b twice before it builds anything.
+A face of K^b is a subset of supp(b) that some generator g dividing b
+avoids, so the faces inside a vertex set V are generated by the facets
+V minus g: one walk adds every subset of each facet, and the reduced
+homology ranks come from linalg.homology_ranks over Q or F_p.
+_induced_complex is the only builder of a complex, and it always builds
+every face; a complex past FACE_CAP faces is refused with
+ClosureTooLarge.  upper_koszul_complex builds K^b on all of supp(b).
+Every value, the whole tables of betti_oracle and the single values of
+betti_value_at alike, goes through one routine, _betti_at, which folds b
+twice before it builds anything.
 
 When every generator has degree 2 (every edge ideal, and the Hibi ideals
 with n = 2), Hochster's restriction Delta_b, the subsets of supp(b) that
@@ -46,7 +47,8 @@ _betti_at reads it as the quadratic fold reads its residue:
 - a generator meets no vertex of V (among these, every b with a vertex in
   no generator): K^b[V] is a full simplex, no homology;
 - pairwise disjoint incidence sets over V: K^b[V] is the boundary of the
-  simplex on V, and beta_{|V|-1,b} = 1 (plus the quadratic shift);
+  simplex on V, and beta_{|V|-1,b} = 1 (never a quadratic residue: its
+  non-matching edges keep both ends in V, sharing a generator);
 - any other V: K^b[V] is built, and FACE_CAP counts its faces.
 On the 2,515 lcm-closure members of the non-quadratic Hibi ideals of the
 benchmark's verify-q lattices (n = 3..5) these are 1,535 spheres, 517
@@ -65,7 +67,6 @@ SquarefreeIdeal.graph).  Every entry point refuses a field other than
 """
 
 from dataclasses import dataclass
-from itertools import islice
 
 from .betti import BettiTable
 from .errors import ClosureTooLarge, ZeroIdeal
@@ -129,31 +130,6 @@ def _fold(b, graph):
     return sum(nbr), all(nv & (nv - 1) == 0 for nv in nbr.values())
 
 
-def _faces(bmask, gens):
-    """Faces (as masks) of K^b inside bmask, where gens are the generators
-    dividing b and bmask is supp(b) or part of it: the subsets of bmask
-    that some generator avoids.
-
-    Depth-first extension in increasing vertex order: a face is extended
-    only by the vertices above its largest one that also extended its
-    parent, so each face is produced once and the work is proportional to
-    the faces found times |bmask|.
-    """
-    if not gens:
-        return
-    yield 0
-    # (face, vertices above its top that may extend it)
-    stack = [(0, _bits(bmask))]
-    while stack:
-        face, cand = stack.pop()
-        ext = [w for w in cand if any(not g & (face | w) for g in gens)]
-        for k, w in enumerate(ext):
-            child = face | w
-            yield child
-            if k + 1 < len(ext):
-                stack.append((child, ext[k + 1 :]))
-
-
 def _bits(mask):
     return [1 << v for v in range(mask.bit_length()) if mask >> v & 1]
 
@@ -166,16 +142,29 @@ def upper_koszul_complex(I, b):
 
 def _induced_complex(vertices, gens):
     """K^b[vertices], the faces of K^b inside the mask vertices, gens being
-    the generators dividing b; ClosureTooLarge past FACE_CAP faces."""
-    by_dim = {}
-    for f in islice(_faces(vertices, gens), FACE_CAP + 1):
-        by_dim.setdefault(f.bit_count() - 1, []).append(f)
-    if sum(map(len, by_dim.values())) > FACE_CAP:
+    the generators dividing b; ClosureTooLarge past FACE_CAP faces.
+
+    A subset of vertices is a face exactly when some generator avoids it,
+    so the complex is generated by the facets vertices & ~g: one walk adds
+    every subset of each facet, and stops once the cap is passed.
+    """
+    faces = set()
+    for g in gens:
+        facet = t = vertices & ~g
+        while len(faces) <= FACE_CAP:
+            faces.add(t)
+            if not t:
+                break
+            t = (t - 1) & facet
+    if len(faces) > FACE_CAP:
         raise ClosureTooLarge(
             f"a complex on {vertices.bit_count()} vertices passes the cap of "
             f"{FACE_CAP} faces"
         )
-    return SimplicialComplex({d: sorted(fs) for d, fs in by_dim.items()})
+    by_dim = {}
+    for f in sorted(faces):
+        by_dim.setdefault(f.bit_count() - 1, []).append(f)
+    return SimplicialComplex(by_dim)
 
 
 def _minimal_classes(b, gens):
@@ -237,8 +226,10 @@ def _betti_at(I, b, field="Q"):
     if any(not g & V for g in gens):
         return {}  # a generator misses V: K^b[V] is a full simplex
     if sum(map(int.bit_count, classes)) == len(gens):
-        # disjoint incidence sets: K^b[V] is the boundary of a simplex
-        return {len(classes) - 1 + shift: 1}
+        # disjoint incidence sets: K^b[V] is the boundary of a simplex.  The
+        # shift is 0 here: a folded quadratic residue that is no matching
+        # keeps both ends of an edge in V, and they share that generator
+        return {len(classes) - 1: 1}
     ranks = reduced_homology_ranks(_induced_complex(V, gens), field)
     return {d + 1 + shift: h for d, h in ranks.items()}
 

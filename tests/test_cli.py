@@ -351,6 +351,17 @@ class TestVerify:
         assert main(["verify"]) == 1
         assert "verify needs --input files or --fixtures" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("given", ["existing", "missing", "none"])
+    def test_fixtures_with_input_exit_1(self, given, chain_file, capsys):
+        # the pair is refused before any file is read, so a missing file,
+        # or --input with no file, gets the same single line
+        paths = {"existing": [chain_file], "missing": [chain_file + ".x"],
+                 "none": []}[given]
+        assert main(["verify", "--fixtures", "--input", *paths]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "verify takes --input files or --fixtures, not both\n"
+
     def test_closure_limit_exit_1(self, boolean8_file, capsys):
         assert main(["verify", "--input", boolean8_file]) == 1
         assert_clean_error(capsys, "ClosureTooLarge")

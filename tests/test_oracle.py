@@ -5,7 +5,7 @@ from itertools import islice
 from operator import or_
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hibires import ideals, oracle
@@ -582,6 +582,35 @@ class TestFold:
         assert betti_value_at(I, b, 4) == 2
         assert betti_oracle(I).value(4, b) == 2
 
+    @pytest.mark.parametrize("name", CROWNS)
+    def test_crown_residues_reach_the_build(self, name, monkeypatch):
+        # the crowns' residues are cycles, the only residues the fixtures
+        # and crowns have; every vertex of one keeps its own incidence set,
+        # so each residue is built on all its vertices and never reaches
+        # the sphere or simplex case, where the shift would be dropped
+        I = quadratic_case(name)
+        built = record_builds(monkeypatch)
+        found = residues(I)
+        assert len(found) == (3 if name.startswith("twinned") else 1)
+        for b in found:
+            r = _fold(b, I.graph)[0]
+            assert incidence_outcome(I, r) == ("build", r)
+            built.clear()
+            oracle._betti_at(I, b)
+            assert [v for v, _ in built] == [r]
+
+    @given(st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7))
+                   .filter(lambda e: e[0] < e[1]), min_size=1, max_size=16))
+    @settings(max_examples=30, deadline=None)
+    def test_no_residue_reaches_the_sphere(self, edges):
+        # both ends of an edge outside the residue's matching components
+        # stay in V and share that generator
+        I = SquarefreeIdeal.of(4, [1 << u | 1 << v for u, v in edges])
+        for b in subsets(support(I)):
+            folded = _fold(b, I.graph)
+            if folded is not None and not folded[1]:
+                assert incidence_outcome(I, folded[0])[0] == "build"
+
     def test_matching_and_cone(self, K22, CHAIN):
         # K22: x1 and x2 are twins on the star x1 - y1 - x2, and one fold
         # leaves a single edge; CHAIN: on the path y1 - x1 - y2 - x2, N(y1)
@@ -772,6 +801,48 @@ class TestFaceCap:
         monkeypatch.setattr(oracle, "FACE_CAP", 1)
         with pytest.raises(ClosureTooLarge, match="faces"):
             total_betti_in_degree(H, 1)
+
+
+# a vertex set V inside supp(b) and the generators dividing b: up to five
+# generators of degree 1..4 on eight variables, b their lcm times an extra
+# part, V = b & mask (0 included)
+walk_inputs = st.tuples(
+    st.lists(st.integers(1, 255).filter(lambda g: g.bit_count() <= 4),
+             max_size=5),
+    st.integers(0, 255), st.integers(0, 255),
+).map(lambda t: (reduce(or_, t[0], t[1]) & t[2], t[0]))
+
+
+class TestFacetWalk:
+    """_induced_complex(V, gens) walks the subsets of each facet V & ~g;
+    its faces are those of the brute-force filter of every subset of V,
+    and its cap is exact."""
+
+    @given(walk_inputs)
+    @example((0b1011, []))  # no generator: the void complex
+    @example((0, [0b11]))  # V = 0 under a generator: {empty face}
+    @settings(max_examples=200, deadline=None)
+    def test_matches_subset_filter(self, case):
+        V, gens = case
+        expected = complex_of(
+            t for t in subsets(V) if any(not g & t for g in gens)
+        )
+        K = _induced_complex(V, gens)
+        assert K.faces == expected.faces
+        assert list(K.faces) == sorted(K.faces)
+
+    @given(walk_inputs.filter(lambda case: case[1]))
+    @settings(max_examples=50, deadline=None)
+    def test_cap_is_exact(self, case):
+        V, gens = case
+        K = _induced_complex(V, gens)
+        count = sum(map(len, K.faces.values()))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "FACE_CAP", count)
+            assert _induced_complex(V, gens) == K
+            mp.setattr(oracle, "FACE_CAP", count - 1)
+            with pytest.raises(ClosureTooLarge, match="faces"):
+                _induced_complex(V, gens)
 
 
 # --- the totals visit only the degree window -------------------------------

@@ -56,21 +56,37 @@ def test_only_run_checks_builds_in_checks():
 def test_oracle_has_one_path_per_step():
     # one builder of a complex, one fold dispatch, one minimal-class step
     # and one homology call, shared by the whole tables and the single
-    # values; the builder has one mode, so every call of it and of the
-    # face walk passes just the vertex set and the generators
+    # values; _induced_complex is the only face walk (the only reader of
+    # FACE_CAP and the only maker of a SimplicialComplex), it takes just the
+    # vertex set and the generators, and every call passes exactly those
     path = next(path for path in SOURCES if path.name == "oracle.py")
+    tree = ast.parse(path.read_text(), str(path))
     callers = {}
+    readers = {}
     build_args = []
-    for node in ast.parse(path.read_text(), str(path)).body:
-        for call in ast.walk(node):
-            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name):
-                callers.setdefault(call.func.id, set()).add(
+    for node in tree.body:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                readers.setdefault(sub.id, set()).add(
                     getattr(node, "name", "<module>")
                 )
-                if call.func.id in ("_faces", "_induced_complex"):
-                    build_args.append((len(call.args), len(call.keywords)))
+            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name):
+                callers.setdefault(sub.func.id, set()).add(
+                    getattr(node, "name", "<module>")
+                )
+                if sub.func.id == "_induced_complex":
+                    build_args.append((len(sub.args), len(sub.keywords)))
+    functions = {
+        node.name: node for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    walk = functions["_induced_complex"].args
+    assert [a.arg for a in walk.args] == ["vertices", "gens"]
+    assert not (walk.defaults or walk.kwonlyargs or walk.vararg or walk.kwarg)
     assert build_args and set(build_args) == {(2, 0)}
-    assert callers["_faces"] == {"_induced_complex"}
+    assert "_faces" not in functions and "islice" not in readers
+    assert readers["FACE_CAP"] == {"_induced_complex"}
+    assert callers["SimplicialComplex"] == {"_induced_complex"}
     assert len(callers["_fold"]) == 1
     assert callers["_minimal_classes"] == {"_betti_at"}
     assert callers["homology_ranks"] == {"reduced_homology_ranks"}

@@ -1,4 +1,4 @@
-"""Textual mutation run for the oracle and its linear algebra.
+"""Textual mutation run for the oracle, linear algebra and resolution.
 
 Each mutant below replaces one exact, unique piece of text in one module
 of src/hibires.  The script copies src/, tests/ and pyproject.toml into a
@@ -35,12 +35,12 @@ ROOT = Path(__file__).resolve().parent.parent
 TESTS = {
     "oracle.py": ["tests/test_oracle.py"],
     "linalg.py": ["tests/test_linalg.py", "tests/test_oracle.py"],
+    "resolution.py": ["tests/test_resolution.py", "tests/test_checks.py"],
 }
 
-NO_SHIFT = (
-    "after Engstrom's fold no residue vertex off a matching component has "
-    "its incidence set inside another's, and adjacent vertices share an "
-    "edge, so a residue with a nonzero shift never reaches the sphere case"
+ODD_BASIS = (
+    "the basis has 1 + sum 2^|N(p)| elements over p above the bottom, each "
+    "|N(p)| >= 1, so its size is odd and never equals 2^NEIGHBOR_CAP >= 2"
 )
 
 # (id, module, old text, new text, reason if equivalent)
@@ -55,11 +55,7 @@ MUTANTS = [
     ("largest-vertex-per-class", "oracle.py",
      "first.setdefault(inc, w)", "first[inc] = w", None),
     ("sphere-degree-plus-1", "oracle.py",
-     "return {len(classes) - 1 + shift: 1}",
-     "return {len(classes) + shift: 1}", None),
-    ("sphere-shift-dropped", "oracle.py",
-     "return {len(classes) - 1 + shift: 1}",
-     "return {len(classes) - 1: 1}", NO_SHIFT),
+     "return {len(classes) - 1: 1}", "return {len(classes): 1}", None),
     ("sphere-test-by-class-count", "oracle.py",
      "if sum(map(int.bit_count, classes)) == len(gens):",
      "if len(classes) == len(gens):", None),
@@ -84,18 +80,22 @@ MUTANTS = [
      "shift = b.bit_count() - r.bit_count()", "shift = 0", None),
     ("fold-onto-itself", "oracle.py",
      "if not nu & ~nv and u != v:", "if not nu & ~nv:", None),
-    # --- oracle.py: the face walk, the builder and its cap ---
-    ("faces-revisit-own-vertex", "oracle.py",
-     "stack.append((child, ext[k + 1 :]))",
-     "stack.append((child, ext[k:]))", None),
+    # --- oracle.py: the facet walk, its cap and the boundary ---
+    ("facet-is-vertex-set", "oracle.py",
+     "facet = t = vertices & ~g", "facet = t = vertices", None),
+    ("first-facet-only", "oracle.py",
+     "    for g in gens:\n        facet", "    for g in gens[:1]:\n        facet",
+     None),
+    ("empty-face-skipped", "oracle.py",
+     "            faces.add(t)\n            if not t:\n                break\n",
+     "            if not t:\n                break\n            faces.add(t)\n",
+     None),
+    ("walk-stops-at-cap", "oracle.py",
+     "while len(faces) <= FACE_CAP:", "while len(faces) < FACE_CAP:", None),
+    ("cap-refuses-at-cap", "oracle.py",
+     "if len(faces) > FACE_CAP:", "if len(faces) >= FACE_CAP:", None),
     ("boundary-signs-constant", "oracle.py",
      "        sign = -sign\n", "", None),
-    ("cap-off-by-one", "oracle.py",
-     "if sum(map(len, by_dim.values())) > FACE_CAP:",
-     "if sum(map(len, by_dim.values())) >= FACE_CAP:", None),
-    ("cap-never-passed", "oracle.py",
-     "islice(_faces(vertices, gens), FACE_CAP + 1)",
-     "islice(_faces(vertices, gens), FACE_CAP)", None),
     # --- oracle.py: the degree window ---
     ("window-lo-1", "oracle.py",
      "    if not lo <= b.bit_count() <= hi:\n        return 0",
@@ -158,6 +158,38 @@ MUTANTS = [
     ("prime-test-admits-1", "linalg.py",
      "return 2 <= p < MAX_CHARACTERISTIC and all(",
      "return 1 <= p < MAX_CHARACTERISTIC and all(", None),
+    # --- resolution.py: the basis guard ---
+    ("basis-guard-refuses-at-cap", "resolution.py",
+     "if size > 1 << NEIGHBOR_CAP:", "if size >= 1 << NEIGHBOR_CAP:",
+     ODD_BASIS),
+    ("basis-guard-one-power-up", "resolution.py",
+     "if size > 1 << NEIGHBOR_CAP:", "if size > 2 << NEIGHBOR_CAP:", None),
+    # --- resolution.py: the differential and its checks ---
+    ("differential-signs-constant", "resolution.py",
+     "            sign = -sign\n", "", None),
+    ("x-term-sign-flipped", "resolution.py",
+     "terms.append((m & ~x, -sign, x))", "terms.append((m & ~x, sign, x))",
+     None),
+    ("homogeneity-check-dropped", "resolution.py",
+     "if target | coeff != m or target & coeff:", "if False:", None),
+    ("d-squared-augmentation-skipped", "resolution.py",
+     "if i > 1 else ((m, 1),):", "if i > 1 else ():", None),
+    ("minimality-never-fails", "resolution.py",
+     "if m in targets:", "if False:", None),
+    ("debug-flip-flips-nothing", "resolution.py",
+     "C.d[m] = (targets, (-signs[0], *signs[1:]))",
+     "C.d[m] = (targets, (signs[0], *signs[1:]))", None),
+    # --- resolution.py: the strands ---
+    ("strand-survivor-meets-b", "resolution.py",
+     "[m for m in lv if m & ~b == 0]", "[m for m in lv if m & b]", None),
+    ("strand-survivor-filter-dropped", "resolution.py",
+     "[m for m in lv if m & ~b == 0]", "[m for m in lv]", None),
+    ("strand-point-dropped", "resolution.py",
+     "({0: 1} if I.contains_monomial(b) else {})",
+     "({} if I.contains_monomial(b) else {})", None),
+    ("strand-point-at-level-1", "resolution.py",
+     "({0: 1} if I.contains_monomial(b) else {})",
+     "({1: 1} if I.contains_monomial(b) else {})", None),
 ]
 
 
