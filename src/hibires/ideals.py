@@ -87,6 +87,19 @@ class SquarefreeIdeal:
             nbr[g ^ u] = nbr.get(g ^ u, 0) | u
         return nbr
 
+    @cached_property
+    def dominators(self):
+        """For a quadratic ideal, variable bit v -> mask of the u != v with
+        N(u) inside N(v) in the whole graph; None for any other ideal.
+        Computed on first use and kept."""
+        nbr = self.graph
+        if nbr is None:
+            return None
+        return {
+            v: sum(u for u, nu in nbr.items() if not nu & ~nv and u != v)
+            for v, nv in nbr.items()
+        }
+
 
 def hibi_ideal(L):
     """Generators u_p = X_p * Y_(complement of p) over the lattice elements.

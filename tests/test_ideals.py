@@ -128,7 +128,7 @@ class TestMonomialIdeal:
 
 
 class TestPerIdealFacts:
-    """degree_range and graph are cached on the ideal, like
+    """degree_range, graph and dominators are cached on the ideal, like
     CoverLattice.a_set, and the cache takes no part in equality."""
 
     def test_values(self, CHAIN):
@@ -158,6 +158,47 @@ class TestPerIdealFacts:
             total_betti_in_degree(I, i)
         assert sorted(calls) == ["degree_range", "graph"]
         assert I.graph is I.graph
+
+    def test_dominators(self, CHAIN, K22):
+        # on the path y1 - y2 - x1 - x2, N(x2) = {x1} lies in N(y2) and
+        # N(y1) = {y2} in N(x1); the ends are dominated by nothing
+        y1, y2, x1, x2 = 0b0001, 0b0010, 0b0100, 0b1000
+        assert hibi_ideal(CHAIN).dominators == {y1: 0, y2: x2, x1: y1, x2: 0}
+        # K22's graph is K_{2,2}: two pairs of twins
+        assert edge_ideal(graph_from_lattice(K22)).dominators == {
+            y1: y2, y2: y1, x1: x2, x2: x1}
+        mixed = SquarefreeIdeal.of(2, [monomial(0b1, 0b1, 2),
+                                       monomial(0b10, 0b11, 2)])
+        assert mixed.dominators is None
+
+    @given(st.sets(st.integers(0, 255).filter(lambda g: g.bit_count() == 2),
+                   max_size=14))
+    @settings(max_examples=60, deadline=None)
+    def test_dominators_match_pairwise_containment(self, gens):
+        I = SquarefreeIdeal.of(4, gens)
+        nbr = {1 << v: sum(g & ~(1 << v) for g in I.gens if g >> v & 1)
+               for v in range(8) if any(g >> v & 1 for g in I.gens)}
+        assert I.graph == nbr
+        assert I.dominators == {
+            v: sum(u for u in nbr if u != v and nbr[u] | nbr[v] == nbr[v])
+            for v in nbr
+        }
+
+    def test_dominators_computed_once(self, K22, monkeypatch):
+        calls = []
+        for name in ("graph", "dominators"):
+            prop = SquarefreeIdeal.__dict__[name]
+
+            def counted(I, func=prop.func, name=name):
+                calls.append(name)
+                return func(I)
+
+            monkeypatch.setattr(prop, "func", counted)
+        I = edge_ideal(graph_from_lattice(K22))
+        for i in range(4):
+            total_betti_in_degree(I, i)
+        assert sorted(calls) == ["dominators", "graph"]
+        assert I.dominators is I.dominators
 
     def test_cache_does_not_change_equality(self, K22):
         filled = edge_ideal(graph_from_lattice(K22))

@@ -20,6 +20,7 @@ from hibires.ideals import (
     lcm_closure,
     monomial,
 )
+from hibires.invariants import invariant_report
 from hibires.lattice import (
     preorder_lattice,
     random_corpus,
@@ -28,6 +29,7 @@ from hibires.lattice import (
 )
 from hibires.oracle import (
     SimplicialComplex,
+    _betti_at,
     _divisors,
     _fold,
     _induced_complex,
@@ -38,6 +40,7 @@ from hibires.oracle import (
     total_betti_in_degree,
     upper_koszul_complex,
 )
+from hibires.resolution import resolution_basis
 
 from conftest import (
     crown_lattice,
@@ -503,7 +506,7 @@ def residues(I):
     build: neither a cone nor a perfect matching."""
     out = []
     for b in lcm_closure(I, cap=200000):
-        folded = _fold(b, I.graph)
+        folded = _fold(I, b)
         if folded is not None and not folded[1]:
             out.append(b)
     return out
@@ -578,7 +581,7 @@ class TestFold:
         # beta_{3+1} at the seven vertices
         I = edge_ideal(graph_from_lattice(crown_lattice(3, twin=True)))
         b = monomial(0b1010101, 0b0101010, 7)
-        assert _fold(b, I.graph)[0].bit_count() == 6
+        assert _fold(I, b)[0].bit_count() == 6
         assert betti_value_at(I, b, 4) == 2
         assert betti_oracle(I).value(4, b) == 2
 
@@ -593,7 +596,7 @@ class TestFold:
         found = residues(I)
         assert len(found) == (3 if name.startswith("twinned") else 1)
         for b in found:
-            r = _fold(b, I.graph)[0]
+            r = _fold(I, b)[0]
             assert incidence_outcome(I, r) == ("build", r)
             built.clear()
             oracle._betti_at(I, b)
@@ -607,7 +610,7 @@ class TestFold:
         # stay in V and share that generator
         I = SquarefreeIdeal.of(4, [1 << u | 1 << v for u, v in edges])
         for b in subsets(support(I)):
-            folded = _fold(b, I.graph)
+            folded = _fold(I, b)
             if folded is not None and not folded[1]:
                 assert incidence_outcome(I, folded[0])[0] == "build"
 
@@ -617,11 +620,11 @@ class TestFold:
         # lies in N(y2), and dropping y2 isolates x2
         star = monomial(0b11, 0b01, 2)
         I = edge_ideal(graph_from_lattice(K22))
-        r, matching = _fold(star, I.graph)
+        r, matching = _fold(I, star)
         assert matching and r.bit_count() == 2 and r & ~star == 0
         path = monomial(0b11, 0b11, 2)
         I = edge_ideal(graph_from_lattice(CHAIN))
-        assert _fold(path, I.graph) is None
+        assert _fold(I, path) is None
 
     @given(st.integers(1, 4), st.integers(0, 4), st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -640,6 +643,158 @@ class TestFold:
             for field in ("Q", 2):
                 expected = hochster_table(I, field)
                 assert_fold_matches_unfolded(I, expected, mp, field)
+
+
+# --- the dominator pass -----------------------------------------------------
+
+def fold_reference(b, graph):
+    """_fold without the dominator pass: the graph restricted to supp(b),
+    folded locally until no fold applies."""
+    nbr = {}  # vertex bit -> mask of its neighbours inside supp(b)
+    rest = b
+    while rest:
+        v = rest & -rest
+        rest ^= v
+        nbr[v] = graph.get(v, 0) & b
+        if not nbr[v]:
+            return None
+    folded = True
+    while folded:
+        folded = False
+        for v in list(nbr):
+            nv = nbr[v]
+            for u, nu in nbr.items():
+                if not nu & ~nv and u != v:
+                    break
+            else:
+                continue  # no other neighbourhood lies inside N(v)
+            del nbr[v]
+            while nv:
+                w = nv & -nv
+                nv ^= w
+                nbr[w] ^= v
+                if not nbr[w]:
+                    return None
+            folded = True
+    return sum(nbr), all(nv & (nv - 1) == 0 for nv in nbr.values())
+
+
+def degrees_inside(graph, r):
+    """The sorted degree sequence of the graph induced on the mask r."""
+    return sorted((graph[v] & r).bit_count() for v in bits(r))
+
+
+def twinned_graph(edges, order, cycle, twins):
+    """edges on eight vertices, plus the odd cycle through the first cycle
+    vertices of order, then each (u, t) of twins making t a twin of u:
+    t loses its edges and gets u's neighbours other than itself."""
+    edges = set(edges)
+    edges |= {frozenset((order[k], order[(k + 1) % cycle]))
+              for k in range(cycle)}
+    for u, t in twins:
+        nu = {w for e in edges if u in e for w in e} - {u, t}
+        edges = {e for e in edges if t not in e} | {
+            frozenset((t, w)) for w in nu}
+    return SquarefreeIdeal.of(4, [sum(1 << v for v in e) for e in edges])
+
+
+EDGES8 = st.sets(st.frozensets(st.integers(0, 7), min_size=2, max_size=2),
+                 max_size=12)
+TWINS8 = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7))
+                  .filter(lambda p: p[0] != p[1]), min_size=1, max_size=2)
+
+
+class TestDominatorPass:
+    """_fold first drops each vertex with a dominator (N(u) inside N(v) in
+    the whole graph) still kept; it must end where the local fold alone
+    ends, up to isomorphism."""
+
+    @given(EDGES8, st.permutations(range(8)), st.sampled_from([3, 5, 7]),
+           TWINS8)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_local_fold(self, edges, order, cycle, twins):
+        I = twinned_graph(edges, order, cycle, twins)
+        for b in subsets(support(I)):
+            got, expected = _fold(I, b), fold_reference(b, I.graph)
+            assert (got is None) == (expected is None), b
+            if got is None:
+                continue
+            (r, matching), (ref, ref_matching) = got, expected
+            assert r & ~b == 0 and matching == ref_matching
+            assert degrees_inside(I.graph, r) == degrees_inside(I.graph, ref)
+            # no fold is left inside the residue
+            assert not any(
+                u != v and not I.graph[u] & r & ~I.graph[v]
+                for u in bits(r) for v in bits(r)
+            )
+
+    def test_k22_twin_star(self, K22):
+        # x1 and x2 are twins in the whole graph: on the star x1 - y1 - x2
+        # the pass drops x1, keeps x2 and leaves the edge x2 y1
+        I = edge_ideal(graph_from_lattice(K22))
+        x1, x2 = monomial(0b01, 0, 2), monomial(0b10, 0, 2)
+        assert I.dominators[x1] == x2 and I.dominators[x2] == x1
+        star = monomial(0b11, 0b01, 2)
+        assert _fold(I, star) == fold_reference(star, I.graph) \
+            == (monomial(0b10, 0b01, 2), True)
+
+    def test_twinned_crown_cycle(self):
+        # x1 and x7 are twins only inside b (y1 and y7 tell them apart in
+        # the whole graph), so the pass keeps all of b and the local loop
+        # drops x1, leaving the 6-cycle on x3 x5 x7 y2 y4 y6
+        I = edge_ideal(graph_from_lattice(crown_lattice(3, twin=True)))
+        b = monomial(0b1010101, 0b0101010, 7)
+        assert not any(I.dominators[v] & b for v in bits(b))
+        assert _fold(I, b) == fold_reference(b, I.graph) \
+            == (monomial(0b1010100, 0b0101010, 7), False)
+
+
+def permute_mask(mask, perm):
+    """The mask with bit k moved to bit perm[k]."""
+    return sum(1 << perm[k] for k in range(len(perm)) if mask >> k & 1)
+
+
+def permute_monomial(m, perm):
+    n = len(perm)
+    return monomial(permute_mask(m >> n, perm),
+                    permute_mask(m & ((1 << n) - 1), perm), n)
+
+
+class TestRelabelling:
+    """Renaming the ground set renames every answer.  The dominator pass
+    keeps the later of two twins in bit order, so a relabelling changes
+    which one survives, never a value."""
+
+    @given(st.integers(1, 7), st.integers(0, 5), st.integers(0, 2**32 - 1),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_answers_permute(self, n, seeds, seed, rnd):
+        L = random_sublattice(n, seeds, seed)
+        perm = rnd.sample(range(n), n)
+        M = validate_sublattice({permute_mask(p, perm) for p in L.elements}, n)
+        before, after = invariant_report(L), invariant_report(M)
+        for key, value in before.items():
+            if key in ("a_set", "b_set"):
+                assert sorted(sorted(perm[i - 1] + 1 for i in s)
+                              for s in value) == sorted(after[key])
+            elif key == "extremal_graded" or not isinstance(value, list):
+                assert after[key] == value, key
+        assert [sorted(permute_monomial(m, perm) for m in level)
+                for level in resolution_basis(L)] == \
+            [sorted(level) for level in resolution_basis(M)]
+        tables = []
+        for K in (L, M):
+            try:
+                tables.append(betti_oracle(edge_ideal(graph_from_lattice(K))))
+            except ClosureTooLarge:
+                tables.append(None)
+        if tables[0] is None:
+            assert tables[1] is None
+        else:
+            assert tables[1].entries == {
+                (i, permute_monomial(b, perm)): v
+                for (i, b), v in tables[0].entries.items()
+            }
 
 
 # --- the degree window ----------------------------------------------------
@@ -727,9 +882,9 @@ class TestDegreeWindow:
             I = window_case(name)
         folded = []
 
-        def counted(b, graph):
+        def counted(I, b):
             folded.append(b)
-            return _fold(b, graph)
+            return _fold(I, b)
 
         monkeypatch.setattr(oracle, "_fold", counted)
         d_min, d_max = I.degree_range
@@ -867,7 +1022,7 @@ def window_filter_case(name):
 
 
 class TestWindowFilter:
-    """total_betti_in_degree and graded_betti_in_degree call betti_value_at
+    """total_betti_in_degree and graded_betti_in_degree call _betti_at
     only on closure members inside the degree window; their sums equal the
     sums over the whole closure."""
 
@@ -889,11 +1044,11 @@ class TestWindowFilter:
         I = edge_ideal(graph_from_lattice(crown_lattice(3)))
         seen = []
 
-        def counted(I, b, i, field="Q"):
+        def counted(I, b, field="Q"):
             seen.append(b)
-            return betti_value_at(I, b, i, field)
+            return _betti_at(I, b, field)
 
-        monkeypatch.setattr(oracle, "betti_value_at", counted)
+        monkeypatch.setattr(oracle, "_betti_at", counted)
         for i in range(2 * I.n):
             seen.clear()
             total_betti_in_degree(I, i)
@@ -906,11 +1061,11 @@ class TestWindowFilter:
         I = edge_ideal(graph_from_lattice(crown_lattice(3)))
         seen = []
 
-        def counted(I, b, i, field="Q"):
+        def counted(I, b, field="Q"):
             seen.append(b)
-            return betti_value_at(I, b, i, field)
+            return _betti_at(I, b, field)
 
-        monkeypatch.setattr(oracle, "betti_value_at", counted)
+        monkeypatch.setattr(oracle, "_betti_at", counted)
         for i in range(2 * I.n):
             for d in range(2 * I.n + 2):
                 seen.clear()

@@ -92,6 +92,26 @@ def test_oracle_has_one_path_per_step():
     assert callers["homology_ranks"] == {"reduced_homology_ranks"}
 
 
+def test_fold_and_spot_values_have_one_caller():
+    # _fold is reached only through _betti_at, and no oracle function goes
+    # through the public betti_value_at: the totals check the field and
+    # the degree window once, then read _betti_at per member
+    path = next(path for path in SOURCES if path.name == "oracle.py")
+    callers = {}
+    for node in ast.parse(path.read_text(), str(path)).body:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name):
+                callers.setdefault(sub.func.id, set()).add(
+                    getattr(node, "name", "<module>")
+                )
+    assert callers["_fold"] == {"_betti_at"}
+    assert "betti_value_at" not in callers
+    assert callers["_betti_at"] == {
+        "betti_oracle", "betti_value_at", "total_betti_in_degree",
+        "graded_betti_in_degree",
+    }
+
+
 def test_basis_elements_are_multidegrees():
     # a basis element is the int m = u_p * y^(p - meet S); no record type
     # carries (p, S) beside it, resolution.label alone decodes them, and

@@ -1,4 +1,4 @@
-"""Textual mutation run for the oracle, linear algebra and resolution.
+"""Textual mutation run for the oracle, ideals, linear algebra and resolution.
 
 Each mutant below replaces one exact, unique piece of text in one module
 of src/hibires.  The script copies src/, tests/ and pyproject.toml into a
@@ -34,6 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 TESTS = {
     "oracle.py": ["tests/test_oracle.py"],
+    "ideals.py": ["tests/test_ideals.py", "tests/test_oracle.py"],
     "linalg.py": ["tests/test_linalg.py", "tests/test_oracle.py"],
     "resolution.py": ["tests/test_resolution.py", "tests/test_checks.py"],
 }
@@ -80,6 +81,17 @@ MUTANTS = [
      "shift = b.bit_count() - r.bit_count()", "shift = 0", None),
     ("fold-onto-itself", "oracle.py",
      "if not nu & ~nv and u != v:", "if not nu & ~nv:", None),
+    # --- oracle.py: the dominator pass before the local fold ---
+    ("pass-dominator-includes-v", "oracle.py",
+     "if dominators.get(v, 0) & kept:",
+     "if (dominators.get(v, 0) | v) & kept:", None),
+    ("pass-against-supp-b", "oracle.py",
+     "if dominators.get(v, 0) & kept:", "if dominators.get(v, 0) & b:", None),
+    ("matching-shortcut-at-two-neighbours", "oracle.py",
+     "if nv & (nv - 1):", "if nv.bit_count() > 2:", None),
+    ("matching-shortcut-dropped", "oracle.py",
+     "    if matching:\n        return kept, True\n", "",
+     "a perfect matching has no fold, so the local loop returns it as is"),
     # --- oracle.py: the facet walk, its cap and the boundary ---
     ("facet-is-vertex-set", "oracle.py",
      "facet = t = vertices & ~g", "facet = t = vertices", None),
@@ -131,6 +143,44 @@ MUTANTS = [
     ("field-check-dropped-graded", "oracle.py",
      "    check_field(field)\n    closure = lcm_closure(I, cap=closure_cap)",
      "    closure = lcm_closure(I, cap=closure_cap)", None),
+    # --- ideals.py: the graph and its dominators ---
+    ("graph-keeps-last-partner", "ideals.py",
+     "nbr[u] = nbr.get(u, 0) | g ^ u", "nbr[u] = g ^ u", None),
+    ("graph-one-sided", "ideals.py",
+     "            nbr[g ^ u] = nbr.get(g ^ u, 0) | u\n", "", None),
+    ("graph-on-mixed-degrees", "ideals.py",
+     "if any(g.bit_count() != 2 for g in self.gens):",
+     "if all(g.bit_count() != 2 for g in self.gens):", None),
+    ("dominators-include-self", "ideals.py",
+     "if not nu & ~nv and u != v)", "if not nu & ~nv)", None),
+    ("dominators-containment-reversed", "ideals.py",
+     "if not nu & ~nv and u != v)", "if not nv & ~nu and u != v)", None),
+    # --- ideals.py: the lcm closure, minimalization and the dual ---
+    ("closure-cap-refuses-at-cap", "ideals.py",
+     "if len(unions) > cap + 1:", "if len(unions) >= cap + 1:", None),
+    ("closure-walk-limit-one-less", "ideals.py",
+     "unions = down_sets(I.gens, cap + 1)", "unions = down_sets(I.gens, cap)",
+     None),
+    ("minimalize-skips-last-lower", "ideals.py",
+     "            lower = len(out)\n", "            lower = len(out) - 1\n",
+     None),
+    ("minimalize-tests-same-degree", "ideals.py",
+     "if out and out[-1].bit_count() < m.bit_count():",
+     "if out and out[-1].bit_count() <= m.bit_count():",
+     "a kept monomial of m's degree divides m only by equalling it, and the "
+     "sorted input holds each monomial once"),
+    ("dual-divisor-test-dropped", "ideals.py",
+     "if not any(k & ~m == 0 for k in through):", "if True:", None),
+    ("dual-divisor-reversed", "ideals.py",
+     "if not any(k & ~m == 0 for k in through):",
+     "if not any(m & ~k == 0 for k in through):", None),
+    ("dual-divisor-over-all-kept", "ideals.py",
+     "if not any(k & ~m == 0 for k in through):",
+     "if not any(k & ~m == 0 for k in kept):",
+     "a kept k without v divides t*v only by dividing t, and two members of "
+     "the antichain of partial transversals never divide each other"),
+    ("dual-cap-refuses-at-cap", "ideals.py",
+     "if len(trans) > CLOSURE_CAP:", "if len(trans) >= CLOSURE_CAP:", None),
     # --- linalg.py ---
     ("pmod-dropped", "linalg.py",
      "rows = [{c: v % p for c, v in r.items()} for r in rows]",
