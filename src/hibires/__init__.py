@@ -48,7 +48,6 @@ from .resolution import (
     ResolutionComplex,
     betti_table_from_basis,
     build_resolution,
-    differential,
     label,
     resolution_basis,
     strand_exactness,

@@ -57,10 +57,6 @@ class TooManyNeighbors(HibiresError):
     pass
 
 
-class HomDegreeZero(HibiresError):
-    pass
-
-
 class ZeroIdeal(HibiresError):
     pass
 

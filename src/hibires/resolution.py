@@ -9,7 +9,8 @@ The basis is kept as these ints; label(L, m) gives (p, S) back.  The
 differential is d b(p; S) = sum_c +-(y^c * e_{m / y^c} - x^c * e_{m / x^c})
 over the classes c of S, with e_{m / y^c} = b(p; S \\ {q}),
 e_{m / x^c} = b(q; q meet (S \\ {q})) and alternating signs governed by
-the position of q inside S.
+the position of q inside S.  build_resolution is its one definition: the
+classes of S are those of p = m >> n that meet the y-part of m.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from math import comb
 
 from .betti import BettiTable
 from .bitset import render_set
-from .errors import ConsistencyError, HomDegreeZero, TooManyNeighbors
+from .errors import ConsistencyError, TooManyNeighbors
 from .ideals import lattice_generator, render_monomial
 from .lattice import NEIGHBOR_CAP
 from .linalg import homology_ranks
@@ -62,35 +63,13 @@ def render_element(L, m):
     return f"b({render_set(p)}; {{{S}}}) at {render_monomial(m, L.n)}"
 
 
-def differential(L, m):
-    """Terms of the differential applied to the basis element at m.
-
-    Returns a list of (target multidegree, sign, coefficient monomial): for
-    q in S and c = p minus q, y^c on b(p; S \\ {q}) at m / y^c and x^c on
-    b(q; q meet (S \\ {q})) at m / x^c.  The targets are distinct: the
-    classes c are disjoint and nonempty.
-    """
-    p = m >> L.n
-    terms = []
-    sign = 1
-    for q in L.neighbors(p):
-        c = p & ~q
-        if c & m:
-            x = c << L.n
-            terms.append((m & ~c, sign, c))
-            terms.append((m & ~x, -sign, x))
-            sign = -sign
-    if not terms:
-        raise HomDegreeZero("degree-0 elements map through the augmentation")
-    return terms
-
-
 @dataclass
 class ResolutionComplex:
     """Basis levels plus the differential keyed by multidegree.
 
     d maps each basis element m of level i >= 1 to the pair of tuples
-    (targets, signs) of its terms, in the order of differential(L, m).
+    (targets, signs) of its terms: per class c of S, in the order of N(p),
+    the y-term at m / y^c and then the x-term at m / x^c.
     Each target is the int object held in level i - 1, not a copy, and
     properly divides m; the term's coefficient is the monomial m / target,
     which is m & ~target.
@@ -105,44 +84,53 @@ class ResolutionComplex:
 
 
 def build_resolution(L):
+    """The resolution of H_L, refusing a target outside level i - 1, a
+    class that meets m without lying inside it (y^c must divide m: the
+    homogeneity test), a term count other than 2i and level ranks other
+    than sum_p C(|N(p)|, i)."""
     levels = resolution_basis(L)
-    level_of = {m: i for i, lv in enumerate(levels) for m in lv}
-    if len(level_of) != sum(map(len, levels)):
-        raise ConsistencyError("two basis elements share a multidegree")
+    n = L.n
+    pairs = {
+        p: [(c, c << n) for c in (p & ~q for q in L.neighbors(p))]
+        for p in L.elements
+    }
     d = {}
-    # the signs alternate along S, so all of a level's sign tuples are
-    # equal and one object serves them
-    shared = {}
     for i in range(1, len(levels)):
         # each stored target is level i - 1's own int: the pairs hold no
         # copies, and the verifiers' lookups hit identical keys
-        below = {m: m for m in levels[i - 1]}
+        get = {m: m for m in levels[i - 1]}.get
+        # the signs alternate along S, so one tuple serves the whole level
+        signs = (1, -1, -1, 1) * (i // 2) + (1, -1) * (i % 2)
         for m in levels[i]:
-            targets, signs = [], []
-            for target, sign, coeff in differential(L, m):
-                stored = below.get(target)
-                if stored is None:
-                    ti = level_of.get(target)
-                    if ti is None:
+            targets = []
+            for c, x in pairs[m >> n]:
+                if c & m:
+                    if c & ~m:
+                        raise ConsistencyError(
+                            f"entry {render_monomial(c, n)} of "
+                            f"{render_element(L, m)} is not homogeneous"
+                        )
+                    y_target, x_target = get(m & ~c), get(m & ~x)
+                    if y_target is None or x_target is None:
+                        t = m & ~c if y_target is None else m & ~x
+                        k = next(
+                            (k for k, lv in enumerate(levels) if t in lv), None
+                        )
+                        where = (
+                            "not a basis element" if k is None
+                            else f"which lands in level {k}, not {i - 1}"
+                        )
                         raise ConsistencyError(
                             f"differential of {render_element(L, m)} targets "
-                            f"degree {render_monomial(target, L.n)}, not a "
-                            "basis element"
+                            f"degree {render_monomial(t, n)}, {where}"
                         )
-                    raise ConsistencyError(
-                        f"differential of a level-{i} element lands in level {ti}"
-                    )
-                # multigraded homogeneity: target * coeff = m, squarefree, so
-                # the coefficient is m / target
-                if target | coeff != m or target & coeff:
-                    raise ConsistencyError(
-                        f"entry {render_monomial(coeff, L.n)} of "
-                        f"{render_element(L, m)} is not homogeneous"
-                    )
-                targets.append(stored)
-                signs.append(sign)
-            signs = tuple(signs)
-            d[m] = (tuple(targets), shared.setdefault(signs, signs))
+                    targets += (y_target, x_target)
+            if len(targets) != 2 * i:
+                raise ConsistencyError(
+                    f"differential of {render_element(L, m)} has "
+                    f"{len(targets)} terms, expected {2 * i}"
+                )
+            d[m] = (tuple(targets), signs)
     expected = [
         sum(comb(len(L.neighbors(p)), i) for p in L.elements)
         for i in range(len(levels))

@@ -9,7 +9,7 @@ import pytest
 
 import hibires
 import hibires.lattice as lattice_mod
-from hibires import cli, oracle
+from hibires import cli, oracle, resolution
 from hibires.betti import BettiTable
 from hibires.cli import load_lattice, main
 from hibires.fixtures import FIXTURES, fig1
@@ -412,6 +412,25 @@ class TestVerify:
         assert failed["detail"] == (
             "('augmentation', 'b({1}; {empty}) at x1*y1*y2', {'x1*y1*y2': -2})"
         )
+
+
+    def test_shared_multidegree_exits_2(self, chain_file, capsys, monkeypatch):
+        # CHAIN's top level repeated: no term looks it up, so the build has
+        # nothing to refuse and the checks give the verdict
+        right = resolution.resolution_basis
+
+        def shared(L):
+            levels = right(L)
+            levels[1][1] = levels[1][0]
+            return levels
+
+        monkeypatch.setattr(resolution, "resolution_basis", shared)
+        assert main(["verify", "--input", chain_file]) == 2
+        captured = capsys.readouterr()
+        assert f"FAIL {chain_file} lemma1_distinct_meets" in captured.out
+        assert f"FAIL {chain_file} basis_betti_multiplicity_one" in captured.out
+        failed = json.loads(captured.err)["counterexample"]
+        assert failed["check"] == "lemma1_distinct_meets"
 
 
 class TestRandom:

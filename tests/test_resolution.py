@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 from math import comb
@@ -9,14 +10,19 @@ from hypothesis import strategies as st
 
 import hibires
 from hibires import resolution
-from hibires.errors import ConsistencyError, HomDegreeZero, TooManyNeighbors
+from hibires.bitset import positions_of
+from hibires.errors import ConsistencyError, TooLarge, TooManyNeighbors
 from hibires.fixtures import FIXTURES, fixture_lattice
 from hibires.ideals import hibi_ideal, lcm_closure, monomial
-from hibires.lattice import random_corpus, random_sublattice, validate_sublattice
+from hibires.lattice import (
+    preorder_lattice,
+    random_corpus,
+    random_sublattice,
+    validate_sublattice,
+)
 from hibires.resolution import (
     betti_table_from_basis,
     build_resolution,
-    differential,
     label,
     mutate_differential,
     resolution_basis,
@@ -93,32 +99,42 @@ class TestBasis:
 
 class TestDifferential:
     def test_degree_zero_raises(self, CHAIN):
-        g = basis_element(CHAIN, 0b01, ())
-        with pytest.raises(HomDegreeZero):
-            differential(CHAIN, g)
+        # level-0 elements map through the augmentation: d has no entry
+        C = build_resolution(CHAIN)
+        with pytest.raises(KeyError):
+            C.d[basis_element(CHAIN, 0b01, ())]
+        assert C.d.keys() == {m for level in C.levels[1:] for m in level}
 
     def test_chain_explicit(self, CHAIN):
         # d b({1}; {empty}) = y1 * b({1}; {}) - x1 * b(empty; {})
         g = basis_element(CHAIN, 0b01, (0,))
-        terms = differential(CHAIN, g)
-        assert sorted(terms) == sorted(
-            [
-                (monomial(0b01, 0b10, 2), 1, monomial(0, 0b01, 2)),
-                (monomial(0, 0b11, 2), -1, monomial(0b01, 0, 2)),
-            ]
-        )
+        targets, signs = build_resolution(CHAIN).d[g]
+        assert targets == (monomial(0b01, 0b10, 2), monomial(0, 0b11, 2))
+        assert signs == (1, -1)
+        assert [g & ~t for t in targets] == [
+            monomial(0, 0b01, 2), monomial(0b01, 0, 2)
+        ]
 
     def test_homogeneity(self, FIG1):
-        for level in resolution_basis(FIG1)[1:]:
+        # the coefficients m / target of each class c of S are y^c, then
+        # x^c, and each target properly divides m
+        C = build_resolution(FIG1)
+        for level in C.levels[1:]:
             for m in level:
-                for target, _, coeff in differential(FIG1, m):
-                    assert coeff & ~m == 0
-                    assert target | coeff == m
+                p, S = label(FIG1, m)
+                targets, _ = C.d[m]
+                assert all(t & ~m == 0 and t != m for t in targets)
+                coeffs = [m & ~t for t in targets]
+                assert coeffs == [
+                    (p & ~q) << k * FIG1.n for q in S for k in (0, 1)
+                ]
 
     def test_term_count(self, FIG1):
-        for i, level in enumerate(resolution_basis(FIG1)[1:], start=1):
+        C = build_resolution(FIG1)
+        for i, level in enumerate(C.levels[1:], start=1):
             for m in level:
-                assert len(differential(FIG1, m)) == 2 * i
+                targets, signs = C.d[m]
+                assert len(targets) == len(signs) == 2 * i
 
 
 # Prints the bytes build_resolution(B_8) retains per basis element, as
@@ -154,6 +170,17 @@ class TestStorage:
                 assert type(pair) is tuple and len(pair) == 2
                 assert all(type(part) is tuple for part in pair)
                 assert all(id(t) in below for t in pair[0])
+
+    def test_one_sign_tuple_per_level(self):
+        # the signs (1, -1, -1, 1, ...) depend only on the level, so every
+        # element of a level holds the same tuple object
+        C = build_resolution(validate_sublattice(range(1 << 6), 6))
+        for i in range(1, len(C.levels)):
+            first = C.d[C.levels[i][0]][1]
+            assert all(C.d[m][1] is first for m in C.levels[i])
+            assert first == tuple(
+                s for k in range(i) for s in ((1, -1), (-1, 1))[k % 2]
+            )
 
     def test_footprint_per_basis_element(self):
         # in a fresh interpreter: tuples that earlier tests freed wait in
@@ -292,57 +319,51 @@ class TestStrandExactness:
             strand_exactness(C, H, b)
 
 
-# Replaces the first coefficient of every differential by the unit (the
-# monomial 0); run both in-process and in a python -O subprocess.
-WRONG_COEFFICIENT = """
+def forged_build(fixture, forge):
+    """Code that builds the resolution of a fixture over its basis levels
+    changed by the statement forge and prints the refusal; run both
+    in-process and in a python -O subprocess."""
+    return f"""
 import hibires.resolution as r
 from hibires.errors import ConsistencyError
-from hibires.fixtures import b2
+from hibires.fixtures import {fixture}
 
-right = r.differential
+right = r.resolution_basis
 
-def wrong(L, m):
-    terms = right(L, m)
-    target, sign, _ = terms[0]
-    return [(target, sign, 0)] + terms[1:]
+def forged(L):
+    levels = right(L)
+    {forge}
+    return levels
 
-r.differential = wrong
+r.resolution_basis = forged
 try:
-    r.build_resolution(b2())
+    r.build_resolution({fixture}())
 except ConsistencyError as exc:
     print(exc)
 finally:
-    r.differential = right
+    r.resolution_basis = right
 """
 
 
-# Gives the first term of every differential the coefficient m itself, so
-# target | coeff is still m but the product repeats the target's variables;
-# run both in-process and in a python -O subprocess.
-COEFFICIENT_SHARES_TARGET = WRONG_COEFFICIENT.replace(
-    "[(target, sign, 0)]", "[(target, sign, m)]"
-)
-
-
-# Gives the last basis element the multidegree of the first; run both
-# in-process and in a python -O subprocess.
+# Gives CHAIN's top level b({1}; {empty}) twice, which no term looks up and
+# the build has nothing to refuse in; prints the checks that fail.  Run
+# both in-process and in a python -O subprocess.
 SHARED_MULTIDEGREE = """
 import hibires.resolution as r
-from hibires.errors import ConsistencyError
-from hibires.fixtures import b2
+from hibires.checks import run_checks
+from hibires.fixtures import chain
 
 right = r.resolution_basis
 
 def shared(L):
     levels = right(L)
-    levels[-1][-1] = levels[0][0]
+    levels[1][1] = levels[1][0]
     return levels
 
 r.resolution_basis = shared
 try:
-    r.build_resolution(b2())
-except ConsistencyError as exc:
-    print(exc)
+    report = run_checks(chain())
+    print(*(name for name, ok, _ in report.results if not ok))
 finally:
     r.resolution_basis = right
 """
@@ -358,83 +379,141 @@ def run_optimized(code):
     ).stdout
 
 
+# Each refusal of build_resolution, reached through a forged basis: the
+# fixture, the forging statement on its levels and the message, which
+# names the basis element as b(p; S) at its multidegree.
+REFUSALS = {
+    # FIG1's class {1, 2} cut down to y1 in b({1,2}; {empty}): the class
+    # meets m without lying inside it, so y^c does not divide m
+    "not_homogeneous": (
+        "fig1",
+        "m = 0b11 << 7 | 0b1111111; levels[1][levels[1].index(m)] = m & ~0b10",
+        "entry y1*y2 of b({1,2}; {empty}) at x1*x2*y1*y3*y4*y5*y6*y7 is "
+        "not homogeneous",
+    ),
+    # u_top dropped from level 0: the y-term of b({1,2}; {{1}}) finds it
+    # in no level
+    "not_a_basis_element": (
+        "b2",
+        "levels[0].pop()",
+        "differential of b({1,2}; {{1}}) at x1*x2*y2 targets degree "
+        "x1*x2, not a basis element",
+    ),
+    # u_top moved from level 0 to level 2
+    "wrong_level": (
+        "b2",
+        "levels[2].append(levels[0].pop())",
+        "differential of b({1,2}; {{1}}) at x1*x2*y2 targets degree "
+        "x1*x2, which lands in level 2, not 0",
+    ),
+    # a level-0 element in place of CHAIN's top b({1,2}; {{1}}): no class
+    # of its p meets its y-part, so it has no terms
+    "wrong_term_count": (
+        "chain",
+        "levels[1][-1] = levels[0][0]",
+        "differential of b(empty; {}) at y1*y2 has 0 terms, expected 2",
+    ),
+    # the top element b({1,2}; N({1,2})), which no term targets, dropped
+    "level_ranks": (
+        "b2",
+        "levels[-1].pop()",
+        "level ranks [4, 4, 0], expected [4, 4, 1]",
+    ),
+}
+
+
 class TestConsistencyChecks:
-    # the messages name the basis element as b(p; S) at its multidegree
-    NOT_HOMOGENEOUS = (
-        "entry 1 of b({1}; {empty}) at x1*y1*y2 is not homogeneous\n"
-    )
-    SHARES_TARGET = (
-        "entry x1*y1*y2 of b({1}; {empty}) at x1*y1*y2 is not homogeneous\n"
-    )
+    # every refusal is a plain raise, so python -O keeps it
+
+    def refused(self, name, capsys):
+        fixture, forge, _ = REFUSALS[name]
+        exec(forged_build(fixture, forge), {})
+        return capsys.readouterr().out
+
+    def refused_under_optimize(self, name):
+        fixture, forge, _ = REFUSALS[name]
+        return run_optimized(forged_build(fixture, forge))
+
+    @staticmethod
+    def message(name):
+        return REFUSALS[name][2] + "\n"
 
     def test_wrong_coefficient_raises(self, capsys):
-        exec(WRONG_COEFFICIENT, {})
-        assert capsys.readouterr().out == self.NOT_HOMOGENEOUS
+        name = "not_homogeneous"
+        assert self.refused(name, capsys) == self.message(name)
 
     def test_wrong_coefficient_raises_under_optimize(self):
-        # the checks are plain raises, so python -O keeps them
-        assert run_optimized(WRONG_COEFFICIENT) == self.NOT_HOMOGENEOUS
+        name = "not_homogeneous"
+        assert self.refused_under_optimize(name) == self.message(name)
 
-    def test_coefficient_sharing_target_raises(self, capsys):
-        exec(COEFFICIENT_SHARES_TARGET, {})
-        assert capsys.readouterr().out == self.SHARES_TARGET
+    def test_unknown_target_raises(self, capsys):
+        name = "not_a_basis_element"
+        assert self.refused(name, capsys) == self.message(name)
 
-    def test_coefficient_sharing_target_raises_under_optimize(self):
-        assert run_optimized(COEFFICIENT_SHARES_TARGET) == self.SHARES_TARGET
+    def test_unknown_target_raises_under_optimize(self):
+        name = "not_a_basis_element"
+        assert self.refused_under_optimize(name) == self.message(name)
 
-    def test_shared_multidegree_raises(self, capsys):
+    def test_wrong_level_target_raises(self, capsys):
+        name = "wrong_level"
+        assert self.refused(name, capsys) == self.message(name)
+
+    def test_wrong_level_target_raises_under_optimize(self):
+        name = "wrong_level"
+        assert self.refused_under_optimize(name) == self.message(name)
+
+    def test_wrong_term_count_raises(self, capsys):
+        name = "wrong_term_count"
+        assert self.refused(name, capsys) == self.message(name)
+
+    def test_wrong_term_count_raises_under_optimize(self):
+        name = "wrong_term_count"
+        assert self.refused_under_optimize(name) == self.message(name)
+
+    def test_level_rank_mismatch_raises(self, capsys):
+        name = "level_ranks"
+        assert self.refused(name, capsys) == self.message(name)
+
+    def test_level_rank_mismatch_raises_under_optimize(self):
+        name = "level_ranks"
+        assert self.refused_under_optimize(name) == self.message(name)
+
+    # a shared multidegree is no refusal: the checks own that verdict
+    SHARED = {"lemma1_distinct_meets", "basis_betti_multiplicity_one"}
+
+    def test_shared_multidegree_fails_checks(self, capsys):
         exec(SHARED_MULTIDEGREE, {})
-        assert "share a multidegree" in capsys.readouterr().out
+        assert self.SHARED <= set(capsys.readouterr().out.split())
 
-    def test_shared_multidegree_raises_under_optimize(self):
-        out = run_optimized(SHARED_MULTIDEGREE)
-        assert "share a multidegree" in out
-
-    def test_unknown_target_raises(self, FIG1, monkeypatch):
-        right = resolution.differential
-
-        def stray(L, m):
-            # no basis element has the unit multidegree
-            _, sign, coeff = right(L, m)[0]
-            return [(monomial(0, 0, L.n), sign, coeff)]
-
-        monkeypatch.setattr(resolution, "differential", stray)
-        with pytest.raises(ConsistencyError) as exc:
-            build_resolution(FIG1)
-        assert str(exc.value) == (
-            "differential of b({3}; {empty}) at x3*y1*y2*y3*y4*y5*y6*y7 "
-            "targets degree 1, not a basis element"
-        )
-
-    def test_wrong_level_target_raises(self, B2, monkeypatch):
-        right = resolution.differential
-
-        def upward(L, m):
-            # m itself is a basis element, one level above the right one
-            _, sign, coeff = right(L, m)[0]
-            return [(m, sign, coeff)]
-
-        monkeypatch.setattr(resolution, "differential", upward)
-        with pytest.raises(ConsistencyError, match="lands in level 1"):
-            build_resolution(B2)
-
-    def test_level_rank_mismatch_raises(self, B2, monkeypatch):
-        right = resolution.resolution_basis
-
-        def short(L):
-            # drop the top element b({1,2}; N({1,2})), which no term targets
-            levels = right(L)
-            levels[-1].pop()
-            return levels
-
-        monkeypatch.setattr(resolution, "resolution_basis", short)
-        with pytest.raises(ConsistencyError, match=r"level ranks \[4, 4, 0\]"):
-            build_resolution(B2)
+    def test_shared_multidegree_fails_checks_under_optimize(self):
+        assert self.SHARED <= set(run_optimized(SHARED_MULTIDEGREE).split())
 
 
 def assert_matches_reference(L):
     C = build_resolution(L)
     assert (C.levels, C.d) == reference_resolution(L)
+
+
+def random_preorder(rng, n):
+    """D of a random preorder on [n], with D[j-1] = D(j): each j lies over
+    each earlier index with chance 0.2, and with chance 0.15 j and j - 1
+    are one class; then closed transitively."""
+    D = [1 << j for j in range(n)]
+    for j in range(1, n):
+        D[j] |= sum(1 << i for i in range(j) if rng.random() < 0.2)
+        if rng.random() < 0.15:
+            D[j] |= 1 << (j - 1)
+            D[j - 1] |= 1 << j
+    closed = False
+    while not closed:
+        closed = True
+        for j in range(n):
+            below = D[j]
+            for i in positions_of(D[j]):
+                below |= D[i]
+            if below != D[j]:
+                D[j], closed = below, False
+    return D
 
 
 class TestAgainstReference:
@@ -457,6 +536,21 @@ class TestAgainstReference:
     @settings(max_examples=60, deadline=None)
     def test_random(self, n, seeds, seed):
         assert_matches_reference(random_sublattice(n, seeds, seed))
+
+    @pytest.mark.parametrize("n", [13, 14, 15, 16])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_preorders_in_the_hundreds(self, n, seed):
+        # down-set lattices of random preorders with |L| in the hundreds,
+        # the shape of the graph-ingest benchmark
+        rng = random.Random(seed)
+        while True:
+            try:
+                L = preorder_lattice(random_preorder(rng, n))
+            except TooLarge:
+                continue
+            if 100 <= len(L) < 1000:
+                break
+        assert_matches_reference(L)
 
 
 class TestBettiFromBasis:

@@ -148,6 +148,22 @@ def test_only_resolution_reads_the_differential():
     assert found == {"resolution.py"}
 
 
+def test_build_resolution_alone_defines_the_differential():
+    # no function, class or export named differential: the terms of d are
+    # written out only by resolution.build_resolution
+    found = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if "differential" in (
+            getattr(node, "name", None), getattr(node, "id", None),
+            getattr(node, "attr", None),
+        )
+    )
+    assert found == []
+    assert not hasattr(hibires, "differential")
+
+
 def test_oracle_is_independent_of_the_closed_forms():
     # the oracle reads only the ideal: it imports nothing from the modules
     # that build L, G, the resolution, the invariants or the checks

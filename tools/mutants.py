@@ -216,12 +216,20 @@ MUTANTS = [
      "if size > 1 << NEIGHBOR_CAP:", "if size > 2 << NEIGHBOR_CAP:", None),
     # --- resolution.py: the differential and its checks ---
     ("differential-signs-constant", "resolution.py",
-     "            sign = -sign\n", "", None),
+     "signs = (1, -1, -1, 1) * (i // 2) + (1, -1) * (i % 2)",
+     "signs = (1, -1) * i", None),
     ("x-term-sign-flipped", "resolution.py",
-     "terms.append((m & ~x, -sign, x))", "terms.append((m & ~x, sign, x))",
-     None),
+     "signs = (1, -1, -1, 1) * (i // 2) + (1, -1) * (i % 2)",
+     "signs = (1, 1, -1, -1) * (i // 2) + (1, 1) * (i % 2)", None),
     ("homogeneity-check-dropped", "resolution.py",
-     "if target | coeff != m or target & coeff:", "if False:", None),
+     "if c & ~m:", "if False:", None),
+    ("class-test-complemented", "resolution.py",
+     "if c & m:", "if c & ~m:", None),
+    ("term-count-check-dropped", "resolution.py",
+     "if len(targets) != 2 * i:", "if False:", None),
+    ("y-and-x-targets-swapped", "resolution.py",
+     "y_target, x_target = get(m & ~c), get(m & ~x)",
+     "y_target, x_target = get(m & ~x), get(m & ~c)", None),
     ("d-squared-augmentation-skipped", "resolution.py",
      "if i > 1 else ((m, 1),):", "if i > 1 else ():", None),
     ("minimality-never-fails", "resolution.py",
