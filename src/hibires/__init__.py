@@ -37,13 +37,7 @@ from .lattice import (
     random_sublattice,
     validate_sublattice,
 )
-from .oracle import (
-    SimplicialComplex,
-    betti_oracle,
-    betti_value_at,
-    reduced_homology_ranks,
-    upper_koszul_complex,
-)
+from .oracle import betti_oracle, betti_value_at
 from .resolution import (
     ResolutionComplex,
     betti_table_from_basis,

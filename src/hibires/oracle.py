@@ -10,11 +10,11 @@ avoids, so the faces inside a vertex set V are generated by the facets
 V minus g: one walk adds every subset of each facet, and the reduced
 homology ranks come from linalg.homology_ranks over Q or F_p.
 _induced_complex is the only builder of a complex, and it always builds
-every face; a complex past FACE_CAP faces is refused with
-ClosureTooLarge.  upper_koszul_complex builds K^b on all of supp(b).
-Every value, the whole tables of betti_oracle and the single values of
-betti_value_at alike, goes through one routine, _betti_at, which folds b
-twice before it builds anything.
+every face, as a plain {dimension: sorted faces} dict; a complex past
+FACE_CAP faces is refused with ClosureTooLarge.  Every value, the whole
+tables of betti_oracle and the single values of betti_value_at alike,
+goes through one routine, _betti_at, which folds b twice before it builds
+anything.
 
 When every generator has degree 2 (every edge ideal, and the Hibi ideals
 with n = 2), Hochster's restriction Delta_b, the subsets of supp(b) that
@@ -74,25 +74,12 @@ dominators are computed once per ideal (SquarefreeIdeal.degree_range,
 "Q" or a supported prime (linalg.check_field) before it walks a closure.
 """
 
-from dataclasses import dataclass
-
 from .betti import BettiTable
 from .errors import ClosureTooLarge, ZeroIdeal
 from .ideals import CLOSURE_CAP, lcm_closure
 from .linalg import check_field, homology_ranks
 
 FACE_CAP = 1 << 16  # max faces of one complex before the oracle refuses
-
-
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """Faces stored as bit masks over the vertex set, grouped by dimension.
-
-    faces[d] lists the faces of dimension d; the empty face has dimension
-    -1 and is present iff the complex is nonvoid.
-    """
-
-    faces: dict
 
 
 def _divisors(I, b):
@@ -158,19 +145,11 @@ def _fold(I, b):
     return sum(nbr), all(nv & (nv - 1) == 0 for nv in nbr.values())
 
 
-def _bits(mask):
-    return [1 << v for v in range(mask.bit_length()) if mask >> v & 1]
-
-
-def upper_koszul_complex(I, b):
-    """Subsets t of supp(b) with b/t still in the ideal; ClosureTooLarge
-    past FACE_CAP faces."""
-    return _induced_complex(b, _divisors(I, b))
-
-
 def _induced_complex(vertices, gens):
     """K^b[vertices], the faces of K^b inside the mask vertices, gens being
-    the generators dividing b; ClosureTooLarge past FACE_CAP faces.
+    the generators dividing b, as {d: sorted faces of dimension d}; the
+    empty face (d = -1) is present iff the complex is nonvoid.
+    ClosureTooLarge past FACE_CAP faces.
 
     A subset of vertices is a face exactly when some generator avoids it,
     so the complex is generated by the facets vertices & ~g: one walk adds
@@ -192,7 +171,7 @@ def _induced_complex(vertices, gens):
     by_dim = {}
     for f in sorted(faces):
         by_dim.setdefault(f.bit_count() - 1, []).append(f)
-    return SimplicialComplex(by_dim)
+    return by_dim
 
 
 def _minimal_classes(b, gens):
@@ -201,7 +180,10 @@ def _minimal_classes(b, gens):
     contain the vertex, written as a bit mask over the positions in gens.
     """
     first = {}
-    for w in _bits(b):
+    rest = b
+    while rest:
+        w = rest & -rest
+        rest ^= w
         inc = 0
         for k, g in enumerate(gens):
             if g & w:
@@ -225,9 +207,10 @@ def _face_boundary(d, f):
         rest ^= w
 
 
-def reduced_homology_ranks(K, field="Q"):
-    """Ranks of reduced homology, as a dict degree -> rank (degree >= -1)."""
-    return homology_ranks(K.faces, _face_boundary, field=field)
+def reduced_homology_ranks(faces, field="Q"):
+    """Ranks of reduced homology of the complex {d: faces of dimension d},
+    as a dict degree -> rank (degree >= -1)."""
+    return homology_ranks(faces, _face_boundary, field=field)
 
 
 def _betti_at(I, b, field="Q"):

@@ -117,14 +117,15 @@ def set_term(C, m, k, target, sign):
 # the ranks turned into homology by each complex's own formula: the two
 # paths that linalg.homology_ranks replaced, kept to check it against.
 
-def reference_reduced_homology(K, field="Q"):
-    """Reduced homology ranks of a simplicial complex (faces as masks) from
-    its boundary matrices, one row per face of each dimension."""
+def reference_reduced_homology(faces, field="Q"):
+    """Reduced homology ranks of a simplicial complex, {d: faces of
+    dimension d as masks}, from its boundary matrices, one row per face of
+    each dimension."""
 
     def boundary_rank(d):
-        lower = {f: i for i, f in enumerate(K.faces.get(d - 1, ()))}
+        lower = {f: i for i, f in enumerate(faces.get(d - 1, ()))}
         rows = []
-        for f in K.faces.get(d, ()):
+        for f in faces.get(d, ()):
             row, sign, rest = {}, 1, f
             while rest:
                 w = rest & -rest
@@ -133,11 +134,11 @@ def reference_reduced_homology(K, field="Q"):
             rows.append(row)
         return rank_exact(rows, field=field)
 
-    top = max(K.faces, default=-2)
+    top = max(faces, default=-2)
     ranks = {d: boundary_rank(d) for d in range(0, top + 1)}
     out = {}
     for d in range(-1, top + 1):
-        h = len(K.faces.get(d, ())) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+        h = len(faces.get(d, ())) - ranks.get(d, 0) - ranks.get(d + 1, 0)
         if h:
             out[d] = h
     return out

@@ -138,6 +138,79 @@ def test_not_cm_oracle_table_fails_placement(
     assert "counterexample" in captured.err
 
 
+def failed(report):
+    return sorted(name for name, ok, _ in report.results if not ok)
+
+
+# CHAIN's Hibi table: u_0 = y1y2, x1y2, x1x2 at i = 0 and x1y1y2, x1x2y2 at
+# i = 1; its edge ideal's: x1y1, x2y2, x1y2 at i = 0 and x1y1y2, x1x2y2 at
+# i = 1.  Each forgery changes one ideal's oracle table: (side, forge, the
+# checks that FAIL)
+FORGED_ORACLE = {
+    # a second u_top: the values differ, no position moves
+    "betti_formula_vs_oracle": (
+        "hibi", lambda T: T.add(0, monomial(0b11, 0b00, 2)),
+        ["betti_formula_vs_oracle"],
+    ),
+    # x1x2y1 at i = 0 lies above u_top, which is then no longer i-extremal
+    "oracle_i_extremality_H": (
+        "hibi", lambda T: T.add(0, monomial(0b11, 0b01, 2)),
+        ["betti_formula_vs_oracle", "extremal_H_vs_oracle",
+         "oracle_i_extremality_H"],
+    ),
+    # x1x2y1 at i = 1 is a third extremal position
+    "extremal_H_vs_oracle": (
+        "hibi", lambda T: T.add(1, monomial(0b11, 0b01, 2)),
+        ["betti_formula_vs_oracle", "extremal_H_vs_oracle"],
+    ),
+    # a cubic generator raises reg R/I(G) to 2
+    "depth_reg_pd_vs_oracle": (
+        "edge", lambda T: T.add(0, monomial(0b11, 0b01, 2)),
+        ["cm_extremal_placement", "depth_reg_pd_vs_oracle"],
+    ),
+    # beta_{2, x1y1y2}(R/I) = 2 where the transfer claims 1
+    "extremal_transfer": (
+        "edge", lambda T: T.add(1, monomial(0b01, 0b11, 2)),
+        ["extremal_transfer"],
+    ),
+    # x1x2y2 dropped at i = 1: t = 1 < |B_G| = 2
+    "last_betti_bound": (
+        "edge", lambda T: T.entries.pop((1, monomial(0b11, 0b10, 2))),
+        ["cm_extremal_placement", "extremal_transfer", "last_betti_bound"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FORGED_ORACLE)
+def test_forged_oracle_table_fails_its_check(name, CHAIN, monkeypatch):
+    # each oracle-level check reaches its FAIL through run_checks, from a
+    # forged table the patched betti_oracle returns for one of the ideals
+    side, forge, expected = FORGED_ORACLE[name]
+    H = hibi_ideal(CHAIN)
+    real = checks.betti_oracle
+
+    def oracle(J, field="Q"):
+        table = real(J, field=field)
+        if (J == H) == (side == "hibi"):
+            forge(table)
+        return table
+
+    monkeypatch.setattr(checks, "betti_oracle", oracle)
+    assert failed(run_checks(CHAIN, level="oracle")) == expected
+
+
+def test_formula_consistency_fails_on_a_forged_depth(CHAIN, monkeypatch):
+    # its three relations hold by definition on every lattice (pd and depth
+    # read the same max f, CM is max f = 0, the top has a lower neighbour),
+    # so only a patched depth_edge_ring reaches its FAIL
+    real = checks.depth_edge_ring
+    monkeypatch.setattr(checks, "depth_edge_ring", lambda L: real(L) + 1)
+    assert failed(run_checks(CHAIN)) == ["formula_consistency"]
+    assert failed(run_checks(CHAIN, level="oracle")) == [
+        "depth_reg_pd_vs_oracle", "formula_consistency",
+    ]
+
+
 @pytest.mark.parametrize("level", ["formulas", "oracle"])
 def test_refused_instance_is_judged_by_no_check(level, monkeypatch):
     # B_8's strand closure passes CLOSURE_CAP; the refusal comes from the

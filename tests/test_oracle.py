@@ -28,7 +28,6 @@ from hibires.lattice import (
     validate_sublattice,
 )
 from hibires.oracle import (
-    SimplicialComplex,
     _betti_at,
     _divisors,
     _fold,
@@ -38,7 +37,6 @@ from hibires.oracle import (
     graded_betti_in_degree,
     reduced_homology_ranks,
     total_betti_in_degree,
-    upper_koszul_complex,
 )
 from hibires.resolution import resolution_basis
 
@@ -69,7 +67,7 @@ def koszul_reference(I, b):
         for i in range(2 * I.n):
             if f >> i & 1:
                 assert f & ~(1 << i) in all_faces, "complex not downward closed"
-    return SimplicialComplex({d: sorted(fs) for d, fs in faces.items()})
+    return {d: sorted(fs) for d, fs in faces.items()}
 
 
 def reference_table(I, field="Q"):
@@ -89,7 +87,7 @@ def complex_of(faces):
     by_dim = {}
     for f in faces:
         by_dim.setdefault(f.bit_count() - 1, []).append(f)
-    return SimplicialComplex({d: sorted(fs) for d, fs in by_dim.items()})
+    return {d: sorted(fs) for d, fs in by_dim.items()}
 
 
 # --- Hochster's side ------------------------------------------------------
@@ -185,7 +183,7 @@ def simplex_complex(k):
     faces = {}
     for sub in range(1 << k):
         faces.setdefault(sub.bit_count() - 1, []).append(sub)
-    return SimplicialComplex({d: sorted(f) for d, f in faces.items()})
+    return {d: sorted(f) for d, f in faces.items()}
 
 
 def sphere_complex(k):
@@ -195,7 +193,7 @@ def sphere_complex(k):
     for sub in range(1 << k):
         if sub != full:
             faces.setdefault(sub.bit_count() - 1, []).append(sub)
-    return SimplicialComplex({d: sorted(f) for d, f in faces.items()})
+    return {d: sorted(f) for d, f in faces.items()}
 
 
 class TestHomologyEngine:
@@ -208,15 +206,15 @@ class TestHomologyEngine:
         assert reduced_homology_ranks(sphere_complex(k)) == {k - 2: 1}
 
     def test_two_points(self):
-        K = SimplicialComplex({-1: [0], 0: [0b01, 0b10]})
+        K = {-1: [0], 0: [0b01, 0b10]}
         assert reduced_homology_ranks(K) == {0: 1}
 
     def test_empty_complex(self):
-        K = SimplicialComplex({-1: [0]})
+        K = {-1: [0]}
         assert reduced_homology_ranks(K) == {-1: 1}
 
     def test_void_complex(self):
-        assert reduced_homology_ranks(SimplicialComplex({})) == {}
+        assert reduced_homology_ranks({}) == {}
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_fields_agree_on_spheres(self, k):
@@ -248,7 +246,7 @@ class TestAgainstBoundaryMatrices:
     def test_spot_values_match_whole_complex(self, name):
         for I in homology_case(name):
             for b in lcm_closure(I):
-                K = upper_koszul_complex(I, b)
+                K = _induced_complex(b, _divisors(I, b))
                 assert reduced_homology_ranks(K, 2) == \
                     reference_reduced_homology(K, 2)
                 expected = reference_reduced_homology(K)
@@ -261,26 +259,29 @@ class TestUpperKoszul:
     def test_generator_gives_simplex_minus_nothing(self):
         # at a generator's own degree only the empty face survives removal
         I = SquarefreeIdeal.of(1, [monomial(0b1, 0b1, 1)])
-        K = upper_koszul_complex(I, monomial(0b1, 0b1, 1))
-        assert K.faces == {-1: [0]}
+        b = monomial(0b1, 0b1, 1)
+        assert _induced_complex(b, _divisors(I, b)) == {-1: [0]}
 
     def test_chain_hibi_top_lcm_is_acyclic(self, CHAIN):
         # the complex at x1*x2*y1*y2 is the path x1-x2-y1-y2
         H = hibi_ideal(CHAIN)
-        K = upper_koszul_complex(H, monomial(0b11, 0b11, 2))
+        b = monomial(0b11, 0b11, 2)
+        K = _induced_complex(b, _divisors(H, b))
         assert reduced_homology_ranks(K) == {}
 
     def test_chain_hibi_syzygy_degree(self, CHAIN):
         # two disconnected vertices at x1*y1*y2: one first syzygy
         H = hibi_ideal(CHAIN)
-        K = upper_koszul_complex(H, monomial(0b01, 0b11, 2))
+        b = monomial(0b01, 0b11, 2)
+        K = _induced_complex(b, _divisors(H, b))
         assert reduced_homology_ranks(K) == {0: 1}
 
     @pytest.mark.parametrize("name", SMALL_FIXTURES)
     def test_matches_exhaustive_scan(self, name):
         for I in both_ideals(fixture_lattice(name)):
             for b in lcm_closure(I):
-                assert upper_koszul_complex(I, b) == koszul_reference(I, b)
+                assert _induced_complex(b, _divisors(I, b)) == \
+                    koszul_reference(I, b)
 
 
 class TestBettiOracle:
@@ -457,8 +458,8 @@ class TestCheapPaths:
                 assert betti_value_at(I, b, i) == T.value(i, b)
                 inside = d_min + i <= b.bit_count() <= d_max * (i + 1)
                 if inside and kind == "build":
-                    whole = koszul_reference(I, b).faces
-                    assert [(v, K.faces) for v, K in built] == [(V, {
+                    whole = koszul_reference(I, b)
+                    assert built == [(V, {
                         d: kept for d, fs in whole.items()
                         if (kept := [f for f in fs if not f & ~V])
                     })]
@@ -913,7 +914,7 @@ class TestFaceCap:
         with monkeypatch.context() as mp:
             built = record_builds(mp)
             expected = betti_oracle(I).entries
-        largest = max(sum(map(len, K.faces.values())) for _, K in built)
+        largest = max(sum(map(len, K.values())) for _, K in built)
         monkeypatch.setattr(oracle, "FACE_CAP", largest)
         assert betti_oracle(I).entries == expected
         monkeypatch.setattr(oracle, "FACE_CAP", largest - 1)
@@ -983,15 +984,15 @@ class TestFacetWalk:
             t for t in subsets(V) if any(not g & t for g in gens)
         )
         K = _induced_complex(V, gens)
-        assert K.faces == expected.faces
-        assert list(K.faces) == sorted(K.faces)
+        assert K == expected
+        assert list(K) == sorted(K)
 
     @given(walk_inputs.filter(lambda case: case[1]))
     @settings(max_examples=50, deadline=None)
     def test_cap_is_exact(self, case):
         V, gens = case
         K = _induced_complex(V, gens)
-        count = sum(map(len, K.faces.values()))
+        count = sum(map(len, K.values()))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "FACE_CAP", count)
             assert _induced_complex(V, gens) == K
@@ -1114,7 +1115,7 @@ def incidence_outcome(I, b):
 
 def plain_ranks(I, b, field="Q"):
     """{i: beta_{i,b}} off K^b on all of supp(b)."""
-    K = upper_koszul_complex(I, b)
+    K = _induced_complex(b, _divisors(I, b))
     return {d + 1: h for d, h in reduced_homology_ranks(K, field).items()}
 
 
@@ -1198,7 +1199,7 @@ class TestMinimalClasses:
         assert incidence_outcome(I, top) == ("build", top)
         built = record_builds(monkeypatch)
         assert oracle._betti_at(I, top) == {3: 1}
-        assert [{d: len(fs) for d, fs in K.faces.items()}
+        assert [{d: len(fs) for d, fs in K.items()}
                 for _, K in built] == [{-1: 1, 0: 6, 1: 12, 2: 8}]
 
     def test_chain_rank_one_interval_is_s0(self, monkeypatch):

@@ -57,8 +57,8 @@ def test_oracle_has_one_path_per_step():
     # one builder of a complex, one fold dispatch, one minimal-class step
     # and one homology call, shared by the whole tables and the single
     # values; _induced_complex is the only face walk (the only reader of
-    # FACE_CAP and the only maker of a SimplicialComplex), it takes just the
-    # vertex set and the generators, and every call passes exactly those
+    # FACE_CAP), it takes just the vertex set and the generators, and its
+    # one caller, _betti_at, passes exactly those
     path = next(path for path in SOURCES if path.name == "oracle.py")
     tree = ast.parse(path.read_text(), str(path))
     callers = {}
@@ -84,12 +84,34 @@ def test_oracle_has_one_path_per_step():
     assert [a.arg for a in walk.args] == ["vertices", "gens"]
     assert not (walk.defaults or walk.kwonlyargs or walk.vararg or walk.kwarg)
     assert build_args and set(build_args) == {(2, 0)}
+    assert callers["_induced_complex"] == {"_betti_at"}
     assert "_faces" not in functions and "islice" not in readers
     assert readers["FACE_CAP"] == {"_induced_complex"}
-    assert callers["SimplicialComplex"] == {"_induced_complex"}
     assert len(callers["_fold"]) == 1
     assert callers["_minimal_classes"] == {"_betti_at"}
     assert callers["homology_ranks"] == {"reduced_homology_ranks"}
+
+
+def test_oracle_keeps_only_what_it_computes_with():
+    # a complex is the plain {dimension: faces} dict that _induced_complex
+    # returns: oracle.py defines no class, the package no record type,
+    # public K^b wrapper or bit-list helper, and hibires exports none of
+    # them, nor the homology wrapper
+    path = next(path for path in SOURCES if path.name == "oracle.py")
+    tree = ast.parse(path.read_text(), str(path))
+    assert not [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    gone = {"SimplicialComplex", "upper_koszul_complex", "_bits"}
+    defined = sorted(
+        f"{path.name}:{node.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+        and node.name in gone
+    )
+    assert defined == []
+    removed = {"SimplicialComplex", "upper_koszul_complex",
+               "reduced_homology_ranks"}
+    assert not removed & set(dir(hibires))
 
 
 def test_fold_and_spot_values_have_one_caller():
