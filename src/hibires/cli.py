@@ -12,7 +12,7 @@ import json
 import os
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from . import checks
@@ -305,7 +305,10 @@ def cmd_fixtures(args):
     return 0
 
 
+@cache
 def build_parser():
+    """The argument parser, built once per process: parsing keeps no state
+    in it, so every main call reuses it."""
     parser = argparse.ArgumentParser(
         prog="hibires",
         description=(

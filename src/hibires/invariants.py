@@ -3,16 +3,17 @@
 Everything here is a direct lattice computation: depth, regularity and
 projective dimension of R/I(G), the extremal Betti data transferred from
 the lattice ideal by Alexander duality, and the lower bound on the last
-total Betti number.
+total Betti number.  reg R/I(G) = max |N(p)| and the report's resolution
+level ranks read the |N(p)| histogram ``L.widths`` (width k -> the number
+of p with |N(p)| = k), counted once per lattice.
 """
-
-from math import comb
 
 from .betti import position_key
 from .bitset import full_mask, indices_of
 from .errors import ConsistencyError, NotCM
 from .ideals import monomial, render_monomial
 from .lattice import b_set, f_value
+from .resolution import resolution_level_ranks
 
 
 def _max_f(L):
@@ -25,8 +26,9 @@ def depth_edge_ring(L):
 
 
 def regularity_edge_ring(L):
-    """reg(R/I(G)) = max |N(p)| over the lattice."""
-    return max(len(L.neighbors(p)) for p in L.elements)
+    """reg(R/I(G)) = max |N(p)| over the lattice: the largest width of
+    its histogram."""
+    return max(L.widths)
 
 
 def pd_and_reg_H(L):
@@ -127,9 +129,10 @@ def cm_extremal_placement_check(dual_I, oracle_table):
 
 def invariant_report(L):
     """Every lattice-side invariant of L, as the JSON object `analyze`
-    prints; resolution_level_ranks are the sums over p of C(|N(p)|, i)."""
+    prints; resolution_level_ranks are the sums over p of C(|N(p)|, i),
+    read off the width histogram as the resolution's own rank check
+    reads them."""
     pd_RI, pd_H = pd_and_reg_H(L)
-    widths = [len(nb) for nb in L.lower.values()]
     return {
         "n": L.n,
         "depth": depth_edge_ring(L),
@@ -154,7 +157,5 @@ def invariant_report(L):
         "last_betti_lower_bound": last_betti_lower_bound(L),
         "cohen_macaulay": is_cohen_macaulay(L),
         "lattice_size": len(L),
-        "resolution_level_ranks": [
-            sum(comb(k, i) for k in widths) for i in range(max(widths) + 1)
-        ],
+        "resolution_level_ranks": resolution_level_ranks(L),
     }

@@ -15,6 +15,7 @@ a family given element by element is checked by validate_sublattice.
 """
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -81,6 +82,13 @@ class CoverLattice:
         """A_G, the elements p whose interval [meet(N(p)), p] is a maximal
         Boolean interval; scanned on first use and kept."""
         return frozenset(_maximal_interval_tops(self))
+
+    @cached_property
+    def widths(self):
+        """The |N(p)| histogram: width k -> the number of p with
+        |N(p)| = k; counted on first use and kept.  The resolution's size
+        and level ranks and reg R/I(G) depend on L only through it."""
+        return Counter(map(len, self.lower.values()))
 
 
 def _smallest_containing(family, n):

@@ -10,11 +10,14 @@ differential is d b(p; S) = sum_c +-(y^c * e_{m / y^c} - x^c * e_{m / x^c})
 over the classes c of S, with e_{m / y^c} = b(p; S \\ {q}),
 e_{m / x^c} = b(q; q meet (S \\ {q})) and alternating signs governed by
 the position of q inside S.  build_resolution is its one definition: the
-classes of S are those of p = m >> n that meet the y-part of m.
+classes of S are those of p = m >> n that meet the y-part of m.  The
+basis size, its top level and the level ranks sum_p C(|N(p)|, i) depend
+on L only through the |N(p)| histogram ``L.widths``, and are read off it.
 """
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb
 
 from .betti import BettiTable
@@ -31,22 +34,34 @@ def resolution_basis(L):
     Within a level, elements are ordered by p in the lattice order, then
     by S lexicographically in the order of N(p).  b(p; S) is u_p times y
     over the classes p \\ q of S, which are disjoint.  The basis has
-    sum_p 2^|N(p)| elements and is refused past 2^NEIGHBOR_CAP, which also
-    bounds every single |N(p)|.
+    sum_k c * 2^k elements over the width histogram (c elements p with
+    |N(p)| = k) and is refused past 2^NEIGHBOR_CAP, which also bounds
+    every single |N(p)|; its top level is the largest width.
     """
-    size = sum(1 << len(L.neighbors(p)) for p in L.elements)
+    widths = L.widths
+    size = sum(c << k for k, c in widths.items())
     if size > 1 << NEIGHBOR_CAP:
         raise TooManyNeighbors(
             f"the basis has {size} elements, more than 2^{NEIGHBOR_CAP}"
         )
-    top_level = max(len(L.neighbors(p)) for p in L.elements)
-    levels = [[] for _ in range(top_level + 1)]
+    levels = [[] for _ in range(max(widths) + 1)]
     for p in L.elements:
         classes = [p & ~q for q in L.neighbors(p)]
         u = lattice_generator(L, p)
         for i in range(len(classes) + 1):
             levels[i].extend(sum(S, u) for S in combinations(classes, i))
     return levels
+
+
+def resolution_level_ranks(L):
+    """sum_p C(|N(p)|, i) for i = 0 .. max |N(p)|, the level ranks of the
+    resolution of H_L, summed over the width histogram as
+    sum_k c * C(k, i)."""
+    widths = L.widths
+    return [
+        sum(c * comb(k, i) for k, c in widths.items())
+        for i in range(max(widths) + 1)
+    ]
 
 
 def label(L, m):
@@ -87,7 +102,7 @@ def build_resolution(L):
     """The resolution of H_L, refusing a target outside level i - 1, a
     class that meets m without lying inside it (y^c must divide m: the
     homogeneity test), a term count other than 2i and level ranks other
-    than sum_p C(|N(p)|, i)."""
+    than sum_p C(|N(p)|, i) (resolution_level_ranks)."""
     levels = resolution_basis(L)
     n = L.n
     pairs = {
@@ -131,10 +146,7 @@ def build_resolution(L):
                     f"{len(targets)} terms, expected {2 * i}"
                 )
             d[m] = (tuple(targets), signs)
-    expected = [
-        sum(comb(len(L.neighbors(p)), i) for p in L.elements)
-        for i in range(len(levels))
-    ]
+    expected = resolution_level_ranks(L)
     ranks = [len(lv) for lv in levels]
     if ranks != expected:
         raise ConsistencyError(f"level ranks {ranks}, expected {expected}")
@@ -213,10 +225,11 @@ def strand_exactness(C, I, b, field="Q"):
 
 def betti_table_from_basis(C):
     """Betti table of H_L read off the basis of its resolution C: one count
-    per (level, multidegree)."""
-    table = BettiTable(C.L.n, "ideal")
+    per (level, multidegree), so a multidegree held twice counts 2.  The
+    counts are taken level by level in one Counter, which is the table's
+    entries."""
+    entries = Counter()
     for i, level in enumerate(C.levels):
-        for m in level:
-            table.add(i, m, 1)
-    return table
+        entries.update(zip(repeat(i), level))
+    return BettiTable(C.L.n, "ideal", entries)
 

@@ -211,6 +211,125 @@ def test_formula_consistency_fails_on_a_forged_depth(CHAIN, monkeypatch):
     ]
 
 
+X1Y1 = monomial(0b01, 0b01, 2)  # no basis element of B2
+
+
+def tampered(tamper):
+    """Forges build_resolution: the real resolution, handed to tamper
+    before the checks read it."""
+    def forge(real):
+        def build(L):
+            C = real(L)
+            tamper(C)
+            return C
+        return build
+    return forge
+
+
+def extra_element(C):
+    # x1y1 at level 2 with no terms: degree 2 < n + 2, an interval [{2},
+    # {1}] the scan cannot hold, and a cycle in every strand above x1y1
+    C.levels[2].append(X1Y1)
+    C.d[X1Y1] = ((), ())
+
+
+def unit_pair(C):
+    # x1y1 at levels 0 and 1, with d x1y1 = x1y1 - x1y1: two unit entries
+    # whose sum cancels, so d^2 = 0 and each strand's boundary still lands
+    # on a cell of the level below (a lone unit entry targets its own
+    # source, which no strand holds one level down)
+    C.levels[0].append(X1Y1)
+    C.levels[1].append(X1Y1)
+    C.d[X1Y1] = ((X1Y1, X1Y1), (1, -1))
+
+
+def zero_top(C):
+    # b({1,2}; {{1},{2}}) keeps its targets with zero coefficients
+    (m,) = C.levels[2]
+    targets, _ = C.d[m]
+    C.d[m] = (targets, (0,) * len(targets))
+
+
+def raised_f_at_1(real):
+    # f({1}) read one higher: [empty, {1}] lies in the maximal interval
+    # [empty, {1,2}], whose f is 0
+    return lambda L, p: real(L, p) + (p == 0b01)
+
+
+# Each forgery of B2 replaces one name run_checks reads: (the name, a
+# forge that takes the real object and returns its replacement, the
+# checks that FAIL)
+FORGED_FORMULAS = {
+    "lemma1_corollary": (
+        "build_resolution", tampered(extra_element),
+        ["interval_bijection", "lemma1_corollary", "strand_exactness"],
+    ),
+    "complex_minimality": (
+        "build_resolution", tampered(unit_pair),
+        ["complex_minimality", "interval_bijection", "lemma1_corollary",
+         "lemma1_distinct_meets", "strand_exactness"],
+    ),
+    # a cycle at the top that bounds nothing: d^2 = 0 and no unit entry
+    "strand_exactness": (
+        "build_resolution", tampered(zero_top),
+        ["strand_exactness"],
+    ),
+    # the structural scan loses its least interval
+    "interval_bijection": (
+        "boolean_interval_scan", lambda real: lambda L: set(sorted(real(L))[1:]),
+        ["interval_bijection"],
+    ),
+    # each dual comes back as the ideal itself
+    "alexander_duality": (
+        "alexander_dual", lambda real: lambda J: J, ["alexander_duality"],
+    ),
+    "interval_monotonicity": (
+        "f_value", raised_f_at_1, ["interval_monotonicity"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FORGED_FORMULAS)
+def test_forged_build_fails_its_check(name, B2, monkeypatch):
+    # each formulas-level check reaches its FAIL through run_checks, from
+    # one forged object or helper it reads
+    target, forge, expected = FORGED_FORMULAS[name]
+    monkeypatch.setattr(checks, target, forge(getattr(checks, target)))
+    assert failed(run_checks(B2)) == expected
+
+
+def test_forged_lattice_fails_rank_two():
+    # {empty, {1,2}, {3}, [3]} with {1} forged in as an element below
+    # {1,2} whose one lower neighbour is the empty set: the build accepts
+    # its b({1}; {empty}), and [empty, [3]] then holds five elements
+    L = validate_sublattice({0, 0b011, 0b100, 0b111}, 3)
+    F = dataclasses.replace(
+        L, elements=(0, 0b001, 0b011, 0b100, 0b111),
+        lower={**L.lower, 0b001: (0,)}, bottom={**L.bottom, 0b001: 0},
+    )
+    assert failed(run_checks(F)) == [
+        "alexander_duality", "graph_round_trip", "interval_bijection",
+        "rank_two_fact", "strand_exactness",
+    ]
+
+
+def test_every_formulas_level_name_reaches_fail(B2):
+    # the twelve formulas-level names, each driven to FAIL through
+    # run_checks by a tier-1 test: FORGED_FORMULAS, the forged lattice
+    # above, test_mutated_differential_is_caught,
+    # TestTamperedLattice::test_other_cover_lattice_fails_graph_round_trip,
+    # test_formula_consistency_fails_on_a_forged_depth and
+    # test_resolution.py's TestConsistencyChecks::test_shared_multidegree_fails_checks
+    elsewhere = {
+        "complex_d_squared_zero", "graph_round_trip", "formula_consistency",
+        "lemma1_distinct_meets", "basis_betti_multiplicity_one",
+        "rank_two_fact",
+    }
+    names = [name for name, _, _ in run_checks(B2).results]
+    assert len(names) == 12
+    assert set(names) == set(FORGED_FORMULAS) | elsewhere
+
+
 @pytest.mark.parametrize("level", ["formulas", "oracle"])
 def test_refused_instance_is_judged_by_no_check(level, monkeypatch):
     # B_8's strand closure passes CLOSURE_CAP; the refusal comes from the

@@ -1,11 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hibires
 import hibires.lattice as lattice_mod
@@ -13,7 +18,9 @@ from hibires import cli, oracle, resolution
 from hibires.betti import BettiTable
 from hibires.cli import load_lattice, main
 from hibires.fixtures import FIXTURES, fig1
-from hibires.lattice import lattice_to_text, validate_sublattice
+from hibires.bitset import indices_of
+from hibires.graphs import graph_from_lattice
+from hibires.lattice import lattice_to_text, random_sublattice, validate_sublattice
 
 
 @pytest.fixture
@@ -647,3 +654,89 @@ def test_closed_stdout_exit_1_quietly(command, tmp_path):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+# One process runs these in turn through main, which builds its parser
+# once; each call must print what a fresh `python -m hibires` prints, so
+# the reused parser carries nothing from one call to the next.
+REUSE_SEQUENCE = [
+    ["analyze", "--input", "FIG1.lat", "--format", "text", "--no-timestamp"],
+    ["analyze", "--input", "FIG1.lat", "--no-timestamp"],
+    ["analyze", "--input", "FIG1.lat", "--level", "orcale"],  # usage: exit 2
+    ["verify", "--fixtures"],
+    ["verify", "--fixtures", "--level", "oracle"],
+]
+
+
+def test_reused_parser_carries_nothing_between_calls(
+    exported_fixtures, capsys, monkeypatch
+):
+    monkeypatch.chdir(exported_fixtures)
+    src = str(Path(hibires.__file__).resolve().parent.parent)
+    capsys.readouterr()
+    codes = []
+    for argv in REUSE_SEQUENCE:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            rc = exc.code
+        out, err = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "hibires", *argv],
+            capture_output=True, text=True, cwd=exported_fixtures,
+            env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        )
+        assert (rc, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        codes.append(rc)
+    assert codes == [0, 0, 2, 0, 0]
+    assert cli.build_parser.cache_info().currsize == 1
+
+
+def element_line(p, perm):
+    """Element p of a lattice text, each index i written as perm[i - 1]."""
+    return " ".join(str(perm[i - 1]) for i in indices_of(p)) or "empty"
+
+
+def analyze_outputs(texts):
+    """analyze's stdout, json then text, for each text written in turn at
+    one path (the report names its input)."""
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        for text in texts:
+            path.write_text(text)
+            for fmt in ("json", "text"):
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf):
+                    rc = main(["analyze", "--input", str(path),
+                               "--format", fmt, "--no-timestamp"])
+                assert rc == 0
+                out.append(buf.getvalue())
+    return out
+
+
+@given(st.integers(1, 7), st.integers(0, 5), st.integers(0, 2**32 - 1),
+       st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_shuffled_and_relabelled_inputs_analyze_alike(n, seeds, seed, rnd):
+    # a lattice's element lines in any order give its bytes; a graph of it
+    # with the left labels renamed by sigma, the right ones by tau and the
+    # edge lines in any order gives the bytes of the lattice renamed by
+    # sigma: normalizing yields the sigma-image of G whatever tau is and
+    # whichever perfect matching it finds (each one stays inside the
+    # preorder's classes, whose y-vertices are twins)
+    L = random_sublattice(n, seeds, seed)
+    ident = list(range(1, n + 1))
+    sigma, tau = rnd.sample(ident, n), rnd.sample(ident, n)
+    lines = [element_line(p, ident) for p in L.elements]
+    renamed = [element_line(p, sigma) for p in L.elements]
+    edges = [f"{sigma[i - 1]} {tau[j - 1]}"
+             for i, j in graph_from_lattice(L).edges]
+    out = analyze_outputs([
+        f"lattice {n}\n" + "\n".join(lines) + "\n",
+        f"lattice {n}\n" + "\n".join(rnd.sample(lines, len(lines))) + "\n",
+        f"lattice {n}\n" + "\n".join(renamed) + "\n",
+        f"graph {n} {n}\n" + "\n".join(rnd.sample(edges, len(edges))) + "\n",
+    ])
+    assert out[2:4] == out[0:2]
+    assert out[6:8] == out[4:6]

@@ -488,6 +488,17 @@ class TestFAndSets:
         assert isinstance(FIG1.a_set, frozenset)
         assert FIG1.a_set is FIG1.a_set
 
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_width_histogram(self, name):
+        # width k -> the number of p with |N(p)| = k, counted once and kept
+        L = fixture_lattice(name)
+        counts = {}
+        for p in L.elements:
+            k = len(L.neighbors(p))
+            counts[k] = counts.get(k, 0) + 1
+        assert L.widths == counts
+        assert L.widths is L.widths
+
     def test_scan_runs_once_per_report(self, FIG1, monkeypatch):
         calls = []
         scan = lattice_mod._maximal_interval_tops

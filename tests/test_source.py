@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import hibires
+from hibires.cli import build_parser
 
 SOURCES = sorted(Path(hibires.__file__).resolve().parent.glob("*.py"))
 
@@ -204,3 +205,23 @@ def test_oracle_is_independent_of_the_closed_forms():
         found |= {part for m in modules for part in m.split(".")}
     assert found & closed_forms == set()
     assert {"ideals", "linalg"} <= found
+
+
+def test_cli_builds_its_parser_once():
+    # main reuses one parser per process
+    assert build_parser() is build_parser()
+
+
+def test_widths_come_from_the_histogram():
+    # the basis size, its top level, the level ranks and reg R/I(G) read
+    # CoverLattice.widths; no module sums C(|N(p)|, i) or takes the
+    # largest |N(p)| element by element
+    found = sorted(
+        f"{path.name}:{k}"
+        for path in SOURCES
+        for k, line in enumerate(path.read_text().splitlines(), 1)
+        if "comb(len(" in line
+        or "max(len(L.neighbors" in line
+        or "max(len(L.lower" in line
+    )
+    assert found == []

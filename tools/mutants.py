@@ -1,4 +1,4 @@
-"""Textual mutation run for the oracle, ideals, linalg, resolution and checks.
+"""Textual mutation run for the modules of src/hibires that TESTS maps.
 
 Each mutant below replaces one exact, unique piece of text in one module
 of src/hibires.  The script copies src/, tests/ and pyproject.toml into a
@@ -13,6 +13,9 @@ is fixed by a stronger test, never by dropping the mutant.
 
     python tools/mutants.py MUTANTS.json           # every mutant
     python tools/mutants.py out.json --only window-lo-1 pmod-dropped
+    python tools/mutants.py out.json --module resolution.py cli.py
+
+--only and --module together keep the mutants that both select.
 
 The exit code is 0 when every mutant is killed or equivalent.  The run
 is sequential, one pytest process at a time, with bytecode writing off
@@ -37,7 +40,9 @@ TESTS = {
     "ideals.py": ["tests/test_ideals.py", "tests/test_oracle.py"],
     "linalg.py": ["tests/test_linalg.py", "tests/test_oracle.py"],
     "resolution.py": ["tests/test_resolution.py", "tests/test_checks.py"],
-    "checks.py": ["tests/test_checks.py"],
+    "checks.py": ["tests/test_checks.py", "tests/test_resolution.py"],
+    "invariants.py": ["tests/test_invariants.py", "tests/test_cli.py"],
+    "cli.py": ["tests/test_cli.py", "tests/test_source.py"],
 }
 
 ODD_BASIS = (
@@ -218,6 +223,21 @@ MUTANTS = [
      ODD_BASIS),
     ("basis-guard-one-power-up", "resolution.py",
      "if size > 1 << NEIGHBOR_CAP:", "if size > 2 << NEIGHBOR_CAP:", None),
+    # --- resolution.py: the width histogram and the Betti count ---
+    ("basis-size-unweighted", "resolution.py",
+     "size = sum(c << k for k, c in widths.items())",
+     "size = sum(1 << k for k, c in widths.items())", None),
+    ("top-level-is-least-width", "resolution.py",
+     "levels = [[] for _ in range(max(widths) + 1)]",
+     "levels = [[] for _ in range(min(widths) + 1)]", None),
+    ("rank-weight-dropped", "resolution.py",
+     "sum(c * comb(k, i) for k, c in widths.items())",
+     "sum(comb(k, i) for k, c in widths.items())", None),
+    ("rank-check-dropped", "resolution.py",
+     "if ranks != expected:", "if False:", None),
+    ("repeated-multidegree-counted-once", "resolution.py",
+     "entries.update(zip(repeat(i), level))",
+     "entries.update(dict.fromkeys(zip(repeat(i), level), 1))", None),
     # --- resolution.py: the differential and its checks ---
     ("differential-signs-constant", "resolution.py",
      "signs = (1, -1, -1, 1) * (i // 2) + (1, -1) * (i % 2)",
@@ -281,6 +301,42 @@ MUTANTS = [
     ("formula-consistency-always-passes", "checks.py",
      'report.add("formula_consistency", ok)',
      'report.add("formula_consistency", True)', None),
+    # --- checks.py: each formulas-level check made to always pass ---
+    ("distinct-meets-always-passes", "checks.py",
+     "if m in seen:", "if False:", None),
+    ("corollary-always-passes", "checks.py",
+     "if m.bit_count() < C.L.n + i:", "if False:", None),
+    ("rank-two-always-passes", "checks.py",
+     "    for p in L.elements:\n        nb = L.neighbors(p)\n",
+     "    for p in ():\n        nb = L.neighbors(p)\n", None),
+    ("monotonicity-always-passes", "checks.py",
+     "and fq > f[p]", "and False", None),
+    ("bijection-always-passes", "checks.py",
+     'report.add("interval_bijection", ok)',
+     'report.add("interval_bijection", True)', None),
+    ("graph-round-trip-always-passes", "checks.py",
+     'report.add("graph_round_trip", ok)',
+     'report.add("graph_round_trip", True)', None),
+    ("duality-always-passes", "checks.py",
+     'report.add("alexander_duality", ok)',
+     'report.add("alexander_duality", True)', None),
+    ("d-squared-always-passes", "checks.py",
+     '"complex_d_squared_zero", d2.ok,', '"complex_d_squared_zero", True,',
+     None),
+    ("minimality-always-passes", "checks.py",
+     '"complex_minimality", minimal.ok,', '"complex_minimality", True,',
+     None),
+    ("strand-exactness-always-passes", "checks.py",
+     'report.add("strand_exactness", not bad, bad[:3])',
+     'report.add("strand_exactness", True, bad[:3])', None),
+    ("multiplicity-one-always-passes", "checks.py",
+     "all(v == 1 for v in table.entries.values()),", "True,", None),
+    # --- invariants.py: reg R/I(G) off the width histogram ---
+    ("reg-is-least-width", "invariants.py",
+     "return max(L.widths)", "return min(L.widths)", None),
+    # --- cli.py: one parser per process ---
+    ("parser-built-per-call", "cli.py",
+     "@cache\ndef build_parser():", "def build_parser():", None),
 ]
 
 
@@ -314,14 +370,24 @@ def main(argv=None):
     ap.add_argument("out", type=Path, help="JSON file for the verdicts")
     ap.add_argument("--only", nargs="+", metavar="ID",
                     help="run only these mutants")
+    ap.add_argument("--module", nargs="+", metavar="FILE",
+                    help="run only the mutants of these modules, "
+                         "e.g. resolution.py")
     args = ap.parse_args(argv)
     ids = [m[0] for m in MUTANTS]
     if len(set(ids)) != len(ids):
         ap.error("duplicate mutant ids")
-    chosen = [m for m in MUTANTS if not args.only or m[0] in args.only]
     unknown = set(args.only or ()) - set(ids)
     if unknown:
         ap.error(f"unknown mutant ids: {', '.join(sorted(unknown))}")
+    unknown = set(args.module or ()) - set(TESTS)
+    if unknown:
+        ap.error(f"no mutants for modules: {', '.join(sorted(unknown))}")
+    chosen = [
+        m for m in MUTANTS
+        if (not args.only or m[0] in args.only)
+        and (not args.module or m[1] in args.module)
+    ]
 
     results = []
     with tempfile.TemporaryDirectory(prefix="hibires-mutants-") as tmp:
