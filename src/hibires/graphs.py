@@ -7,7 +7,7 @@ x-parts of its minimal vertex covers are the down-sets of that preorder
 edges and builds L_G from them, and graph_from_lattice goes back.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bitset import MAX_GROUND, indices_of
 from .errors import (
@@ -31,7 +31,6 @@ class BipartiteGraph:
     n_left: int
     n_right: int
     edges: frozenset
-    raw_labels: dict = field(default=None, compare=False)
 
     @property
     def n(self):
@@ -120,11 +119,7 @@ def normalize_graph(raw_edges):
     edges = frozenset(
         (lidx[a], right_relabel[ridx[b]]) for a, b in raw_edges
     )
-    labels = {
-        "left": {i: lefts[i - 1] for i in range(1, n + 1)},
-        "right": {right_relabel[j]: rights[j - 1] for j in range(1, n + 1)},
-    }
-    return BipartiteGraph(n, n, edges, labels)
+    return BipartiteGraph(n, n, edges)
 
 
 def is_transitive(G):

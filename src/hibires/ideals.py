@@ -4,8 +4,11 @@ A squarefree monomial is one int over the 2n variables: x_i at bit
 n+i-1 and y_j at bit j-1.  Divisibility is containment of masks, the lcm
 is their union and the degree their bit count.  With the x-variables in
 the high bits, ``bitset.order_key`` orders monomials by degree, then by
-the x-part, then by the y-part.  Only :func:`monomial` and
-:func:`render_monomial` know the layout.
+the x-part, then by the y-part.  :func:`monomial` builds that layout and
+:func:`render_monomial` prints it; the only other readers are the
+resolution's hot loops (resolution.label and build_resolution, which
+read p off the x-part and shift a class into it) and
+checks.check_interval_bijection, which reads meet S off the y-part.
 """
 
 from dataclasses import dataclass

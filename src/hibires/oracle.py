@@ -23,18 +23,17 @@ independence complex Ind(G[W]) of the graph G the generators span, on
 W = supp(b).  Engstrom's fold lemma ("Complexes of directed trees and
 independence complexes", Discrete Math. 309, 2009) says Ind(G) and
 Ind(G - v) are homotopy equivalent when N(u) is contained in N(v) for
-some u other than v.  _betti_at folds G[W] until no fold applies and
-reads the residue R: an isolated vertex makes Ind a cone (no homology), a
+some u other than v.  N(u) inside N(v) in the whole graph stays true
+inside every vertex set holding both u and v, so these dominations are
+found once per ideal (SquarefreeIdeal.dominators), and _fold makes one
+pass over W that drops each v with a dominator still kept.  It reads the
+residue R once: an isolated vertex makes Ind a cone (no homology), a
 perfect matching with k edges makes it S^{k-1} (beta_{|W|-k-1,b} = 1),
-and any other residue is read off K^R, through the second fold below, its
-homological degree shifted by |W| - |R|.  N(u) inside N(v) in the whole
-graph stays true inside every vertex set holding both u and v, so these
-dominations are found once per ideal (SquarefreeIdeal.dominators), and
-_fold first makes one pass over W that drops each v with a dominator still
-kept; only a residue of that pass which is neither a cone nor a matching
-is folded locally.  On the 27,501 edge-closure members of the benchmark's
-verify-q lattices the pass leaves 13,394 cones and 13,814 matchings, and
-293 members go on to the local loop.
+and any other residue is read off K^R, through the second fold below,
+its homological degree shifted by |W| - |R|.  On the 27,501 edge-closure
+members of the benchmark's verify-q lattices the pass leaves 13,394
+cones, 13,814 matchings and 293 other residues, which the second fold
+reads as 290 spheres, 2 full simplices and 1 built complex.
 
 Every ideal then gets the second fold, on supp(b) or on R.  The incidence
 set inc(w) of a vertex w is the set of generators dividing b that contain
@@ -54,8 +53,7 @@ _betti_at reads it as the quadratic fold reads its residue:
 - a generator meets no vertex of V (among these, every b with a vertex in
   no generator): K^b[V] is a full simplex, no homology;
 - pairwise disjoint incidence sets over V: K^b[V] is the boundary of the
-  simplex on V, and beta_{|V|-1,b} = 1 (never a quadratic residue: its
-  non-matching edges keep both ends in V, sharing a generator);
+  simplex on V, and beta_{|V|-1,b} = 1 (shifted for a quadratic residue);
 - any other V: K^b[V] is built, and FACE_CAP counts its faces.
 On the 2,515 lcm-closure members of the non-quadratic Hibi ideals of the
 benchmark's verify-q lattices (n = 3..5) these are 1,535 spheres, 517
@@ -88,20 +86,16 @@ def _divisors(I, b):
 
 
 def _fold(I, b):
-    """Fold the quadratic ideal's graph restricted to supp(b): drop a
-    vertex v while some u != v has N(u) inside N(v).
+    """Fold the quadratic ideal's graph restricted to supp(b) by its
+    dominations: drop each v with some u != v, N(u) inside N(v), kept.
 
-    None when some vertex is (or becomes) isolated: Delta_b is a cone.
-    Otherwise (R, matching): the residue's vertex mask R, and whether the
-    induced graph on R is a perfect matching.
-
-    One pass over supp(b) in increasing bit order first drops each v with
-    a dominator (I.dominators) still kept: N(u) inside N(v) in the whole
+    One pass over supp(b) in increasing bit order drops each v with a
+    dominator (I.dominators) still kept: N(u) inside N(v) in the whole
     graph stays true inside every vertex set holding both, so of two twins
-    the first is dropped.  When each survivor then has one neighbour, the
-    residue is a perfect matching, where no fold applies; any other runs
-    the local loop.  The order of the folds does not matter: the residue
-    is the same graph up to isomorphism.
+    the first is dropped.  None when a kept vertex has no kept neighbour:
+    Delta_b is a cone.  Otherwise (R, matching): the kept vertex mask R,
+    and whether every kept vertex has exactly one kept neighbour, so that
+    the induced graph on R is a perfect matching.
     """
     dominators = I.dominators
     kept = rest = b
@@ -111,38 +105,17 @@ def _fold(I, b):
         if dominators.get(v, 0) & kept:
             kept ^= v
     graph = I.graph
-    nbr = {}  # vertex bit -> mask of its neighbours among the kept
     matching = True
     rest = kept
     while rest:
         v = rest & -rest
         rest ^= v
-        nv = nbr[v] = graph.get(v, 0) & kept
+        nv = graph.get(v, 0) & kept
         if not nv:
             return None
         if nv & (nv - 1):
             matching = False
-    if matching:
-        return kept, True
-    folded = True
-    while folded:
-        folded = False
-        for v in list(nbr):
-            nv = nbr[v]
-            for u, nu in nbr.items():
-                if not nu & ~nv and u != v:
-                    break
-            else:
-                continue  # no other neighbourhood lies inside N(v)
-            del nbr[v]
-            while nv:
-                w = nv & -nv
-                nv ^= w
-                nbr[w] ^= v
-                if not nbr[w]:
-                    return None
-            folded = True
-    return sum(nbr), all(nv & (nv - 1) == 0 for nv in nbr.values())
+    return kept, matching
 
 
 def _induced_complex(vertices, gens):
@@ -237,10 +210,8 @@ def _betti_at(I, b, field="Q"):
     if any(not g & V for g in gens):
         return {}  # a generator misses V: K^b[V] is a full simplex
     if sum(map(int.bit_count, classes)) == len(gens):
-        # disjoint incidence sets: K^b[V] is the boundary of a simplex.  The
-        # shift is 0 here: a folded quadratic residue that is no matching
-        # keeps both ends of an edge in V, and they share that generator
-        return {len(classes) - 1: 1}
+        # disjoint incidence sets: K^b[V] is the boundary of a simplex
+        return {len(classes) - 1 + shift: 1}
     ranks = reduced_homology_ranks(_induced_complex(V, gens), field)
     return {d + 1 + shift: h for d, h in ranks.items()}
 

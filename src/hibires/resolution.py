@@ -214,12 +214,19 @@ def strand_exactness(C, I, b, field="Q"):
     so they survive too.  The augmentation maps onto the one-dimensional
     degree-b component of the ideal when some generator divides b.  So the
     strand is exact iff its homology (linalg.homology_ranks) is one
-    dimension at level 0 when b lies in the ideal, and zero otherwise.
+    dimension at level 0 when b lies in the ideal, and zero otherwise.  A
+    strand whose boundary leaves its level below (a unit entry targets its
+    own source) is no complex, so it is not exact either.
     """
     survivors = {
         i: [m for m in lv if m & ~b == 0] for i, lv in enumerate(C.levels)
     }
-    homology = homology_ranks(survivors, lambda i, m: zip(*C.d[m]), field=field)
+    try:
+        homology = homology_ranks(
+            survivors, lambda i, m: zip(*C.d[m]), field=field
+        )
+    except ConsistencyError:
+        return False
     return homology == ({0: 1} if I.contains_monomial(b) else {})
 
 

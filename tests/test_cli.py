@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import hibires
 import hibires.lattice as lattice_mod
-from hibires import cli, oracle, resolution
+from hibires import checks, cli, oracle, resolution
 from hibires.betti import BettiTable
 from hibires.cli import load_lattice, main
 from hibires.fixtures import FIXTURES, fig1
@@ -438,6 +438,25 @@ class TestVerify:
         assert f"FAIL {chain_file} basis_betti_multiplicity_one" in captured.out
         failed = json.loads(captured.err)["counterexample"]
         assert failed["check"] == "lemma1_distinct_meets"
+
+    def test_lone_unit_entry_exits_2(self, chain_file, capsys, monkeypatch):
+        # the first term of CHAIN's top element targets the element itself:
+        # its strands are no complexes, and the checks say so instead of
+        # raising
+        right = checks.build_resolution
+
+        def lone_unit(L):
+            C = right(L)
+            m = C.levels[1][-1]
+            targets, signs = C.d[m]
+            C.d[m] = ((m, *targets[1:]), signs)
+            return C
+
+        monkeypatch.setattr(checks, "build_resolution", lone_unit)
+        assert main(["verify", "--input", chain_file]) == 2
+        out = capsys.readouterr().out
+        assert f"FAIL {chain_file} complex_minimality" in out
+        assert f"FAIL {chain_file} strand_exactness" in out
 
 
 class TestRandom:

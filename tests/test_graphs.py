@@ -121,11 +121,6 @@ class TestNormalize:
         with pytest.raises(NoPerfectMatching):
             normalize_graph([(1, j) for j in range(1, n + 2)])
 
-    def test_labels_recorded(self):
-        G = normalize_graph([("u", "v")])
-        assert G.raw_labels["left"][1] == "u"
-        assert G.raw_labels["right"][1] == "v"
-
     def test_deterministic(self):
         edges = [("a2", "b2"), ("a1", "b1"), ("a1", "b2")]
         assert normalize_graph(edges) == normalize_graph(list(reversed(edges)))
@@ -243,6 +238,14 @@ class TestCoverLattice:
         G = BipartiteGraph(n, n, frozenset((i, i) for i in range(1, n + 1)))
         with pytest.raises(TooLarge):
             cover_lattice(G)
+
+    def test_ground_bound_is_accepted(self):
+        # the chain on MAX_GROUND pairs (x_i y_j for i <= j) sits at the
+        # bound and has MAX_GROUND + 1 down-sets
+        n = MAX_GROUND
+        G = BipartiteGraph(n, n, frozenset(
+            (i, j) for j in range(1, n + 1) for i in range(1, j + 1)))
+        assert len(cover_lattice(G).elements) == n + 1
 
 
 class TestGraphFromLattice:

@@ -502,15 +502,12 @@ def support(I):
 CROWN3_CYCLE = monomial(0b010101, 0b101010, 6)
 
 
-def residues(I):
-    """The multidegrees of the closure whose fold leaves a complex to
-    build: neither a cone nor a perfect matching."""
-    out = []
-    for b in lcm_closure(I, cap=200000):
-        folded = _fold(I, b)
-        if folded is not None and not folded[1]:
-            out.append(b)
-    return out
+def built_by_table(I, mp):
+    """The vertex sets the oracle builds a complex on, in closure order,
+    while it computes I's table."""
+    built = record_builds(mp)
+    betti_oracle(I)
+    return [v for v, _ in built]
 
 
 def n2_lattices():
@@ -522,6 +519,7 @@ def n2_lattices():
 N2_HIBI = [f"hibi-n2-{k}" for k in range(4)]
 CROWNS = {"crown3": (3, False), "crown4": (4, False),
           "twinned-crown3": (3, True)}
+CROWN_BUILDS = {"crown3": 1, "crown4": 17, "twinned-crown3": 12}
 # quadratic ideals whose fold path is compared with hochster_table;
 # the small ones also at every b, not only the closure
 SMALL_FOLD_CASES = ["E1", "K22", "CHAIN", "B2", *N2_HIBI]
@@ -567,53 +565,63 @@ class TestFold:
                 assert betti_value_at(I, sub, i, field=2) == expected.get(i, 0)
 
     @pytest.mark.parametrize("k, i, value", [(3, 3, 2), (4, 4, 1)])
-    def test_crown_cycle(self, k, i, value):
-        # the cycle C_2k on x1 x3 ... y2 y4 ... is the crown's one residue;
-        # Ind(C_6) is a wedge of two circles, Ind(C_8) a 2-sphere (Kozlov 1999)
+    def test_crown_cycle(self, k, i, value, monkeypatch):
+        # the cycle C_2k on x1 x3 ... y2 y4 ... is built on all its vertices
+        # (the k = 3 crown's one build); Ind(C_6) is a wedge of two
+        # circles, Ind(C_8) a 2-sphere (Kozlov 1999)
         I = edge_ideal(graph_from_lattice(crown_lattice(k)))
         full = (1 << 2 * k) - 1
         cycle = monomial(0x55 & full, 0xAA & full, 2 * k)
-        assert residues(I) == [cycle]
+        built = built_by_table(I, monkeypatch)
+        assert cycle in built and len(built) == CROWN_BUILDS[f"crown{k}"]
         assert betti_value_at(I, cycle, i) == value
         assert betti_oracle(I).value(i, cycle) == value
 
     def test_residue_after_a_fold_is_shifted(self):
-        # x7 is x1's twin on the 6-cycle plus x7, so one fold leaves C_6:
-        # beta_{3+1} at the seven vertices
+        # on the 6-cycle plus x7, x7 has x1's neighbours, but y1 and y7 tell
+        # the two apart in the whole graph, so the pass keeps all seven
+        # vertices: beta_{3+1}.  Adding x4, which dominates x3, the pass
+        # drops x3, and the residue on x1 x4 x7 y2 y4 y6 is built with its
+        # degree shifted by one
         I = edge_ideal(graph_from_lattice(crown_lattice(3, twin=True)))
         b = monomial(0b1010101, 0b0101010, 7)
-        assert _fold(I, b)[0].bit_count() == 6
+        assert _fold(I, b) == (b, False)
         assert betti_value_at(I, b, 4) == 2
         assert betti_oracle(I).value(4, b) == 2
+        b = monomial(0b1001101, 0b0101010, 7)
+        r = monomial(0b1001001, 0b0101010, 7)
+        assert _fold(I, b) == (r, False)
+        assert incidence_outcome(I, r)[0] == "build"
+        assert _betti_at(I, b) == hochster_ranks(I, b) == {4: 1}
 
     @pytest.mark.parametrize("name", CROWNS)
     def test_crown_residues_reach_the_build(self, name, monkeypatch):
-        # the crowns' residues are cycles, the only residues the fixtures
-        # and crowns have; every vertex of one keeps its own incidence set,
-        # so each residue is built on all its vertices and never reaches
-        # the sphere or simplex case, where the shift would be dropped
+        # a residue that is neither a cone nor a matching goes to the
+        # incidence-class fold, and the table builds exactly its "build"
+        # outcomes, each on its own V, in closure order
         I = quadratic_case(name)
-        built = record_builds(monkeypatch)
-        found = residues(I)
-        assert len(found) == (3 if name.startswith("twinned") else 1)
-        for b in found:
-            r = _fold(I, b)[0]
-            assert incidence_outcome(I, r) == ("build", r)
-            built.clear()
-            oracle._betti_at(I, b)
-            assert [v for v, _ in built] == [r]
-
-    @given(st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7))
-                   .filter(lambda e: e[0] < e[1]), min_size=1, max_size=16))
-    @settings(max_examples=30, deadline=None)
-    def test_no_residue_reaches_the_sphere(self, edges):
-        # both ends of an edge outside the residue's matching components
-        # stay in V and share that generator
-        I = SquarefreeIdeal.of(4, [1 << u | 1 << v for u, v in edges])
-        for b in subsets(support(I)):
+        expected = []
+        for b in lcm_closure(I):
             folded = _fold(I, b)
             if folded is not None and not folded[1]:
-                assert incidence_outcome(I, folded[0])[0] == "build"
+                kind, V = incidence_outcome(I, folded[0])
+                if kind == "build":
+                    expected.append(V)
+        assert built_by_table(I, monkeypatch) == expected
+        assert len(expected) == CROWN_BUILDS[name]
+
+    def test_shifted_residue_reaches_the_sphere(self, monkeypatch):
+        # on the k = 3 crown, b = x1x3x5*y1y2y4y6: the pass drops y2 and y6
+        # (N(y1) lies in both), and on the residue x1 x3 x5 y1 y4 the
+        # incidence sets are disjoint, so K^R[V] is a sphere read without a
+        # build, its degree shifted by 2
+        I = edge_ideal(graph_from_lattice(crown_lattice(3)))
+        b = monomial(0b10101, 0b101011, 6)
+        r = monomial(0b10101, 0b001001, 6)
+        assert _fold(I, b) == (r, False)
+        assert incidence_outcome(I, r)[0] == "sphere"
+        monkeypatch.setattr(oracle, "_induced_complex", None)
+        assert _betti_at(I, b) == hochster_ranks(I, b) == {4: 1}
 
     def test_matching_and_cone(self, K22, CHAIN):
         # K22: x1 and x2 are twins on the star x1 - y1 - x2, and one fold
@@ -648,43 +656,6 @@ class TestFold:
 
 # --- the dominator pass -----------------------------------------------------
 
-def fold_reference(b, graph):
-    """_fold without the dominator pass: the graph restricted to supp(b),
-    folded locally until no fold applies."""
-    nbr = {}  # vertex bit -> mask of its neighbours inside supp(b)
-    rest = b
-    while rest:
-        v = rest & -rest
-        rest ^= v
-        nbr[v] = graph.get(v, 0) & b
-        if not nbr[v]:
-            return None
-    folded = True
-    while folded:
-        folded = False
-        for v in list(nbr):
-            nv = nbr[v]
-            for u, nu in nbr.items():
-                if not nu & ~nv and u != v:
-                    break
-            else:
-                continue  # no other neighbourhood lies inside N(v)
-            del nbr[v]
-            while nv:
-                w = nv & -nv
-                nv ^= w
-                nbr[w] ^= v
-                if not nbr[w]:
-                    return None
-            folded = True
-    return sum(nbr), all(nv & (nv - 1) == 0 for nv in nbr.values())
-
-
-def degrees_inside(graph, r):
-    """The sorted degree sequence of the graph induced on the mask r."""
-    return sorted((graph[v] & r).bit_count() for v in bits(r))
-
-
 def twinned_graph(edges, order, cycle, twins):
     """edges on eight vertices, plus the odd cycle through the first cycle
     vertices of order, then each (u, t) of twins making t a twin of u:
@@ -706,28 +677,24 @@ TWINS8 = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7))
 
 
 class TestDominatorPass:
-    """_fold first drops each vertex with a dominator (N(u) inside N(v) in
-    the whole graph) still kept; it must end where the local fold alone
-    ends, up to isomorphism."""
+    """_fold drops each vertex with a dominator (N(u) inside N(v) in the
+    whole graph) still kept, and reads the residue once: a cone, a perfect
+    matching, or a residue for the incidence-class fold."""
 
     @given(EDGES8, st.permutations(range(8)), st.sampled_from([3, 5, 7]),
            TWINS8)
-    @settings(max_examples=200, deadline=None)
-    def test_matches_local_fold(self, edges, order, cycle, twins):
+    @settings(max_examples=50, deadline=None)
+    def test_matches_hochster(self, edges, order, cycle, twins):
+        # every b but 0, which lies below every degree window
         I = twinned_graph(edges, order, cycle, twins)
-        for b in subsets(support(I)):
-            got, expected = _fold(I, b), fold_reference(b, I.graph)
-            assert (got is None) == (expected is None), b
-            if got is None:
-                continue
-            (r, matching), (ref, ref_matching) = got, expected
-            assert r & ~b == 0 and matching == ref_matching
-            assert degrees_inside(I.graph, r) == degrees_inside(I.graph, ref)
-            # no fold is left inside the residue
-            assert not any(
-                u != v and not I.graph[u] & r & ~I.graph[v]
-                for u in bits(r) for v in bits(r)
-            )
+        for b in filter(None, subsets(support(I))):
+            assert _betti_at(I, b) == hochster_ranks(I, b), b
+            folded = _fold(I, b)
+            if folded is not None:
+                r, matching = folded
+                assert r & ~b == 0
+                assert matching == all(
+                    (I.graph[v] & r).bit_count() == 1 for v in bits(r))
 
     def test_k22_twin_star(self, K22):
         # x1 and x2 are twins in the whole graph: on the star x1 - y1 - x2
@@ -736,18 +703,17 @@ class TestDominatorPass:
         x1, x2 = monomial(0b01, 0, 2), monomial(0b10, 0, 2)
         assert I.dominators[x1] == x2 and I.dominators[x2] == x1
         star = monomial(0b11, 0b01, 2)
-        assert _fold(I, star) == fold_reference(star, I.graph) \
-            == (monomial(0b10, 0b01, 2), True)
+        assert _fold(I, star) == (monomial(0b10, 0b01, 2), True)
 
     def test_twinned_crown_cycle(self):
         # x1 and x7 are twins only inside b (y1 and y7 tell them apart in
-        # the whole graph), so the pass keeps all of b and the local loop
-        # drops x1, leaving the 6-cycle on x3 x5 x7 y2 y4 y6
+        # the whole graph), so the pass keeps all of b; x1 and x7 share no
+        # edge, so the incidence-class fold keeps them both as well
         I = edge_ideal(graph_from_lattice(crown_lattice(3, twin=True)))
         b = monomial(0b1010101, 0b0101010, 7)
         assert not any(I.dominators[v] & b for v in bits(b))
-        assert _fold(I, b) == fold_reference(b, I.graph) \
-            == (monomial(0b1010100, 0b0101010, 7), False)
+        assert _fold(I, b) == (b, False)
+        assert incidence_outcome(I, b) == ("build", b)
 
 
 def permute_mask(mask, perm):
@@ -924,7 +890,8 @@ class TestFaceCap:
 
     def test_cap_is_exact(self, monkeypatch):
         I = edge_ideal(graph_from_lattice(crown_lattice(3)))
-        assert residues(I) == [CROWN3_CYCLE]
+        with monkeypatch.context() as mp:
+            assert built_by_table(I, mp) == [CROWN3_CYCLE]
         assert self.assert_cap_is_exact(I, monkeypatch) == 46
 
     def test_hibi_cap_is_exact(self, monkeypatch):

@@ -135,6 +135,36 @@ def test_fold_and_spot_values_have_one_caller():
     }
 
 
+def test_fold_reads_its_residue_once():
+    # _fold is the dominator pass plus one scan of the kept vertices: no
+    # local fold loop (while folded) and no neighbour dict anywhere in
+    # oracle.py, and _fold builds no dict at all; any other residue goes to
+    # the incidence-class fold, whose sphere case adds the residue's shift
+    path = next(path for path in SOURCES if path.name == "oracle.py")
+    tree = ast.parse(path.read_text(), str(path))
+    functions = {
+        node.name: node for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert not [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.While) and isinstance(node.test, ast.Name)
+        and node.test.id == "folded"
+    ]
+    assert "nbr" not in {
+        node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+    }
+    assert not [
+        node for node in ast.walk(functions["_fold"])
+        if isinstance(node, (ast.Dict, ast.DictComp))
+    ]
+    returned = {
+        ast.unparse(node.value) for node in ast.walk(functions["_betti_at"])
+        if isinstance(node, ast.Return) and isinstance(node.value, ast.Dict)
+    }
+    assert "{len(classes) - 1 + shift: 1}" in returned
+
+
 def test_basis_elements_are_multidegrees():
     # a basis element is the int m = u_p * y^(p - meet S); no record type
     # carries (p, S) beside it, resolution.label alone decodes them, and

@@ -43,6 +43,7 @@ TESTS = {
     "checks.py": ["tests/test_checks.py", "tests/test_resolution.py"],
     "invariants.py": ["tests/test_invariants.py", "tests/test_cli.py"],
     "cli.py": ["tests/test_cli.py", "tests/test_source.py"],
+    "graphs.py": ["tests/test_graphs.py", "tests/test_cli.py"],
 }
 
 ODD_BASIS = (
@@ -65,7 +66,11 @@ MUTANTS = [
      "w = rest & -rest\n        rest ^= w\n        inc = 0",
      "w = rest\n        rest ^= w\n        inc = 0", None),
     ("sphere-degree-plus-1", "oracle.py",
-     "return {len(classes) - 1: 1}", "return {len(classes): 1}", None),
+     "return {len(classes) - 1 + shift: 1}",
+     "return {len(classes) + shift: 1}", None),
+    ("sphere-shift-dropped", "oracle.py",
+     "return {len(classes) - 1 + shift: 1}", "return {len(classes) - 1: 1}",
+     None),
     ("sphere-test-by-class-count", "oracle.py",
      "if sum(map(int.bit_count, classes)) == len(gens):",
      "if len(classes) == len(gens):", None),
@@ -88,9 +93,7 @@ MUTANTS = [
      "return {b.bit_count() - r.bit_count() // 2: 1}", None),
     ("residue-shift-dropped", "oracle.py",
      "shift = b.bit_count() - r.bit_count()", "shift = 0", None),
-    ("fold-onto-itself", "oracle.py",
-     "if not nu & ~nv and u != v:", "if not nu & ~nv:", None),
-    # --- oracle.py: the dominator pass before the local fold ---
+    # --- oracle.py: the dominator pass and its one scan of the residue ---
     ("pass-dominator-includes-v", "oracle.py",
      "if dominators.get(v, 0) & kept:",
      "if (dominators.get(v, 0) | v) & kept:", None),
@@ -99,8 +102,15 @@ MUTANTS = [
     ("matching-shortcut-at-two-neighbours", "oracle.py",
      "if nv & (nv - 1):", "if nv.bit_count() > 2:", None),
     ("matching-shortcut-dropped", "oracle.py",
-     "    if matching:\n        return kept, True\n", "",
-     "a perfect matching has no fold, so the local loop returns it as is"),
+     "        if matching:\n"
+     "            return {b.bit_count() - r.bit_count() // 2 - 1: 1}\n", "",
+     "a matching residue reaches the sphere case, one class per edge, which "
+     "applies the shift |b| - |R|"),
+    ("cone-exit-dropped", "oracle.py",
+     "        if not nv:\n            return None\n",
+     "        if not nv:\n            matching = False\n",
+     "an isolated kept vertex lies in no generator, so K^b[V] is a full "
+     "simplex or void"),
     # --- oracle.py: the facet walk, its cap and the boundary ---
     ("facet-is-vertex-set", "oracle.py",
      "facet = t = vertices & ~g", "facet = t = vertices", None),
@@ -334,6 +344,18 @@ MUTANTS = [
     # --- invariants.py: reg R/I(G) off the width histogram ---
     ("reg-is-least-width", "invariants.py",
      "return max(L.widths)", "return min(L.widths)", None),
+    # --- graphs.py: the refusals ---
+    ("normalize-ground-refuses-at-bound", "graphs.py",
+     "    if n > MAX_GROUND:", "    if n >= MAX_GROUND:", None),
+    ("cover-ground-refuses-at-bound", "graphs.py",
+     "    if G.n > MAX_GROUND:", "    if G.n >= MAX_GROUND:", None),
+    ("transitivity-refusal-dropped", "graphs.py",
+     "    if not is_transitive(G):", "    if False:", None),
+    ("isolated-vertex-refusal-dropped", "graphs.py",
+     "if len(lefts) != self.n_left or len(rights) != self.n_right:",
+     "if False:", None),
+    ("side-size-refusal-dropped", "graphs.py",
+     "    if len(lefts) != len(rights):", "    if False:", None),
     # --- cli.py: one parser per process ---
     ("parser-built-per-call", "cli.py",
      "@cache\ndef build_parser():", "def build_parser():", None),
